@@ -293,13 +293,12 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
         Reporter rep(report, "f=" + f.name());
 
         // --- direct executor: the functional + cost reference -------------
-        const auto run_direct = [&](bool bulk, bool cache, trace::Sink* sink,
-                                    std::size_t threads = 1) -> model::DbspResult {
+        const auto run_direct = [&](bool bulk, bool cache,
+                                    trace::Sink* sink) -> model::DbspResult {
             model::ScopedBulkAccess sb(bulk);
             model::ScopedCostTableCache sc(cache);
             model::DbspMachine machine(f);
             machine.set_trace(sink);
-            machine.set_threads(threads);
             return machine.run(program);
         };
         const model::DbspResult ref = run_direct(true, true, nullptr);
@@ -337,17 +336,6 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                            sink.total());
             rep.check_cost("direct-cost-mode", "traced direct time", ref.time, traced.time);
         }
-        for (const std::size_t t : config.threads) {
-            trace::Sink sink;
-            const model::DbspResult par = run_direct(true, true, &sink, t);
-            std::ostringstream what;
-            what << "direct (threads=" << t << ")";
-            rep.check_cost("direct-cost-threads", what.str() + " time", ref.time, par.time);
-            rep.check_images("direct-image-threads", what.str() + " image", ref.contexts,
-                             par.contexts);
-            rep.check_cost("direct-trace", what.str() + " trace mirror", par.time,
-                           sink.total());
-        }
 
         // --- HMM simulator on an hmm_label_set smoothing ------------------
         {
@@ -364,13 +352,13 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_images("smooth-hmm-image", "direct run of smoothed program",
                              ref_images, images_of(sm_direct.contexts, layout));
 
-            const auto run_hmm = [&](bool bulk, bool cache, trace::Sink* sink,
-                                     std::size_t threads = 1) -> core::HmmSimResult {
+            const auto run_hmm = [&](bool bulk, bool cache,
+                                     trace::Sink* sink) -> core::HmmSimResult {
                 model::ScopedBulkAccess sb(bulk);
                 model::ScopedCostTableCache sc(cache);
                 core::HmmSimulator::Options opt;
                 opt.trace = sink;
-                opt.threads = threads;
+                opt.check_invariants = true;  // Theorem 4's Invariants 1-2
                 return core::HmmSimulator(f, opt).simulate(*smoothed);
             };
             const core::HmmSimResult hmm = run_hmm(true, true, nullptr);
@@ -384,18 +372,6 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                 rep.check_cost("hmm-cost-mode", what.str(), hmm.hmm_cost, alt.hmm_cost);
                 rep.check_images("hmm-image-mode", what.str() + " image", hmm.contexts,
                                  alt.contexts);
-            }
-            for (const std::size_t t : config.threads) {
-                trace::Sink sink;
-                const core::HmmSimResult par = run_hmm(true, true, &sink, t);
-                std::ostringstream what;
-                what << "HMM (threads=" << t << ")";
-                rep.check_cost("hmm-cost-threads", what.str() + " cost", hmm.hmm_cost,
-                               par.hmm_cost);
-                rep.check_images("hmm-image-threads", what.str() + " image", hmm.contexts,
-                                 par.contexts);
-                rep.check_cost("hmm-trace", what.str() + " trace mirror", par.hmm_cost,
-                               sink.total());
             }
             {
                 // A LocalitySink is a Sink, so it must keep the exact cost
@@ -460,13 +436,13 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_images("smooth-bt-image", "direct run of BT-smoothed program",
                              ref_images, images_of(sm_direct.contexts, layout));
 
-            const auto run_bt = [&](bool bulk, bool cache, trace::Sink* sink,
-                                    std::size_t threads = 1) -> core::BtSimResult {
+            const auto run_bt = [&](bool bulk, bool cache,
+                                    trace::Sink* sink) -> core::BtSimResult {
                 model::ScopedBulkAccess sb(bulk);
                 model::ScopedCostTableCache sc(cache);
                 core::BtSimulator::Options opt;
                 opt.trace = sink;
-                opt.threads = threads;
+                opt.check_invariants = true;  // layout invariants + round checker
                 return core::BtSimulator(f, opt).simulate(*smoothed);
             };
             const core::BtSimResult bt = run_bt(true, true, nullptr);
@@ -480,20 +456,6 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                 rep.check_cost("bt-cost-mode", what.str(), bt.bt_cost, alt.bt_cost);
                 rep.check_images("bt-image-mode", what.str() + " image", bt.contexts,
                                  alt.contexts);
-            }
-            for (const std::size_t t : config.threads) {
-                trace::Sink sink;
-                const core::BtSimResult par = run_bt(true, true, &sink, t);
-                std::ostringstream what;
-                what << "BT (threads=" << t << ")";
-                rep.check_cost("bt-cost-threads", what.str() + " cost", bt.bt_cost,
-                               par.bt_cost);
-                rep.check_cost("bt-cost-threads", what.str() + " compute cost",
-                               bt.compute_cost, par.compute_cost);
-                rep.check_images("bt-image-threads", what.str() + " image", bt.contexts,
-                                 par.contexts);
-                rep.check_cost("bt-trace", what.str() + " trace mirror", par.bt_cost,
-                               sink.total());
             }
             {
                 // Same invariant on the BT side: the sink's per-stream word
@@ -562,13 +524,10 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
 
         // --- naive (pinned-context) baselines -----------------------------
         {
-            const auto run_naive_hmm = [&](bool bulk, bool cache,
-                                           std::size_t threads = 1) -> core::HmmSimResult {
+            const auto run_naive_hmm = [&](bool bulk, bool cache) -> core::HmmSimResult {
                 model::ScopedBulkAccess sb(bulk);
                 model::ScopedCostTableCache sc(cache);
-                core::NaiveHmmSimulator::Options opt;
-                opt.threads = threads;
-                return core::NaiveHmmSimulator(f, opt).simulate(program);
+                return core::NaiveHmmSimulator(f).simulate(program);
             };
             const core::HmmSimResult nh = run_naive_hmm(true, true);
             rep.check_images("naive-hmm-image", "naive HMM image", ref_images,
@@ -578,15 +537,6 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                            nh_alt.hmm_cost);
             rep.check_images("naive-hmm-image", "per-word naive HMM image", nh.contexts,
                              nh_alt.contexts);
-            for (const std::size_t t : config.threads) {
-                const core::HmmSimResult par = run_naive_hmm(true, true, t);
-                std::ostringstream what;
-                what << "naive HMM (threads=" << t << ")";
-                rep.check_cost("naive-hmm-cost-threads", what.str() + " cost", nh.hmm_cost,
-                               par.hmm_cost);
-                rep.check_images("naive-hmm-image-threads", what.str() + " image",
-                                 nh.contexts, par.contexts);
-            }
 
             const auto run_naive_bt = [&](bool bulk, bool cache) -> core::BtSimResult {
                 model::ScopedBulkAccess sb(bulk);

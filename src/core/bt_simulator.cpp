@@ -10,7 +10,6 @@
 #include "report/metrics.hpp"
 #include "util/bits.hpp"
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace dbsp::core {
 
@@ -46,17 +45,17 @@ Word msg_key1(Word prio, Word src, Word seq) {
 constexpr std::int64_t kEmptySlot = -1;
 
 /// Context accessor for COMPUTE's base case, charging into a shard account
-/// (and trace buffer when Traced) with exactly bt::Machine's accounting —
+/// (and trace sink when Traced) with exactly bt::Machine's accounting —
 /// including the independent cost/word_access decomposition of read_range —
-/// at the *virtual* address (0: the top of memory, where the serial schedule
+/// at the *virtual* address (0: the top of memory, where the schedule
 /// executes the context) while the data stays in place at the *physical*
 /// base (the context's entry slot). The BT counterpart of HmmShardAccessor.
 template <bool Traced>
 class BtShardAccessor final : public ContextAccessor {
 public:
-    BtShardAccessor(bt::Machine& m, bt::ShardAccount& account, trace::BufferSink* buffer,
+    BtShardAccessor(bt::Machine& m, bt::ShardAccount& account, trace::Sink* sink,
                     Addr vbase, Addr pbase, std::size_t mu)
-        : m_(m), account_(account), buffer_(buffer), vbase_(vbase), pbase_(pbase),
+        : m_(m), account_(account), sink_(sink), vbase_(vbase), pbase_(pbase),
           mu_(mu) {}
 
     Word get(std::size_t index) const override {
@@ -66,7 +65,7 @@ public:
         const double delta = m_.table().cost(vx);
         account_.cost += delta;
         account_.word_access += delta;
-        if constexpr (Traced) buffer_->access(vx, delta);
+        if constexpr (Traced) sink_->access(vx, delta);
         return m_.raw()[pbase_ + index];
     }
 
@@ -77,7 +76,7 @@ public:
         const double delta = m_.table().cost(vx);
         account_.cost += delta;
         account_.word_access += delta;
-        if constexpr (Traced) buffer_->access(vx, delta);
+        if constexpr (Traced) sink_->access(vx, delta);
         m_.raw()[pbase_ + index] = value;
     }
 
@@ -92,7 +91,7 @@ public:
             m_.table().accumulate(vx, vx + out.size(), account_.word_access);
         ++account_.range_ops;
         account_.range_words += out.size();
-        if constexpr (Traced) buffer_->access_range(m_.table().prefix(), vx, vx + out.size());
+        if constexpr (Traced) sink_->access_range(m_.table().prefix(), vx, vx + out.size());
         const auto raw = m_.raw();
         std::copy_n(raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index), out.size(),
                     out.begin());
@@ -110,7 +109,7 @@ public:
         ++account_.range_ops;
         account_.range_words += values.size();
         if constexpr (Traced) {
-            buffer_->access_range(m_.table().prefix(), vx, vx + values.size());
+            sink_->access_range(m_.table().prefix(), vx, vx + values.size());
         }
         const auto raw = m_.raw();
         std::copy_n(values.begin(), values.size(),
@@ -120,9 +119,9 @@ public:
 private:
     bt::Machine& m_;
     bt::ShardAccount& account_;
-    trace::BufferSink* buffer_;  ///< non-null iff Traced
-    Addr vbase_;                 ///< charged addresses
-    Addr pbase_;                 ///< data addresses
+    trace::Sink* sink_;  ///< non-null iff Traced
+    Addr vbase_;         ///< charged addresses
+    Addr pbase_;         ///< data addresses
     std::size_t mu_;
 };
 
@@ -146,8 +145,7 @@ public:
           pad_(compute_pad(f, v_, mu_)),
           total_slots_(2 * v_ + gap_slots(v_) + 2),
           machine_(f, pad_ + total_slots_ * mu_ + 64),
-          proc_of_slot_(total_slots_, kEmptySlot), slot_of_proc_(v_), sigma_(v_, 0),
-          threads_(options.threads == 0 ? util::default_threads() : options.threads) {
+          proc_of_slot_(total_slots_, kEmptySlot), slot_of_proc_(v_), sigma_(v_, 0) {
         machine_.set_trace(options_.trace);
     }
 
@@ -204,25 +202,15 @@ private:
     std::vector<std::int64_t> proc_of_slot_;
     std::vector<std::uint64_t> slot_of_proc_;
     std::vector<StepIndex> sigma_;
-    std::size_t threads_;
     BtSimResult result_;
     std::uint64_t last_outgoing_ = 0;  ///< messages emitted by the last serialize
 
-    /// One entry of COMPUTE's charge walk: the serial schedule as data. A
-    /// kTransfer op is a block_copy whose charges will be replayed without
-    /// moving data (the schedule is a net identity on memory); a kExec op is
-    /// one processor's step execution, run in place at its entry slot.
-    struct ComputeOp {
-        enum Kind : std::uint8_t { kTransfer, kExec } kind;
-        Addr src = 0;                  ///< kTransfer
-        Addr dst = 0;                  ///< kTransfer
-        std::uint64_t len = 0;         ///< kTransfer
-        ProcId exec_proc = 0;          ///< kExec
-        std::uint64_t exec_slot = 0;   ///< kExec: slot at COMPUTE entry
-    };
-    std::vector<ComputeOp> walk_ops_;
+    /// COMPUTE state: the schedule is a net identity on memory, so the walk
+    /// only charges its transfers and updates the slot maps, and each context
+    /// runs in place at the slot it held when COMPUTE began.
     std::vector<std::uint64_t> entry_slot_;  ///< slot_of_proc_ at COMPUTE entry
-    bool walking_ = false;  ///< move_slot_run records ops instead of copying
+    bt::ShardAccount account_;               ///< one context execution's fold
+    bool walking_ = false;  ///< move_slot_run charges without copying
 };
 
 Addr BtSim::compute_pad(const model::AccessFunction& f, std::uint64_t v, std::size_t mu) {
@@ -246,8 +234,7 @@ Addr BtSim::compute_pad(const model::AccessFunction& f, std::uint64_t v, std::si
 void BtSim::move_slot_run(std::uint64_t src, std::uint64_t dst, std::uint64_t n) {
     if (n == 0 || src == dst) return;
     if (walking_) {
-        walk_ops_.push_back(
-            {ComputeOp::kTransfer, slot_addr(src), slot_addr(dst), n * mu_, 0, 0});
+        machine_.charge_transfer(slot_addr(src), slot_addr(dst), n * mu_);
     } else {
         machine_.block_copy(slot_addr(src), slot_addr(dst), n * mu_);
     }
@@ -309,13 +296,30 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
     if (n == 1) {
         const std::int64_t p = proc_of_slot_[0];
         DBSP_ASSERT(p != kEmptySlot);
-        // Serial schedule: hop the context over the staging pad to the true
-        // top of memory (two block transfers), so the elementwise step
-        // execution pays f(mu) = O(1)-ish per access instead of f(pad).
-        walk_ops_.push_back({ComputeOp::kTransfer, slot_addr(0), 0, mu_, 0, 0});
-        walk_ops_.push_back({ComputeOp::kExec, 0, 0, 0, static_cast<ProcId>(p),
-                             entry_slot_[static_cast<std::uint64_t>(p)]});
-        walk_ops_.push_back({ComputeOp::kTransfer, 0, slot_addr(0), mu_, 0, 0});
+        // The schedule hops the context over the staging pad to the true top
+        // of memory (two block transfers), so the elementwise step execution
+        // pays f(mu) = O(1)-ish per access instead of f(pad). The context
+        // runs in place, charged at address 0; its charges fold from zero
+        // and reach the machine (and the sink's mirror) in one add.
+        const auto proc = static_cast<ProcId>(p);
+        const Addr pbase = slot_addr(entry_slot_[proc]);
+        trace::Sink* const sink = machine_.trace();
+        machine_.charge_transfer(slot_addr(0), 0, mu_);
+        model::StepOutcome out;
+        if (sink != nullptr) {
+            sink->shard_begin();
+            BtShardAccessor<true> acc(machine_, account_, sink, 0, pbase, mu_);
+            out = model::run_processor_step(program_, layout_, tree_, s, proc, acc);
+            sink->charge(static_cast<double>(out.ops));
+            sink->shard_end();
+        } else {
+            BtShardAccessor<false> acc(machine_, account_, nullptr, 0, pbase, mu_);
+            out = model::run_processor_step(program_, layout_, tree_, s, proc, acc);
+        }
+        account_.charge(static_cast<double>(out.ops));
+        machine_.merge_shard(account_);
+        account_.clear();
+        machine_.charge_transfer(0, slot_addr(0), mu_);
         return;
     }
     // c(n): greatest power of two <= min(f(mu n)/mu, n/2).
@@ -336,63 +340,15 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
 }
 
 void BtSim::compute(StepIndex s, std::uint64_t n) {
-    // Pass A: record the serial COMPUTE schedule (Fig. 6) as a charge walk.
-    // The walk performs only the slot-map updates; since the schedule is a
-    // net identity on memory and each context executes exactly once, the
-    // maps return to their entry state and no data needs to move. This runs
-    // at every thread count — the charging structure never depends on
-    // threads, which is what makes the costs bit-identical across them.
-    walk_ops_.clear();
+    // COMPUTE (Fig. 6) as one walk: every transfer of the schedule is charged
+    // where it occurs and every context runs in place when the walk reaches
+    // it. The walk performs only the slot-map updates; since the schedule is
+    // a net identity on memory and each context executes exactly once, the
+    // maps return to their entry state and no data needs to move.
     entry_slot_.assign(slot_of_proc_.begin(), slot_of_proc_.end());
     walking_ = true;
     compute_walk(s, n);
     walking_ = false;
-
-    // Pass B: execute every context in place at its entry slot (disjoint
-    // memory; Program::step is pure across processors), charging virtual
-    // top-of-memory addresses into private shard accounts/trace buffers.
-    std::vector<std::size_t> execs;
-    for (std::size_t i = 0; i < walk_ops_.size(); ++i) {
-        if (walk_ops_[i].kind == ComputeOp::kExec) execs.push_back(i);
-    }
-    trace::Sink* const sink = machine_.trace();
-    std::vector<bt::ShardAccount> accounts(execs.size());
-    std::vector<trace::BufferSink> buffers(sink != nullptr ? execs.size() : 0);
-    auto exec_one = [&](std::size_t k) {
-        const ComputeOp& op = walk_ops_[execs[k]];
-        bt::ShardAccount& account = accounts[k];
-        const Addr pbase = slot_addr(op.exec_slot);
-        model::StepOutcome out;
-        if (sink != nullptr) {
-            BtShardAccessor<true> acc(machine_, account, &buffers[k], 0, pbase, mu_);
-            out = model::run_processor_step(program_, layout_, tree_, s, op.exec_proc, acc);
-            buffers[k].charge(static_cast<double>(out.ops));
-        } else {
-            BtShardAccessor<false> acc(machine_, account, nullptr, 0, pbase, mu_);
-            out = model::run_processor_step(program_, layout_, tree_, s, op.exec_proc, acc);
-        }
-        account.charge(static_cast<double>(out.ops));
-    };
-    if (threads_ > 1 && execs.size() > 1) {
-        util::parallel_for(execs.size(), exec_one, threads_);
-    } else {
-        for (std::size_t k = 0; k < execs.size(); ++k) exec_one(k);
-    }
-
-    // Pass C: replay the serial charge stream in walk order — transfer
-    // charges analytically, shard accounts (and their trace mirrors) folded
-    // where the serial schedule executed that context.
-    std::size_t k = 0;
-    for (const ComputeOp& op : walk_ops_) {
-        if (op.kind == ComputeOp::kTransfer) {
-            machine_.charge_transfer(op.src, op.dst, op.len);
-        } else {
-            machine_.merge_shard(accounts[k]);
-            if (sink != nullptr) sink->merge_replay(buffers[k]);
-            ++k;
-        }
-    }
-    DBSP_ASSERT(k == execs.size());
 }
 
 std::uint64_t BtSim::stream_chunk(Addr deepest, std::uint64_t share,

@@ -1,27 +1,26 @@
 #pragma once
 
 /// \file hmm_shard.hpp
-/// Shard-private context accessors over hmm::Machine memory, shared by the
-/// HMM simulators' parallel superstep drive.
+/// Context accessors over hmm::Machine memory that fold their charges into
+/// an hmm::ShardAccount, shared by the HMM simulators' step execution and
+/// message delivery.
 ///
-/// A shard accessor reads/writes the machine's words directly (uncharged raw
-/// storage) while folding every charge into a private hmm::ShardAccount —
-/// with exactly the machine's accumulation procedure — and every trace event
-/// into a trace::Sink (a private trace::BufferSink when shards run
-/// concurrently; the real sink, inside a shard_begin/shard_end bracket, when
-/// the simulator delivers a serial shard's events directly). Charging and data placement are
-/// decoupled: charges use the *virtual* base address (where the serial
-/// schedule would have placed the context, e.g. block 0 for step execution)
-/// while the data moves at the *physical* base (where the context actually
-/// sits). This is what lets a simulation round execute all contexts of a
-/// cluster in place, concurrently, and still charge the exact serial stream:
-/// the serial swap-to-top/run/swap-back schedule is a net identity on
-/// memory, so only its charges need replaying, which the merging thread does
-/// in cluster order (Machine::charge_swap_blocks + merge_shard +
-/// Sink::merge_replay).
+/// Each step execution, and each delivery group, is folded from zero into a
+/// ShardAccount and then added to the machine once (Machine::merge_shard);
+/// when a sink is attached its events stream into it between
+/// Sink::shard_begin and Sink::shard_end, which fold the sink's mirror the
+/// same way. That grouping of the floating-point additions is what the
+/// charged cost bits are defined by.
+///
+/// Charging and data placement are decoupled: charges use the *virtual*
+/// base address (where the paper's schedule would have placed the context,
+/// e.g. block 0 for step execution) while the data moves at the *physical*
+/// base (where the context actually sits). The schedule's swap-to-top/run/
+/// swap-back is a net identity on memory, so a simulation round executes
+/// each context in place and charges the moves without performing them
+/// (Machine::charge_swap_blocks).
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "hmm/machine.hpp"
@@ -31,15 +30,15 @@
 
 namespace dbsp::core {
 
-/// Context accessor charging into a shard account (and trace buffer when
+/// Context accessor charging into a shard account (and trace sink when
 /// Traced) instead of the machine. Mirrors hmm::Machine's read/write/
 /// read_range/write_range accounting bit for bit, at the virtual address.
 template <bool Traced>
 class HmmShardAccessor final : public model::ContextAccessor {
 public:
-    HmmShardAccessor(hmm::Machine& m, hmm::ShardAccount& account, trace::Sink* buffer,
+    HmmShardAccessor(hmm::Machine& m, hmm::ShardAccount& account, trace::Sink* sink,
                      model::Addr vbase, model::Addr pbase, std::size_t mu)
-        : m_(m), account_(account), buffer_(buffer), vbase_(vbase), pbase_(pbase),
+        : m_(m), account_(account), sink_(sink), vbase_(vbase), pbase_(pbase),
           mu_(mu) {}
 
     model::Word get(std::size_t index) const override {
@@ -49,7 +48,7 @@ public:
         const double delta = m_.table().cost(vx);
         account_.cost += delta;
         ++account_.words_touched;
-        if constexpr (Traced) buffer_->access(vx, delta);
+        if constexpr (Traced) sink_->access(vx, delta);
         return m_.raw()[pbase_ + index];
     }
 
@@ -60,7 +59,7 @@ public:
         const double delta = m_.table().cost(vx);
         account_.cost += delta;
         ++account_.words_touched;
-        if constexpr (Traced) buffer_->access(vx, delta);
+        if constexpr (Traced) sink_->access(vx, delta);
         m_.raw()[pbase_ + index] = value;
     }
 
@@ -72,7 +71,7 @@ public:
                      pbase_ + index + out.size() <= m_.capacity());
         account_.cost = m_.table().accumulate(vx, vx + out.size(), account_.cost);
         account_.words_touched += out.size();
-        if constexpr (Traced) buffer_->access_range(m_.table().prefix(), vx, vx + out.size());
+        if constexpr (Traced) sink_->access_range(m_.table().prefix(), vx, vx + out.size());
         account_.note_bulk(vx + out.size() - 1, out.size());
         const auto raw = m_.raw();
         std::copy_n(raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index), out.size(),
@@ -88,7 +87,7 @@ public:
         account_.cost = m_.table().accumulate(vx, vx + values.size(), account_.cost);
         account_.words_touched += values.size();
         if constexpr (Traced) {
-            buffer_->access_range(m_.table().prefix(), vx, vx + values.size());
+            sink_->access_range(m_.table().prefix(), vx, vx + values.size());
         }
         account_.note_bulk(vx + values.size() - 1, values.size());
         const auto raw = m_.raw();
@@ -104,27 +103,24 @@ public:
 private:
     hmm::Machine& m_;
     hmm::ShardAccount& account_;
-    trace::Sink* buffer_;  ///< non-null iff Traced; a private BufferSink for
-                           ///< parallel shards, the real sink for serial
-                           ///< direct delivery (shard_begin/shard_end)
-    model::Addr vbase_;    ///< charged addresses
-    model::Addr pbase_;    ///< data addresses
+    trace::Sink* sink_;  ///< non-null iff Traced
+    model::Addr vbase_;  ///< charged addresses
+    model::Addr pbase_;  ///< data addresses
     std::size_t mu_;
 };
 
-/// Sharding accessor source over HMM memory for the delivery protocol.
-/// Processor p's context lives at block_of_proc[p] * mu (or identity blocks
-/// when \p block_of_proc is nullptr — the pinned naive layout); delivery
-/// traffic charges at the physical address, so vbase == pbase here. Each
-/// shard folds into its own account/buffer; merge_shard folds them into the
-/// machine (and its attached sink) on the merging thread.
+/// Accessor source over HMM memory for the delivery protocol. Processor p's
+/// context lives at block_of_proc[p] * mu (or identity blocks when
+/// \p block_of_proc is nullptr — the pinned naive layout); delivery traffic
+/// charges at the physical address, so vbase == pbase here. Each delivery
+/// group folds into one account and is added to the machine at group_end.
 template <bool Traced>
 class HmmShardSource final : public model::AccessorSource {
 public:
     HmmShardSource(hmm::Machine& m, std::size_t mu,
                    const std::vector<std::uint64_t>* block_of_proc)
         : m_(m), mu_(mu), block_of_proc_(block_of_proc),
-          acc_(m, account_, Traced ? &buffer_ : nullptr, 0, 0, mu) {}
+          acc_(m, account_, Traced ? m.trace() : nullptr, 0, 0, mu) {}
 
     model::ContextAccessor& at(model::ProcId p) override {
         const model::Addr base =
@@ -133,18 +129,14 @@ public:
         return acc_;
     }
 
-    std::unique_ptr<model::AccessorSource> make_shard() override {
-        return std::make_unique<HmmShardSource>(m_, mu_, block_of_proc_);
+    void group_begin() override {
+        if constexpr (Traced) m_.trace()->shard_begin();
     }
 
-    void merge_shard(model::AccessorSource& shard) override {
-        auto& sh = static_cast<HmmShardSource&>(shard);
-        m_.merge_shard(sh.account_);
-        sh.account_.clear();
-        if constexpr (Traced) {
-            if (m_.trace() != nullptr) m_.trace()->merge_replay(sh.buffer_);
-            sh.buffer_.clear();
-        }
+    void group_end() override {
+        m_.merge_shard(account_);
+        account_.clear();
+        if constexpr (Traced) m_.trace()->shard_end();
     }
 
 private:
@@ -152,7 +144,6 @@ private:
     std::size_t mu_;
     const std::vector<std::uint64_t>* block_of_proc_;  ///< nullptr = identity
     hmm::ShardAccount account_;
-    trace::BufferSink buffer_;
     HmmShardAccessor<Traced> acc_;
 };
 

@@ -6,7 +6,6 @@
 #include "model/superstep_exec.hpp"
 #include "report/metrics.hpp"
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace dbsp::core {
 
@@ -101,13 +100,8 @@ HmmSimResult HmmSimulator::simulate_with(
                         : static_cast<model::AccessorSource&>(contexts_plain);
     model::DeliveryScratch scratch;
 
-    // Step 2a shard state, one slot per cluster position; reused each round.
-    // Trace buffers exist only when a parallel round can need them — serial
-    // rounds deliver events straight to the sink (see Step 2a below).
-    const std::size_t threads =
-        options_.threads == 0 ? util::default_threads() : options_.threads;
-    std::vector<hmm::ShardAccount> exec_accounts(v);
-    std::vector<trace::BufferSink> exec_buffers(sink != nullptr && threads > 1 ? v : 0);
+    // Step 2a fold: each step execution charges into this account from zero.
+    hmm::ShardAccount account;
 
     HmmSimResult result;
     result.data_words = program.data_words();
@@ -165,63 +159,36 @@ HmmSimResult HmmSimulator::simulate_with(
         // paper brings each context in turn to the top of memory (block 0),
         // runs the step there, and swaps the context back — a net identity
         // on memory. So the round executes every context of the cluster IN
-        // PLACE (possibly concurrently: the submachines are independent),
-        // charging virtual block-0 addresses into a private shard account
-        // and trace events into a shard sink, and emits the serial charge
-        // stream in cluster order: swap-in charge, the shard's charges,
-        // swap-out charge. When the round runs on one thread anyway, the
-        // shard's step executes at exactly the position where its buffer
-        // would have been replayed, so the events go straight to the real
-        // sink inside a shard_begin/shard_end bracket — same stream, same
-        // totals, no buffer. Identical memory image, identical charges, at
-        // every thread count.
-        auto exec_one = [&](std::uint64_t idx, trace::Sink* events) {
-            DBSP_ASSERT(st.proc_of_block[idx] == first + idx);
-            const ProcId p = first + idx;
-            hmm::ShardAccount& account = exec_accounts[idx];
-            model::StepOutcome out;
-            if (events != nullptr) {
-                HmmShardAccessor<true> acc(st.machine, account, events,
-                                           st.block_addr(0), st.block_addr(idx), mu);
-                out = model::run_processor_step(program, layout, tree, s, p, acc);
-                events->charge(static_cast<double>(out.ops));
-            } else {
-                HmmShardAccessor<false> acc(st.machine, account, nullptr,
-                                            st.block_addr(0), st.block_addr(idx), mu);
-                out = model::run_processor_step(program, layout, tree, s, p, acc);
-            }
-            account.cost += static_cast<double>(out.ops);  // unit op costs
-        };
-        const bool parallel_round = threads > 1 && csize > 1;
-        if (parallel_round) {
-            util::parallel_for(
-                csize,
-                [&](std::uint64_t idx) {
-                    exec_one(idx, sink != nullptr ? &exec_buffers[idx] : nullptr);
-                },
-                threads);
-        }
+        // PLACE, charging virtual block-0 addresses into the account, and
+        // emits the schedule's charge stream in cluster order: swap-in
+        // charge, the step's charges (streamed into the sink inside a
+        // shard_begin/shard_end bracket, and added to the machine once),
+        // swap-out charge.
         for (std::uint64_t idx = 0; idx < csize; ++idx) {
+            DBSP_ASSERT(st.proc_of_block[idx] == first + idx);
             if (idx > 0) {
                 trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), label);
                 st.machine.charge_swap_blocks(st.block_addr(0), st.block_addr(idx), mu);
             }
             {
                 trace::PhaseScope exec(sink, ph(trace::Phase::kStepExec), label);
-                if (!parallel_round) {
-                    if (sink != nullptr) {
-                        sink->shard_begin();
-                        exec_one(idx, sink);
-                        sink->shard_end();
-                    } else {
-                        exec_one(idx, nullptr);
-                    }
-                } else if (sink != nullptr) {
-                    sink->merge_replay(exec_buffers[idx]);
-                    exec_buffers[idx].clear();
+                const ProcId p = first + idx;
+                model::StepOutcome out;
+                if (sink != nullptr) {
+                    sink->shard_begin();
+                    HmmShardAccessor<true> acc(st.machine, account, sink, st.block_addr(0),
+                                               st.block_addr(idx), mu);
+                    out = model::run_processor_step(program, layout, tree, s, p, acc);
+                    sink->charge(static_cast<double>(out.ops));
+                    sink->shard_end();
+                } else {
+                    HmmShardAccessor<false> acc(st.machine, account, nullptr,
+                                                st.block_addr(0), st.block_addr(idx), mu);
+                    out = model::run_processor_step(program, layout, tree, s, p, acc);
                 }
-                st.machine.merge_shard(exec_accounts[idx]);
-                exec_accounts[idx].clear();
+                account.cost += static_cast<double>(out.ops);  // unit op costs
+                st.machine.merge_shard(account);
+                account.clear();
             }
             if (idx > 0) {
                 trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), label);
@@ -231,12 +198,11 @@ HmmSimResult HmmSimulator::simulate_with(
 
         // Step 2b: simulate the message exchange by scanning the outgoing
         // buffers and delivering into the incoming buffers; all traffic stays
-        // within the topmost mu*|C| cells. The sharded protocol partitions
-        // the cluster into fixed-width shards regardless of thread count.
+        // within the topmost mu*|C| cells.
         {
             trace::PhaseScope deliver(sink, ph(trace::Phase::kDeliver), label);
-            model::deliver_messages_sharded(layout, first, csize, contexts,
-                                            program.proc_id_base(), scratch, threads);
+            model::deliver_messages(layout, first, csize, contexts, program.proc_id_base(),
+                                    &scratch);
             if (sink != nullptr) sink->messages(scratch.pending.size());
         }
 

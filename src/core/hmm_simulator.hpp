@@ -55,14 +55,6 @@ public:
         /// rounds executing a smoothing-inserted dummy. The sink's total()
         /// equals HmmSimResult::hmm_cost bit for bit.
         trace::Sink* trace = nullptr;
-        /// Worker threads for the independent submachines of a round: 1
-        /// (default) = serial execution, 0 = util::default_threads()
-        /// (DBSP_THREADS env), N = exactly N. The charging structure is
-        /// shared by all settings — per-context/per-shard accumulators
-        /// merged in cluster order — so hmm_cost, telemetry, the trace
-        /// mirror, and the final contexts are bit-identical at every thread
-        /// count (the fuzz oracle's threads axis asserts this).
-        std::size_t threads = 1;
     };
 
     explicit HmmSimulator(model::AccessFunction f)

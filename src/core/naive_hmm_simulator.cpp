@@ -5,7 +5,6 @@
 #include "core/hmm_shard.hpp"
 #include "model/superstep_exec.hpp"
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace dbsp::core {
 
@@ -48,53 +47,35 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
                         : static_cast<model::AccessorSource&>(contexts_plain);
     model::DeliveryScratch scratch;
 
-    // Fixed-width shard state for the step loop; the blocking is part of the
-    // charging structure (same at every thread count), threads only decide
-    // how many blocks run concurrently.
-    const std::size_t threads =
-        options_.threads == 0 ? util::default_threads() : options_.threads;
-    const std::size_t nblocks =
-        static_cast<std::size_t>((v + model::kDeliveryShardProcs - 1) /
-                                 model::kDeliveryShardProcs);
-    std::vector<hmm::ShardAccount> exec_accounts(nblocks);
-    std::vector<trace::BufferSink> exec_buffers(sink != nullptr ? nblocks : 0);
+    // The step loop folds the same fixed-width processor groups as delivery:
+    // each group's charges accumulate from zero and reach the machine once.
+    hmm::ShardAccount account;
 
     HmmSimResult result;
     result.data_words = program.data_words();
     for (model::StepIndex s = 0; s < steps; ++s) {
         ++result.rounds;
-        auto exec_block = [&](std::size_t begin, std::size_t end) {
-            const std::size_t blk = begin / model::kDeliveryShardProcs;
-            hmm::ShardAccount& account = exec_accounts[blk];
-            trace::BufferSink* const buffer =
-                sink != nullptr ? &exec_buffers[blk] : nullptr;
-            for (std::size_t p = begin; p < end; ++p) {
-                const Addr base = static_cast<Addr>(p) * mu;
+        for (ProcId lo = 0; lo < v; lo += model::kDeliveryGroupProcs) {
+            const ProcId hi = std::min<ProcId>(v, lo + model::kDeliveryGroupProcs);
+            if (sink != nullptr) sink->shard_begin();
+            for (ProcId p = lo; p < hi; ++p) {
+                const Addr base = p * mu;
                 model::StepOutcome out;
                 if (sink != nullptr) {
-                    HmmShardAccessor<true> acc(machine, account, buffer, base, base, mu);
-                    out = model::run_processor_step(program, layout, tree, s,
-                                                    static_cast<ProcId>(p), acc);
-                    buffer->charge(static_cast<double>(out.ops));
+                    HmmShardAccessor<true> acc(machine, account, sink, base, base, mu);
+                    out = model::run_processor_step(program, layout, tree, s, p, acc);
+                    sink->charge(static_cast<double>(out.ops));
                 } else {
                     HmmShardAccessor<false> acc(machine, account, nullptr, base, base, mu);
-                    out = model::run_processor_step(program, layout, tree, s,
-                                                    static_cast<ProcId>(p), acc);
+                    out = model::run_processor_step(program, layout, tree, s, p, acc);
                 }
                 account.cost += static_cast<double>(out.ops);  // unit op costs
             }
-        };
-        util::parallel_for_blocked(v, model::kDeliveryShardProcs, exec_block, threads);
-        for (std::size_t blk = 0; blk < nblocks; ++blk) {
-            machine.merge_shard(exec_accounts[blk]);
-            exec_accounts[blk].clear();
-            if (sink != nullptr) {
-                sink->merge_replay(exec_buffers[blk]);
-                exec_buffers[blk].clear();
-            }
+            machine.merge_shard(account);
+            account.clear();
+            if (sink != nullptr) sink->shard_end();
         }
-        model::deliver_messages_sharded(layout, 0, v, contexts, program.proc_id_base(),
-                                        scratch, threads);
+        model::deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
     }
 
     result.hmm_cost = machine.cost();

@@ -23,12 +23,6 @@ public:
         /// sink pays nothing. Used by bench_e14 to profile the flat
         /// baseline's address stream.
         trace::Sink* trace = nullptr;
-        /// Worker threads for the per-processor step loop and the sharded
-        /// delivery: 1 (default) = serial, 0 = util::default_threads(), N =
-        /// exactly N. Same deterministic-merge contract as
-        /// HmmSimulator::Options::threads: results are bit-identical at
-        /// every thread count.
-        std::size_t threads = 1;
     };
 
     explicit NaiveHmmSimulator(model::AccessFunction f)

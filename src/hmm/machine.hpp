@@ -43,13 +43,12 @@ using model::AccessFunction;
 using model::Addr;
 using model::Word;
 
-/// Private cost/telemetry accumulator for one execution shard of a parallel
-/// simulation round. A shard folds its charges here (and its trace events
-/// into a trace::BufferSink) with exactly the machine's accumulation
-/// procedure, starting from zero; Machine::merge_shard then folds the
-/// account into the machine in deterministic cluster order. Because the
-/// shard structure and merge order are fixed — thread count only decides
-/// who executes a shard — totals are bit-identical at every thread count.
+/// Cost/telemetry accumulator for one fold unit of a simulation round — one
+/// context's step execution, or one delivery group. The unit's charges fold
+/// here from zero with exactly the machine's accumulation procedure, and
+/// Machine::merge_shard then adds the account to the machine once. That
+/// grouping of the floating-point additions is part of the charging
+/// structure: the charged cost bits depend on it.
 struct ShardAccount {
     double cost = 0.0;
     std::uint64_t words_touched = 0;
@@ -59,13 +58,13 @@ struct ShardAccount {
 
     void clear() { *this = ShardAccount{}; }
 
-    /// Mirror of Machine::charge into the shard.
+    /// Mirror of Machine::charge into the account.
     void charge(double c) {
         DBSP_REQUIRE(c >= 0.0);
         cost += c;
     }
 
-    /// Mirror of Machine::note_bulk into the shard.
+    /// Mirror of Machine::note_bulk into the account.
     void note_bulk(Addr deepest, std::uint64_t words) {
         ++bulk_ops;
         bulk_words += words;
@@ -119,15 +118,14 @@ public:
 
     /// Charge exactly what swap_blocks(a, b, len) would charge — cost, word
     /// touches, bulk telemetry, and the trace block_op event — WITHOUT
-    /// moving any data. Used by the parallel simulators: a pair of
-    /// swap-in/swap-out moves nets to the identity on memory, so the rounds
-    /// execute contexts in place and account the paper's movement cost here
-    /// during the deterministic merge.
+    /// moving any data. Used by the HMM simulator: a pair of swap-in/swap-out
+    /// moves nets to the identity on memory, so the rounds execute contexts
+    /// in place and account the paper's movement cost here.
     void charge_swap_blocks(Addr a, Addr b, std::uint64_t len);
 
-    /// Fold one shard's accumulators into the machine: the cost fold is the
-    /// single `cost_ += account.cost` the merged trace mirror also performs
-    /// (Sink::merge_replay), keeping the two bit-identical.
+    /// Fold one account into the machine: the cost fold is the single
+    /// `cost_ += account.cost` the sink's mirror also performs at
+    /// Sink::shard_end, keeping the two bit-identical.
     void merge_shard(const ShardAccount& account);
 
     /// --- accounting --------------------------------------------------------

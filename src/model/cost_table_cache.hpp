@@ -28,7 +28,7 @@
 /// requests build fresh, but every table is handed out as a
 /// shared_ptr<const CostTable> — tables concurrent workers already hold stay
 /// alive and immutable for as long as they keep the pointer. A
-/// ScopedCostTableCache(false) inside one parallel_for worker therefore
+/// ScopedCostTableCache(false) inside one worker thread therefore
 /// cannot invalidate another worker's table (regression test:
 /// CostTableCache.DisableInOneWorkerCannotInvalidateConcurrentTables). The
 /// enabled flag itself is process-global, so concurrent scoped toggles race

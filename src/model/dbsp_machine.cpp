@@ -4,7 +4,6 @@
 
 #include "model/superstep_exec.hpp"
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace dbsp::model {
 
@@ -56,13 +55,6 @@ DbspResult DbspMachine::run(Program& program) const {
     DeliveryScratch scratch;
     if (trace_ != nullptr) trace_->reset_total();
 
-    const std::size_t threads = threads_ == 0 ? util::default_threads() : threads_;
-    struct BlockMax {
-        std::uint64_t tau = 0;
-        std::size_t sent = 0;
-    };
-    std::vector<BlockMax> block_max;
-
     for (StepIndex s = 0; s < steps; ++s) {
         const unsigned label = program.label(s);
         DBSP_REQUIRE(label <= tree.log_processors());
@@ -71,48 +63,17 @@ DbspResult DbspMachine::run(Program& program) const {
         stats.label = label;
 
         std::size_t max_sent = 0;
-        if (threads > 1 && v > 1) {
-            // Independent processors: run blocks concurrently with per-block
-            // partial maxima (integer, so the reduction order is free) and a
-            // per-block accessor; contexts are disjoint per processor.
-            const std::size_t nblocks = (v + kDeliveryShardProcs - 1) / kDeliveryShardProcs;
-            block_max.assign(nblocks, BlockMax{});
-            util::parallel_for_blocked(
-                v, kDeliveryShardProcs,
-                [&](std::size_t begin, std::size_t end) {
-                    VectorAccessorSource local(result.contexts, mu);
-                    BlockMax bm;
-                    for (ProcId p = begin; p < end; ++p) {
-                        const StepOutcome out =
-                            run_processor_step(program, layout, tree, s, p, local.at(p));
-                        bm.tau = std::max(bm.tau, out.ops);
-                        bm.sent = std::max(bm.sent, out.sent);
-                    }
-                    block_max[begin / kDeliveryShardProcs] = bm;
-                },
-                threads);
-            for (const BlockMax& bm : block_max) {
-                stats.tau = std::max(stats.tau, bm.tau);
-                max_sent = std::max(max_sent, bm.sent);
-            }
-        } else {
-            for (ProcId p = 0; p < v; ++p) {
-                const StepOutcome out =
-                    run_processor_step(program, layout, tree, s, p, contexts.at(p));
-                stats.tau = std::max(stats.tau, out.ops);
-                max_sent = std::max(max_sent, out.sent);
-            }
+        for (ProcId p = 0; p < v; ++p) {
+            const StepOutcome out =
+                run_processor_step(program, layout, tree, s, p, contexts.at(p));
+            stats.tau = std::max(stats.tau, out.ops);
+            max_sent = std::max(max_sent, out.sent);
         }
 
         // Barrier + message exchange: messages become visible at the start of
-        // superstep s+1. The sharded and serial protocols yield identical
-        // inboxes and counts; the direct machine charges nothing per word,
-        // so either path may serve any thread count.
+        // superstep s+1.
         const std::size_t max_received =
-            threads > 1
-                ? deliver_messages_sharded(layout, 0, v, contexts, program.proc_id_base(),
-                                           scratch, threads)
-                : deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
+            deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
 
         stats.h = std::max(max_sent, max_received);
         stats.comm_arg = static_cast<double>(mu) * static_cast<double>(tree.cluster_size(label));

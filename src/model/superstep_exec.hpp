@@ -13,7 +13,6 @@
 ///    destination inboxes, then resets the sender's outgoing count, giving a
 ///    canonical (src, send-order) inbox ordering.
 
-#include <memory>
 #include <vector>
 
 #include "model/context_layout.hpp"
@@ -51,17 +50,12 @@ public:
     virtual ~AccessorSource() = default;
     virtual ContextAccessor& at(ProcId p) = 0;
 
-    /// Create an independent shard of this source for one worker of a
-    /// sharded delivery: its at() accessors touch the same underlying
-    /// storage but fold all charges/telemetry/trace events into private
-    /// accumulators. nullptr (the default) means the source cannot shard and
-    /// deliver_messages_sharded falls back to the serial protocol.
-    virtual std::unique_ptr<AccessorSource> make_shard() { return nullptr; }
-
-    /// Fold one shard's accumulators back into this source (called in
-    /// ascending shard order, serially) and clear the shard for reuse.
-    /// No-op for uncharged sources.
-    virtual void merge_shard(AccessorSource& shard) { (void)shard; }
+    /// Bracket one delivery group (see kDeliveryGroupProcs): a charged
+    /// source folds the group's charges from zero between the two calls and
+    /// adds the subtotal to its machine once, at group_end. No-ops for
+    /// uncharged sources.
+    virtual void group_begin() {}
+    virtual void group_end() {}
 };
 
 /// AccessorSource over per-processor flat word vectors — the direct machine's
@@ -74,11 +68,6 @@ public:
         acc_.rebind(contexts_[p].data(), mu_);
         return acc_;
     }
-    /// Uncharged storage: a shard is just another rebindable accessor over
-    /// the same vectors, and merging is a no-op.
-    std::unique_ptr<AccessorSource> make_shard() override {
-        return std::make_unique<VectorAccessorSource>(contexts_, mu_);
-    }
 
 private:
     std::vector<std::vector<Word>>& contexts_;
@@ -86,29 +75,21 @@ private:
     FlatContextAccessor acc_{nullptr, 0};
 };
 
-/// Fixed shard width of the sharded delivery protocol: senders (phase 1) and
-/// destination inboxes (phase 2) are partitioned into runs of this many
-/// processors. The width is part of the charging structure — it never
-/// depends on the thread count, so charge totals cannot either.
-inline constexpr std::uint64_t kDeliveryShardProcs = 64;
-
-/// Per-shard state of a sharded delivery (kept in DeliveryScratch so the
-/// vectors and shard sources persist across supersteps).
-struct DeliveryShard {
-    std::vector<Message> pending;
-    std::vector<Word> words;
-    std::unique_ptr<AccessorSource> source;
-};
+/// Group width of the delivery protocol: senders (phase 1) and destination
+/// inboxes (phase 2) are visited in runs of this many processors, and a
+/// charged source folds each run's charges separately (group_begin/
+/// group_end). The grouping is part of the charging structure: the charged
+/// cost bits depend on it.
+inline constexpr std::uint64_t kDeliveryGroupProcs = 64;
 
 /// Reusable scratch space for deliver_messages. Executors that deliver every
 /// superstep keep one instance alive across the whole run so the message
-/// vector and the bulk-read staging buffer stop being reallocated per step.
+/// vectors and the bulk-read staging buffer stop being reallocated per step.
 struct DeliveryScratch {
     std::vector<Message> pending;
     std::vector<Word> words;
     std::vector<std::size_t> received;
-    std::vector<DeliveryShard> shards;
-    const AccessorSource* shard_owner = nullptr;  ///< parent the shards belong to
+    std::vector<std::vector<Message>> by_group;  ///< phase 2 destination buckets
 };
 
 /// Process-wide switch for the bulk (range) accessor fast path in
@@ -141,24 +122,14 @@ private:
 /// carry global ids. Returns the maximum number of messages received by any
 /// processor. \p contexts provides context access for the local range;
 /// \p scratch (optional) lets callers reuse buffers across supersteps.
+///
+/// Phase 1 walks the senders in ascending order, one kDeliveryGroupProcs
+/// group at a time; phase 2 buckets the canonical (src, send-order) message
+/// sequence by destination group (stable, so every inbox still receives its
+/// messages in canonical order) and appends group by group. Each group runs
+/// inside a contexts.group_begin()/group_end() bracket.
 std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uint64_t count,
                              AccessorSource& contexts, ProcId id_base = 0,
                              DeliveryScratch* scratch = nullptr);
-
-/// Sharded variant of deliver_messages with identical functional behaviour
-/// (same inbox contents and ordering, same return value). Processors are
-/// partitioned into kDeliveryShardProcs-wide shards; phase 1 collects each
-/// sender shard's messages through a private shard source, phase 2 buckets
-/// the canonical pending sequence by destination shard and appends through
-/// the same shard sources, and after each phase the shards are merged back
-/// into \p contexts in ascending shard order. The sharded charging structure
-/// is unconditional — \p threads (>= 1, resolved by the caller) only decides
-/// how many workers execute the shard loops, so charged totals are
-/// bit-identical at every thread count. Falls back to the serial protocol
-/// when \p contexts cannot shard (AccessorSource::make_shard == nullptr).
-std::size_t deliver_messages_sharded(const ContextLayout& layout, ProcId first,
-                                     std::uint64_t count, AccessorSource& contexts,
-                                     ProcId id_base, DeliveryScratch& scratch,
-                                     std::size_t threads);
 
 }  // namespace dbsp::model

@@ -204,13 +204,22 @@ std::string CombinedReport::markdown(const CombinedReport* baseline) const {
         out += "- baseline: `" + baseline->provenance.git_sha + "` (" +
                baseline->provenance.timestamp + ")\n";
     }
-    std::size_t total = 0, passed = 0;
+    // A waived check is forced to pass; the headline counts it apart so the
+    // pass count never includes claims nothing measured.
+    std::size_t total = 0, passed = 0, waived = 0;
     for (const auto& e : experiments) {
         total += e.checks.size();
-        for (const auto& c : e.checks) passed += c.pass ? 1 : 0;
+        for (const auto& c : e.checks) {
+            if (c.waived) {
+                ++waived;
+            } else if (c.pass) {
+                ++passed;
+            }
+        }
     }
-    out += "\n**" + std::to_string(passed) + "/" + std::to_string(total) +
-           " checks pass** across " + std::to_string(experiments.size()) + " experiments.\n";
+    out += "\n**" + std::to_string(passed) + "/" + std::to_string(total) + " checks pass, " +
+           std::to_string(waived) + " waived, " + std::to_string(total - passed - waived) +
+           " fail** across " + std::to_string(experiments.size()) + " experiments.\n";
 
     for (const auto& e : experiments) {
         out += "\n## " + e.title + " — " + (e.pass() ? "PASS" : "**FAIL**") + "\n\n";

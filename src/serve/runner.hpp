@@ -9,17 +9,16 @@
 ///
 /// Determinism contract: the document is a pure function of (spec, options).
 /// It contains no timestamps, wall-clock durations, hostnames or thread
-/// counts — the executors' charged costs and final images are bit-identical
-/// at every `threads` setting (the fuzz oracle's threads axis), so the same
-/// request produces the same bytes on a 1-CPU container and a 32-core box.
-/// That is what makes the serve result cache sound: a cache hit replays the
+/// counts — every executor runs one serial schedule, so the same request
+/// produces the same bytes on a 1-CPU container and a 32-core box. The
+/// daemon's parallelism is across connections, never inside one run. That
+/// is what makes the serve result cache sound: a cache hit replays the
 /// stored bytes, and `dbsp_explore --spec` reproduces them offline for the
 /// byte-identity conformance check.
 ///
 /// The same property keys the cache: fingerprint() hashes the canonical
 /// spec serialization together with every option that influences the
-/// document (model selection, access function, locality mode/rate) — and
-/// deliberately NOT the thread count, which influences nothing.
+/// document (model selection, access function, locality mode/rate).
 
 #include <cstdint>
 #include <optional>
@@ -44,8 +43,8 @@ struct RunOptions {
     bool sampled = false;
     /// Sampling rate; must satisfy valid_sample_rate when sampled.
     double sample_rate = 0.01;
-    /// Simulator worker threads: 0 = util::default_threads() (DBSP_THREADS
-    /// env), N = exactly N. Never part of the result or the fingerprint.
+    /// Inert: read by nothing. Kept only because benchmark/src/serve_mix.cpp
+    /// sets it.
     std::size_t threads = 0;
 };
 

@@ -85,8 +85,8 @@ Server::Server(Options options)
 
 Server::~Server() {
     request_stop();
-    for (std::thread& t : connection_threads_) {
-        if (t.joinable()) t.join();
+    for (Connection& c : connections_) {
+        if (c.thread.joinable()) c.thread.join();
     }
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
@@ -217,7 +217,6 @@ bool Server::handle_line_stream(const std::string& line, const WriteFn& emit) {
     }
 
     runs_.fetch_add(1, std::memory_order_relaxed);
-    req.options.threads = options_.threads;
 
     span.begin("cache-probe");
     const std::string key = fingerprint(req.spec, req.options);
@@ -283,7 +282,6 @@ telemetry::ServerVitals Server::vitals() const {
         std::lock_guard<std::mutex> lock(connections_mutex_);
         v.connections = connection_fds_.size();
     }
-    v.threads_opt = options_.threads;
     return v;
 }
 
@@ -316,6 +314,7 @@ bool Server::start(std::string* error) {
 
 int Server::serve_forever() {
     while (!stop_.load(std::memory_order_relaxed)) {
+        reap_connections();
         pollfd pfd{listen_fd_, POLLIN, 0};
         // The timeout bounds how long a stop request waits for the loop to
         // notice; it is not a request deadline.
@@ -326,17 +325,35 @@ int Server::serve_forever() {
         if (fd < 0) continue;
         track(fd, /*add=*/true);
         std::lock_guard<std::mutex> lock(connections_mutex_);
-        connection_threads_.emplace_back([this, fd] { serve_connection(fd); });
+        Connection& c = connections_.emplace_back();
+        c.thread = std::thread([this, fd, &c] {
+            serve_connection(fd);
+            c.done.store(true, std::memory_order_release);
+        });
     }
     {
         std::lock_guard<std::mutex> lock(connections_mutex_);
         for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
     }
-    for (std::thread& t : connection_threads_) {
-        if (t.joinable()) t.join();
+    for (Connection& c : connections_) {
+        if (c.thread.joinable()) c.thread.join();
     }
-    connection_threads_.clear();
+    connections_.clear();
     return 0;
+}
+
+void Server::reap_connections() {
+    // A thread whose `done` is set has nothing left to run but its return,
+    // so these joins do not wait on client traffic.
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+        if (it->done.load(std::memory_order_acquire)) {
+            it->thread.join();
+            it = connections_.erase(it);
+        } else {
+            ++it;
+        }
+    }
 }
 
 void Server::request_stop() { stop_.store(true, std::memory_order_relaxed); }

@@ -8,12 +8,13 @@
 /// sanitizers.
 ///
 /// Concurrency: one accepting thread (serve_forever) plus one thread per
-/// connection. Connections pipeline: a client may write many request lines
-/// before reading, and replies come back strictly in request order.
-/// Simulations from concurrent connections share the process-wide
-/// parallel_for worker pool (top-level jobs are serialized by the pool, so
-/// concurrent run requests queue rather than oversubscribe) and share the
-/// ResultCache and CostTableCache.
+/// connection; the accepting thread joins each connection thread once it
+/// has finished, so a long-lived daemon holds threads only for open
+/// connections. Connections pipeline: a client may write many request lines
+/// before reading, and replies come back strictly in request order. Each
+/// run request executes serially on its connection's thread — parallelism
+/// is across connections, never inside one run — and concurrent
+/// connections share the ResultCache and CostTableCache.
 ///
 /// Failure containment: every malformed request — unparsable JSON,
 /// overdeep/oversized documents, bad specs, degenerate sampling rates —
@@ -23,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -40,8 +42,6 @@ class Server {
 public:
     struct Options {
         std::string socket_path;
-        /// Simulator worker threads per run request: 0 = DBSP_THREADS env.
-        std::size_t threads = 0;
         /// ResultCache LRU bound; 0 disables memoization.
         std::size_t cache_entries = 128;
         /// Maximum request-line length; longer lines get a structured error
@@ -113,6 +113,8 @@ public:
 private:
     void serve_connection(int fd);
     void track(int fd, bool add);
+    /// Join and drop the threads of connections that have closed.
+    void reap_connections();
     telemetry::ServerVitals vitals() const;
     bool stream_watch(const Request& req, const WriteFn& emit,
                       telemetry::RequestRecord* rec);
@@ -126,9 +128,14 @@ private:
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> runs_{0};
     std::atomic<std::uint64_t> errors_{0};
+    /// A connection's thread; `done` is set as the thread's last action.
+    struct Connection {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
     mutable std::mutex connections_mutex_;
     std::vector<int> connection_fds_;
-    std::vector<std::thread> connection_threads_;
+    std::list<Connection> connections_;  ///< guarded by connections_mutex_
 };
 
 }  // namespace dbsp::serve

@@ -119,7 +119,6 @@ report::Json Telemetry::frame(std::uint64_t seq, const ServerVitals& vitals) con
     server.set("errors", vitals.errors);
     server.set("active_runs", in_flight_runs());
     server.set("connections", vitals.connections);
-    server.set("threads_option", vitals.threads_opt);
     report::Json cache = report::Json::object();
     cache.set("hits", vitals.cache_hits);
     cache.set("misses", vitals.cache_misses);

@@ -74,7 +74,7 @@ struct AddrRange {
     Addr end;
 };
 
-class BufferSink;
+class BufferSink;  ///< never defined; see Sink::merge_replay
 
 class Sink {
 public:
@@ -122,29 +122,21 @@ public:
     /// attribution statistics).
     virtual void reset_total() { total_ = 0.0; }
 
-    /// Fold a shard's buffered events into this sink: replays every event
-    /// for attribution (levels, phases-independent buckets, transfers), then
-    /// overwrites the running total with `total() + shard.total()` — the
-    /// exact double the owning machine adds when it merges the matching
-    /// shard account, so the bit-for-bit mirror survives sharded execution.
-    virtual void merge_replay(const BufferSink& shard);
-
-    /// Direct-delivery counterpart of merge_replay for *serial* execution:
-    /// when a simulator runs a shard's step at the position where its buffer
-    /// would have been replayed anyway, it can skip the BufferSink entirely
-    /// and stream the events straight into this sink between shard_begin()
-    /// and shard_end(). The bracket reproduces merge_replay's total
-    /// arithmetic exactly: begin stashes the running total and zeroes it (so
-    /// the shard's events fold from zero, just as they would in a fresh
-    /// BufferSink), end overwrites it with `stashed + shard subtotal` — the
-    /// same single add the machine's account merge performs. Event order and
-    /// every total are bit-identical to the buffer+replay path. Brackets do
-    /// not nest.
+    /// Bracket the events of one fold unit — a step execution or a delivery
+    /// group, which the executors fold from zero into a ShardAccount and add
+    /// to the machine once. begin stashes the running total and zeroes it,
+    /// so the unit's events fold from zero; end sets it to
+    /// `stashed + unit subtotal`, the same single add the machine's account
+    /// merge performs, which keeps total() equal to the machine's cost bit
+    /// for bit. Brackets do not nest.
     virtual void shard_begin() {
         shard_saved_ = total_;
         total_ = 0.0;
     }
     virtual void shard_end() { total_ = shard_saved_ + total_; }
+
+    /// No-op. Kept only because benchmark/src/spans.hpp overrides it.
+    virtual void merge_replay(const BufferSink&) {}
 
     /// Running mirror of the machine's charged cost; equals it bit for bit.
     double total() const { return total_; }
@@ -171,9 +163,6 @@ protected:
     void attribute_range(std::span<const double> prefix, Addr begin, Addr end,
                          unsigned touches);
 
-    /// Overwrite the running total (merge_replay implementations only).
-    void set_total(double total) { total_ = total; }
-
 private:
     double total_ = 0.0;
     double shard_saved_ = 0.0;  ///< total stashed by an open shard_begin()
@@ -195,63 +184,6 @@ public:
 private:
     Sink* sink_;
     Phase phase_;
-};
-
-/// Records charge events verbatim for later replay into another sink. Each
-/// execution shard of a parallel superstep charges into its own BufferSink;
-/// the simulator then replays the buffers in cluster-index order on the real
-/// sink, reproducing the serial event stream exactly. The base-class event
-/// implementations run first, so total() folds the shard's charges with the
-/// machines' own accumulation procedure — it equals the matching shard
-/// account's cost bit for bit.
-///
-/// Prefix spans are stored as raw pointers: the CostTable that backs them is
-/// cached per access function (ScopedCostTableCache) and outlives the
-/// buffered events. Phase scopes are deliberately unsupported — shards run
-/// inside one phase; the merging simulator brackets each replay itself.
-class BufferSink final : public Sink {
-public:
-    void access(Addr x, double cost) override;
-    void access_range(std::span<const double> prefix, Addr begin, Addr end) override;
-    void charge(double cost) override;
-    void block_op(std::span<const double> prefix, double delta, unsigned touches,
-                  std::initializer_list<AddrRange> ranges) override;
-    void block_transfer(Addr src, Addr dst, std::uint64_t len, double latency,
-                        double delta) override;
-    void messages(std::uint64_t count) override;
-
-    /// Re-emit every buffered event on \p into, in recording order.
-    void replay(Sink& into) const;
-
-    /// Drop buffered events and reset the total for shard reuse.
-    void clear();
-
-    bool empty() const { return events_.empty(); }
-
-private:
-    enum class Kind : unsigned char {
-        kAccess,
-        kRange,
-        kCharge,
-        kBlockOp,
-        kTransfer,
-        kMessages,
-    };
-    struct Event {
-        Kind kind;
-        unsigned touches = 0;   ///< block_op touch multiplicity
-        unsigned nranges = 0;   ///< block_op range count (1 or 2)
-        Addr a = 0;             ///< access x / range begin / transfer src
-        Addr b = 0;             ///< range end / transfer dst
-        std::uint64_t n = 0;    ///< transfer len / message count
-        double x = 0.0;         ///< cost / delta
-        double y = 0.0;         ///< transfer latency
-        const double* prefix = nullptr;
-        std::size_t prefix_size = 0;
-        AddrRange r0{0, 0};
-        AddrRange r1{0, 0};
-    };
-    std::vector<Event> events_;
 };
 
 /// Fan-out sink: maintains its own exact total and forwards every event
@@ -277,7 +209,6 @@ public:
     void phase_begin(Phase phase, unsigned label) override;
     void phase_end(Phase phase) override;
     void reset_total() override;
-    void merge_replay(const BufferSink& shard) override;
     void shard_begin() override;
     void shard_end() override;
 

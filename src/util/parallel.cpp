@@ -44,8 +44,8 @@ namespace {
 
 /// Set while a thread is running pool work (workers permanently, callers for
 /// the duration of their own job). Nested parallel_for calls from inside a
-/// job run inline instead of re-entering the pool — composing an outer
-/// benchmark sweep with executor-internal sharding must not oversubscribe.
+/// job run inline instead of re-entering the pool, so they never
+/// oversubscribe.
 thread_local bool t_in_parallel_region = false;
 
 /// Lazily grown pool of persistent workers. One job runs at a time
@@ -65,15 +65,12 @@ public:
         return {workers_.size(), busy_};
     }
 
-    void run(std::size_t n, std::size_t nchunks, std::size_t grain, void* ctx,
-             detail::ChunkFn fn, std::size_t threads) {
+    void run(std::size_t n, void* ctx, detail::IndexFn fn, std::size_t threads) {
         std::lock_guard<std::mutex> job(job_mutex_);
         ensure_workers(threads - 1);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             n_ = n;
-            nchunks_ = nchunks;
-            grain_ = grain;
             ctx_ = ctx;
             fn_ = fn;
             error_ = nullptr;
@@ -134,16 +131,15 @@ private:
         }
     }
 
-    /// Claim and run chunks until the job's counter is exhausted. Captures
-    /// the first exception; later chunks still run so the job always drains.
+    /// Claim and run indices until the job's counter is exhausted. Captures
+    /// the first exception; later indices still run so the job always
+    /// drains.
     void drain() {
         while (true) {
-            const std::size_t k = next_.fetch_add(1, std::memory_order_relaxed);
-            if (k >= nchunks_) return;
-            const std::size_t begin = k * grain_;
-            const std::size_t end = std::min(n_, begin + grain_);
+            const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n_) return;
             try {
-                fn_(ctx_, begin, end);
+                fn_(ctx_, i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(error_mutex_);
                 if (!error_) error_ = std::current_exception();
@@ -163,10 +159,8 @@ private:
 
     // Current job (written under mutex_ before the epoch bump publishes it).
     std::size_t n_ = 0;
-    std::size_t nchunks_ = 0;
-    std::size_t grain_ = 1;
     void* ctx_ = nullptr;
-    detail::ChunkFn fn_ = nullptr;
+    detail::IndexFn fn_ = nullptr;
     std::atomic<std::size_t> next_{0};
     std::atomic<long> slots_{0};
     std::mutex error_mutex_;
@@ -179,12 +173,10 @@ PoolStats pool_stats() { return Pool::instance().stats(); }
 
 namespace detail {
 
-void parallel_for_impl(std::size_t n, std::size_t grain, void* ctx, ChunkFn fn,
-                       std::size_t threads) {
+void parallel_for_impl(std::size_t n, void* ctx, IndexFn fn, std::size_t threads) {
     if (n == 0) return;
     if (threads == 0) threads = default_threads();
-    const std::size_t nchunks = (n + grain - 1) / grain;
-    if (threads > nchunks) threads = nchunks;
+    if (threads > n) threads = n;
 
     // Utilization telemetry, once per call (never per task).
     static auto& metric_calls = report::metric_counter("parallel.for_calls");
@@ -195,13 +187,10 @@ void parallel_for_impl(std::size_t n, std::size_t grain, void* ctx, ChunkFn fn,
     metric_workers.observe(threads);
 
     if (threads <= 1 || t_in_parallel_region) {
-        for (std::size_t k = 0; k < nchunks; ++k) {
-            const std::size_t begin = k * grain;
-            fn(ctx, begin, std::min(n, begin + grain));
-        }
+        for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
         return;
     }
-    Pool::instance().run(n, nchunks, grain, ctx, fn, threads);
+    Pool::instance().run(n, ctx, fn, threads);
 }
 
 }  // namespace detail

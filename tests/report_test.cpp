@@ -577,6 +577,8 @@ TEST(Gate, MarkdownDashboardCarriesVerdictsAndBaselineDeltas) {
     cur.experiments[0].checks.push_back(waived);
     const std::string md_waived = cur.markdown(&base);
     EXPECT_NE(md_waived.find("waived (no PMU)"), std::string::npos);
+    // The headline counts the waived check apart from the passes.
+    EXPECT_NE(md_waived.find("1/2 checks pass, 1 waived, 0 fail"), std::string::npos);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -529,6 +531,58 @@ TEST(ServeSocket, FullRoundTripWithPipelining) {
     EXPECT_EQ(stats.cache.misses, 1u);
     EXPECT_EQ(stats.cache.hits, 1u);
     EXPECT_EQ(stats.errors, 1u);
+}
+
+/// Virtual size of this process in KiB (the VmSize line of
+/// /proc/self/status); 0 when unavailable.
+std::uint64_t vm_size_kib() {
+    std::FILE* f = std::fopen("/proc/self/status", "r");
+    if (f == nullptr) return 0;
+    char line[256];
+    std::uint64_t kib = 0;
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        if (std::sscanf(line, "VmSize: %" SCNu64, &kib) == 1) break;
+    }
+    std::fclose(f);
+    return kib;
+}
+
+TEST(ServeSocket, ClosedConnectionsReleaseTheirThreads) {
+    // Each connection runs on its own thread. A daemon that joined those
+    // threads only at shutdown kept every finished thread's stack mapped
+    // (8 MiB of address space by default), so its size grew with every
+    // connection it had ever accepted.
+    serve::Server::Options options;
+    options.socket_path =
+        "/tmp/dbsp_serve_reap_test_" + std::to_string(::getpid()) + ".sock";
+    serve::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::thread loop([&server] { server.serve_forever(); });
+
+    constexpr int kWarmup = 100;
+    constexpr int kConnections = 1100;
+    std::uint64_t before = 0;
+    std::string reply;
+    for (int i = 0; i < kConnections; ++i) {
+        if (i == kWarmup) before = vm_size_kib();
+        serve::Client client;
+        ASSERT_TRUE(client.connect(options.socket_path, &error)) << error;
+        ASSERT_TRUE(client.request("{\"op\":\"ping\"}", &reply, &error)) << error;
+    }
+    const std::uint64_t after = vm_size_kib();
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(options.socket_path, &error)) << error;
+    ASSERT_TRUE(client.request("{\"op\":\"shutdown\"}", &reply, &error)) << error;
+    client.close();
+    loop.join();
+
+    ASSERT_GT(before, 0u);
+    // 1000 held stacks would add about 8 GiB; the bound leaves room for the
+    // few connection threads still in flight and the allocator's caches.
+    EXPECT_LT(after - std::min(after, before), std::uint64_t{256} * 1024)
+        << "VmSize grew from " << before << " KiB to " << after << " KiB";
 }
 
 }  // namespace

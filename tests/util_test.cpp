@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/bits.hpp"
 #include "util/parallel.hpp"
@@ -179,6 +183,61 @@ TEST(ParseThreadCount, AcceptsOnlyFullPositiveIntegers) {
     EXPECT_EQ(util::parse_thread_count("4 "), std::nullopt);
     EXPECT_EQ(util::parse_thread_count("0x4"), std::nullopt);
     EXPECT_EQ(util::parse_thread_count("3.5"), std::nullopt);
+}
+
+// --- util::parallel_for ----------------------------------------------------
+
+TEST(ParallelFor, CoversEveryIndexOnce) {
+    constexpr std::size_t n = 1000;
+    std::vector<std::atomic<int>> hits(n);
+    util::parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ParallelFor, ZeroIterationsIsANoop) {
+    bool called = false;
+    util::parallel_for(0, [&](std::size_t) { called = true; }, 4);
+    EXPECT_FALSE(called);
+}
+
+TEST(ParallelFor, SerialWhenThreadsIsOne) {
+    // threads == 1 must not involve the pool: the body runs on this thread.
+    const auto caller = std::this_thread::get_id();
+    util::parallel_for(100, [&](std::size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+    }, 1);
+}
+
+TEST(ParallelFor, PropagatesFirstException) {
+    EXPECT_THROW(
+        util::parallel_for(
+            256,
+            [&](std::size_t i) {
+                if (i == 137) throw std::runtime_error("boom");
+            },
+            4),
+        std::runtime_error);
+}
+
+TEST(ParallelFor, NestedCallsRunInline) {
+    // A parallel_for inside a parallel_for region must not deadlock or
+    // oversubscribe: the inner call runs inline on the worker.
+    std::atomic<int> total{0};
+    util::parallel_for(
+        8,
+        [&](std::size_t) {
+            util::parallel_for(8, [&](std::size_t) { total.fetch_add(1); }, 4);
+        },
+        4);
+    EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ParallelFor, ParseThreadCountIsStrict) {
+    EXPECT_EQ(util::parse_thread_count("4"), std::size_t{4});
+    EXPECT_FALSE(util::parse_thread_count("0").has_value());
+    EXPECT_FALSE(util::parse_thread_count("4x").has_value());
+    EXPECT_FALSE(util::parse_thread_count("").has_value());
+    EXPECT_FALSE(util::parse_thread_count("-2").has_value());
 }
 
 TEST(Table, RendersAlignedRows) {

@@ -265,10 +265,16 @@ int main(int argc, char** argv) {
     }
 
     // Console summary.
-    int checks_total = 0, checks_passed = 0;
+    int checks_total = 0, checks_passed = 0, checks_waived = 0;
     for (const auto& e : current.experiments) {
         int passed = 0;
-        for (const auto& c : e.checks) passed += c.pass ? 1 : 0;
+        for (const auto& c : e.checks) {
+            if (c.waived) {
+                ++checks_waived;
+            } else if (c.pass) {
+                ++passed;
+            }
+        }
         checks_total += static_cast<int>(e.checks.size());
         checks_passed += passed;
         std::printf("%-4s %-55s %2d/%2zu %s\n", e.id.c_str(), e.title.c_str(), passed,
@@ -279,8 +285,9 @@ int main(int argc, char** argv) {
                     current.micro->bulk_words_per_sec, current.micro->speedup,
                     current.micro->costs_bit_identical ? "yes" : "NO");
     }
-    std::printf("experiments: %zu   checks: %d/%d pass\n", current.experiments.size(),
-                checks_passed, checks_total);
+    std::printf("experiments: %zu   checks: %d/%d pass, %d waived, %d fail\n",
+                current.experiments.size(), checks_passed, checks_total, checks_waived,
+                checks_total - checks_passed - checks_waived);
 
     if (!out_path.empty()) {
         if (!current.to_json().save_file(out_path, &error)) {

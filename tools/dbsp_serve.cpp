@@ -2,7 +2,7 @@
 ///
 /// Listens on a Unix-domain stream socket for newline-framed JSON requests
 /// (see src/serve/protocol.hpp), runs `dbsp-spec v1` programs through the
-/// D-BSP/HMM/BT executors on the persistent worker pool, and replies with
+/// D-BSP/HMM/BT executors on the connection's thread, and replies with
 /// deterministic "dbsp-serve-result-v1" documents. Results are memoized in
 /// an LRU cache keyed by spec fingerprint; op:"metrics" serves a live
 /// registry snapshot; op:"shutdown" stops the daemon cleanly.
@@ -12,7 +12,10 @@
 ///              [--log FILE|-] [--log-level debug|info|warn|error]
 ///              [--log-max-bytes N] [--slow-ms MS] [--span-ring N] [--version]
 ///
-/// Observability (PR 9): --log enables the structured JSONL event log
+/// --threads N is accepted (strictly parsed) and ignored: every run is
+/// serial. Kept only because benchmark/src/serve_mix.cpp passes it.
+///
+/// Observability: --log enables the structured JSONL event log
 /// (bounded queue, background writer, size-based rotation to FILE.1);
 /// --slow-ms logs the full span tree of any request at/above the threshold;
 /// op:"watch" streams "dbsp-telemetry-v1" frames and op:"spans" serves the
@@ -86,7 +89,7 @@ int main(int argc, char** argv) {
         if (arg == "--socket") {
             options.socket_path = next();
         } else if (arg == "--threads") {
-            options.threads = parse_u64("--threads", next());
+            (void)parse_u64("--threads", next());  // inert; see the file comment
         } else if (arg == "--cache") {
             options.cache_entries = parse_u64("--cache", next());
         } else if (arg == "--max-request-bytes") {
