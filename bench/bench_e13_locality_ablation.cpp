@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         const auto ro = machine.run(oddeven);
 
         // Profile the simulations' address streams while simulating; the
-        // sinks mirror the charged cost, so the cost columns are unchanged.
+        // sinks only observe, so the cost columns are unchanged.
         locality::LocalitySink sink_b, sink_o;
         core::HmmSimulator::Options opt_b, opt_o;
         opt_b.trace = &sink_b;

@@ -288,7 +288,7 @@ public:
 
     /// Print the aggregate report for the traced run (and write the Chrome
     /// file if a path was given). \p charged_cost is the simulator's own
-    /// total, audited against the mirror.
+    /// total, printed next to the attributed sum.
     void report(const std::string& what, double charged_cost) const {
         bundle_.report("DBSP_TRACE", what, charged_cost);
     }

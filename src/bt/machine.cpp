@@ -95,18 +95,7 @@ void Machine::write_range(Addr x, std::span<const Word> values) {
 }
 
 void Machine::block_copy(Addr src, Addr dst, std::uint64_t len) {
-    if (len == 0) return;
-    DBSP_REQUIRE(src + len <= capacity() && dst + len <= capacity());
-    DBSP_REQUIRE(src + len <= dst || dst + len <= src);  // disjoint, per the model
-    const double latency = std::max(table_->cost(src + len - 1), table_->cost(dst + len - 1));
-    const double delta = latency + static_cast<double>(len);
-    cost_ += delta;
-    transfer_latency_ += latency;
-    transfer_volume_ += static_cast<double>(len);
-    ++block_transfers_;
-    transfer_words_ += len;
-    transfer_size_by_bucket_[std::bit_width(len)] += 1;
-    if (trace_ != nullptr) trace_->block_transfer(src, dst, len, latency, delta);
+    charge_transfer(src, dst, len);
     std::copy(memory_.begin() + static_cast<std::ptrdiff_t>(src),
               memory_.begin() + static_cast<std::ptrdiff_t>(src + len),
               memory_.begin() + static_cast<std::ptrdiff_t>(dst));
@@ -120,8 +109,6 @@ void Machine::charge(double c) {
 }
 
 void Machine::charge_transfer(Addr src, Addr dst, std::uint64_t len) {
-    // block_copy minus the std::copy: same delta, same decomposition, same
-    // telemetry, same trace event.
     if (len == 0) return;
     DBSP_REQUIRE(src + len <= capacity() && dst + len <= capacity());
     DBSP_REQUIRE(src + len <= dst || dst + len <= src);  // disjoint, per the model

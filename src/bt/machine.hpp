@@ -9,7 +9,8 @@
 /// pipelined bulk movement.
 ///
 /// As with hmm::Machine, the instance stores real words and meters the exact
-/// model cost of every operation.
+/// model cost of every operation, and it is the only place that cost is
+/// summed: an attached trace::Sink observes each charge's delta.
 
 #include <array>
 #include <bit>
@@ -82,7 +83,7 @@ public:
 
     /// --- block transfer ----------------------------------------------------
     /// Copy [src, src+len) onto the disjoint [dst, dst+len).
-    /// Cost: max(f(src+len-1), f(dst+len-1)) + len.
+    /// Cost: max(f(src+len-1), f(dst+len-1)) + len, through charge_transfer.
     void block_copy(Addr src, Addr dst, std::uint64_t len);
 
     /// Charge \p c units of pure computation.
@@ -95,8 +96,7 @@ public:
     /// contexts execute in place.
     void charge_transfer(Addr src, Addr dst, std::uint64_t len);
 
-    /// Fold one account into the machine; the cost fold is the single add
-    /// the sink's mirror performs at Sink::shard_end.
+    /// Fold one account into the machine with a single add per accumulator.
     void merge_shard(const ShardAccount& account);
 
     /// --- accounting --------------------------------------------------------
@@ -104,7 +104,6 @@ public:
     void reset_cost() {
         cost_ = 0.0;
         transfer_latency_ = transfer_volume_ = word_access_ = unit_ops_ = 0.0;
-        if (trace_ != nullptr) trace_->reset_total();
     }
 
     /// Attach (or detach, with nullptr) a charge-trace sink. Not owned; every

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "check/per_word_locality.hpp"
 #include "core/bounds.hpp"
 #include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
@@ -18,6 +19,7 @@
 #include "model/recorded_program.hpp"
 #include "model/superstep_exec.hpp"
 #include "report/metrics.hpp"
+#include "trace/aggregate.hpp"
 #include "trace/sink.hpp"
 #include "util/contracts.hpp"
 
@@ -80,6 +82,28 @@ public:
         }
     }
 
+    /// Integer audit, e.g. a count a sink attributed against the executor's.
+    void check_count(const std::string& tag, const std::string& what,
+                     std::uint64_t expected, std::uint64_t actual) {
+        if (expected != actual) {
+            std::ostringstream os;
+            os << what << ": expected " << expected << ", got " << actual;
+            fail(tag, os.str());
+        }
+    }
+
+    /// A sink's attributed cost sums the charged deltas in its own order, so
+    /// it matches the executor's charged cost only to roundoff.
+    void check_attributed(const std::string& tag, const std::string& what, double charged,
+                          double attributed) {
+        if (!(std::abs(attributed - charged) <= 1e-9 * std::max(1.0, charged))) {
+            std::ostringstream os;
+            os.precision(17);
+            os << what << ": charged " << charged << ", attributed " << attributed;
+            fail(tag, os.str());
+        }
+    }
+
     void check_images(const std::string& tag, const std::string& what,
                       const std::vector<std::vector<Word>>& expected,
                       const std::vector<std::vector<Word>>& actual) {
@@ -100,12 +124,12 @@ private:
     std::string context_;
 };
 
-/// Locality-profiler mode axes, shared by the HMM and BT blocks. \p run
-/// re-executes the simulation with the given sink attached; it must be
-/// deterministic, so every sink sees the identical reference stream.
+/// Locality-profiler mode axes, shared by the HMM and BT blocks: \p exact is
+/// a default LocalitySink's profile of the simulation, which \p run re-runs
+/// deterministically with the given sink attached (same reference stream).
 ///  * batched vs per-word: the engine's O(log n + b) bulk path promises an
 ///    event stream — and therefore a profile — bit-identical to feeding
-///    every word through record() alone;
+///    every word through record() alone (PerWordLocalitySink);
 ///  * sampled rate 1.0: the SHARDS filter passes every address and all rate
 ///    corrections are the identity, so the profile must equal exact's;
 ///  * sampled rate 0.25: the estimates are unbiased but noisy; the band
@@ -114,11 +138,8 @@ private:
 ///    and gated on a minimum measured-reference count so tiny programs
 ///    don't produce degenerate estimates.
 template <typename RunTraced>
-void check_locality_modes(Reporter& rep, const std::string& tag, RunTraced&& run) {
-    locality::LocalitySink exact_sink;
-    run(exact_sink);
-    const locality::LocalityProfile exact = exact_sink.profile();
-
+void check_locality_modes(Reporter& rep, const std::string& tag,
+                          const locality::LocalityProfile& exact, RunTraced&& run) {
     // MRC comparison capacities: powers of two (exact predictions) and
     // interior points (interpolated) — the cache-model axis of each mode
     // promise below. Bit-identical profiles must predict bit-identical miss
@@ -126,9 +147,7 @@ void check_locality_modes(Reporter& rep, const std::string& tag, RunTraced&& run
     constexpr std::uint64_t kMrcCapacities[] = {1, 2, 5, 8, 64, 1000, 4096};
 
     {
-        locality::LocalityOptions opts;
-        opts.batched = false;
-        locality::LocalitySink per_word(opts);
+        PerWordLocalitySink per_word;
         run(per_word);
         if (!exact.identical(per_word.profile())) {
             rep.fail(tag, "batched profile differs from per-word profile");
@@ -173,12 +192,8 @@ void check_locality_modes(Reporter& rep, const std::string& tag, RunTraced&& run
         locality::LocalitySink sampled_sink(opts);
         run(sampled_sink);
         locality::LocalityProfile approx = sampled_sink.profile();
-        if (approx.accesses != exact.accesses) {
-            std::ostringstream os;
-            os << "sampled mode counted " << approx.accesses << " references, exact "
-               << exact.accesses;
-            rep.fail(tag, os.str());
-        }
+        rep.check_count(tag, "sampled-mode references vs exact", exact.accesses,
+                        approx.accesses);
         // SHARDS estimation error scales with the *sampled working set*
         // (roughly 1/sqrt(distinct sampled addresses)), so the band is only
         // meaningful once the sample holds enough addresses — tiny fuzz
@@ -330,10 +345,16 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                              ref.contexts, alt.contexts);
         }
         {
-            trace::Sink sink;
+            trace::AggregateSink sink;
             const model::DbspResult traced = run_direct(true, true, &sink);
-            rep.check_cost("direct-trace", "trace mirror vs direct time", traced.time,
-                           sink.total());
+            std::uint64_t supersteps = 0;
+            for (const auto& [key, stats] : sink.phases()) {
+                if (key.phase == trace::Phase::kSuperstep) supersteps += stats.scopes;
+            }
+            rep.check_count("direct-trace-counts", "superstep events vs supersteps run",
+                            traced.supersteps.size(), supersteps);
+            rep.check_attributed("direct-trace-cost", "attributed vs direct time",
+                                 traced.time, sink.attributed_cost());
             rep.check_cost("direct-cost-mode", "traced direct time", ref.time, traced.time);
         }
 
@@ -374,40 +395,27 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                                  alt.contexts);
             }
             {
-                // A LocalitySink is a Sink, so it must keep the exact cost
-                // mirror — and its reference count must equal the machine's
-                // own word accounting, both the per-run result field and the
-                // metrics-registry counter the machine publishes on
-                // destruction (the oracle runs serially, so the registry
-                // delta around one run is that run's contribution).
+                // The traced run charges the untraced bits, and the
+                // LocalitySink's references equal the machine's word
+                // accounting: the result field and the registry counter the
+                // machine publishes on destruction (the oracle runs
+                // serially, so the registry delta is this run's).
                 locality::LocalitySink sink;
                 auto& touched = report::metric_counter("hmm.words_touched");
                 const std::uint64_t touched_before = touched.value();
                 const core::HmmSimResult traced = run_hmm(true, true, &sink);
                 const std::uint64_t touched_delta = touched.value() - touched_before;
-                rep.check_cost("hmm-trace", "trace mirror vs hmm_cost", traced.hmm_cost,
-                               sink.total());
                 rep.check_cost("hmm-cost-mode", "traced HMM cost", hmm.hmm_cost,
                                traced.hmm_cost);
-                if (sink.recorded_accesses() != traced.words_touched) {
-                    std::ostringstream os;
-                    os << "LocalitySink recorded " << sink.recorded_accesses()
-                       << " references, machine touched " << traced.words_touched
-                       << " words";
-                    rep.fail("locality-counts", os.str());
+                rep.check_count("locality-counts", "LocalitySink references vs words_touched",
+                                traced.words_touched, sink.recorded_accesses());
+                rep.check_count("locality-counts", "hmm.words_touched registry delta",
+                                traced.words_touched, touched_delta);
+                if (config.check_locality) {
+                    check_locality_modes(
+                        rep, "hmm-locality-modes", sink.profile(),
+                        [&](trace::Sink& s) { (void)run_hmm(true, true, &s); });
                 }
-                if (touched_delta != traced.words_touched) {
-                    std::ostringstream os;
-                    os << "hmm.words_touched registry delta " << touched_delta
-                       << " vs machine words_touched " << traced.words_touched;
-                    rep.fail("locality-counts", os.str());
-                }
-            }
-            if (config.check_locality) {
-                check_locality_modes(rep, "hmm-locality-modes",
-                                     [&](locality::LocalitySink& sink) {
-                                         (void)run_hmm(true, true, &sink);
-                                     });
             }
             if (config.check_bounds && v >= kBoundMinProcessors) {
                 const double bound =
@@ -458,41 +466,35 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                                  alt.contexts);
             }
             {
-                // Same invariant on the BT side: the sink's per-stream word
-                // counts must match the counters bt::Machine publishes when
-                // the simulator (and with it the machine) is destroyed at
-                // the end of run_bt's full expression.
+                // Same on the BT side, through one MultiSink as dbsp_explore
+                // attaches it: transfers, transfer words and range words
+                // against the result and the counters bt::Machine publishes
+                // when run_bt's simulator is destroyed.
+                trace::AggregateSink aggregate;
                 locality::LocalitySink sink;
+                trace::MultiSink both{&aggregate, &sink};
                 auto& range_words = report::metric_counter("bt.range_words");
                 auto& transfer_words = report::metric_counter("bt.transfer_words");
                 const std::uint64_t ranged_before = range_words.value();
                 const std::uint64_t transferred_before = transfer_words.value();
-                const core::BtSimResult traced = run_bt(true, true, &sink);
+                const core::BtSimResult traced = run_bt(true, true, &both);
                 const std::uint64_t ranged = range_words.value() - ranged_before;
                 const std::uint64_t transferred =
                     transfer_words.value() - transferred_before;
-                rep.check_cost("bt-trace", "trace mirror vs bt_cost", traced.bt_cost,
-                               sink.total());
+                rep.check_count("bt-trace-counts", "attributed transfers vs block_transfers",
+                                traced.block_transfers, aggregate.block_transfers());
+                rep.check_count("bt-trace-counts", "attributed transfer words",
+                                transferred, aggregate.transfer_volume());
+                rep.check_attributed("bt-trace-cost", "attributed vs bt_cost", traced.bt_cost,
+                                     aggregate.attributed_cost());
                 rep.check_cost("bt-cost-mode", "traced BT cost", bt.bt_cost, traced.bt_cost);
-                if (sink.range_words() != ranged) {
-                    std::ostringstream os;
-                    os << "LocalitySink saw " << sink.range_words()
-                       << " range words, bt.range_words registry delta " << ranged;
-                    rep.fail("locality-counts", os.str());
+                rep.check_count("locality-counts", "LocalitySink range words vs bt.range_words",
+                                ranged, sink.range_words());
+                if (config.check_locality) {
+                    check_locality_modes(
+                        rep, "bt-locality-modes", sink.profile(),
+                        [&](trace::Sink& s) { (void)run_bt(true, true, &s); });
                 }
-                if (sink.transfer_words() != transferred) {
-                    std::ostringstream os;
-                    os << "LocalitySink saw " << sink.transfer_words()
-                       << " transfer words, bt.transfer_words registry delta "
-                       << transferred;
-                    rep.fail("locality-counts", os.str());
-                }
-            }
-            if (config.check_locality) {
-                check_locality_modes(rep, "bt-locality-modes",
-                                     [&](locality::LocalitySink& sink) {
-                                         (void)run_bt(true, true, &sink);
-                                     });
             }
             {
                 // Component attribution must account for the whole charge.
@@ -574,10 +576,12 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                                self.host_time, alt.host_time);
                 rep.check_images("self-image", what.str() + " per-word image",
                                  self.contexts, alt.contexts);
-                trace::Sink sink;
+                // Self-simulation charges are unit-op terms without words:
+                // only the attributed cost can be audited.
+                trace::AggregateSink sink;
                 const core::SelfSimResult traced = run_self(true, true, &sink);
-                rep.check_cost("self-trace", what.str() + " trace mirror", traced.host_time,
-                               sink.total());
+                rep.check_attributed("self-trace-cost", what.str() + " attributed host time",
+                                     traced.host_time, sink.attributed_cost());
                 rep.check_cost("self-cost-mode", what.str() + " traced host time",
                                self.host_time, traced.host_time);
             }

@@ -9,7 +9,7 @@
 /// smoothing), NaiveHmmSimulator, NaiveBtSimulator, and SelfSimulator at up
 /// to three host sizes v' | v. Mode axes crossed on each: bulk vs per-word
 /// accessors (ScopedBulkAccess), cached vs uncached cost tables
-/// (ScopedCostTableCache), traced vs untraced (trace::Sink mirror).
+/// (ScopedCostTableCache), traced vs untraced (trace::Sink attached).
 ///
 /// Checks, in decreasing order of strength:
 ///  * functional: every executor ends with the identical observable memory
@@ -17,10 +17,13 @@
 ///    delivery order), and drained out-buffer count;
 ///  * cost determinism: within one executor, charged cost is bit-identical
 ///    across every bulk/cache/trace combination;
-///  * trace mirror: an attached sink's total() equals the executor's charged
-///    cost bit for bit;
+///  * trace counts: what an attached sink attributed equals the executor's
+///    own integer counters — words touched (HMM), block transfers and
+///    transfer words (BT), supersteps (direct) — and the attributed cost
+///    matches the charged cost to 1e-9 relative;
 ///  * locality modes: the profiler's batched fast path reproduces the
-///    per-word reference path bit for bit, SHARDS sampling at rate 1.0
+///    per-word reference profiler (per_word_locality.hpp) bit for bit,
+///    SHARDS sampling at rate 1.0
 ///    degenerates to the exact profile, and sub-rate sampling stays inside
 ///    a generous error band of the exact analytics;
 ///  * model invariants: per-superstep direct costs are >= 1 and fold exactly

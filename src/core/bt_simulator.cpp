@@ -300,18 +300,16 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
         // of memory (two block transfers), so the elementwise step execution
         // pays f(mu) = O(1)-ish per access instead of f(pad). The context
         // runs in place, charged at address 0; its charges fold from zero
-        // and reach the machine (and the sink's mirror) in one add.
+        // and reach the machine in one add.
         const auto proc = static_cast<ProcId>(p);
         const Addr pbase = slot_addr(entry_slot_[proc]);
         trace::Sink* const sink = machine_.trace();
         machine_.charge_transfer(slot_addr(0), 0, mu_);
         model::StepOutcome out;
         if (sink != nullptr) {
-            sink->shard_begin();
             BtShardAccessor<true> acc(machine_, account_, sink, 0, pbase, mu_);
             out = model::run_processor_step(program_, layout_, tree_, s, proc, acc);
             sink->charge(static_cast<double>(out.ops));
-            sink->shard_end();
         } else {
             BtShardAccessor<false> acc(machine_, account_, nullptr, 0, pbase, mu_);
             out = model::run_processor_step(program_, layout_, tree_, s, proc, acc);
@@ -639,8 +637,6 @@ BtSimResult BtSim::run() {
     static auto& metric_runs = report::metric_counter("sim.bt.runs");
     metric_runs.add();
     result_.data_words = d_;
-    // The machine is fresh (cost 0); a reused sink must restart its mirror.
-    if (options_.trace != nullptr) options_.trace->reset_total();
 
     // Load the initial memory image: contexts packed in slots [0, v).
     {

@@ -70,8 +70,8 @@ public:
         /// Charge-trace sink (not owned; must outlive simulate()). BT charges
         /// are attributed to step execution (COMPUTE), context movement
         /// (PACK/UNPACK/Step-4 swaps), sort-based or transpose-based delivery
-        /// — or dummy-superstep for smoothing-inserted rounds. The sink's
-        /// total() equals BtSimResult::bt_cost bit for bit.
+        /// — or dummy-superstep for smoothing-inserted rounds. The transfers
+        /// it sees number BtSimResult::block_transfers.
         trace::Sink* trace = nullptr;
     };
 

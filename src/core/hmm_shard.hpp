@@ -6,11 +6,10 @@
 /// message delivery.
 ///
 /// Each step execution, and each delivery group, is folded from zero into a
-/// ShardAccount and then added to the machine once (Machine::merge_shard);
-/// when a sink is attached its events stream into it between
-/// Sink::shard_begin and Sink::shard_end, which fold the sink's mirror the
-/// same way. That grouping of the floating-point additions is what the
-/// charged cost bits are defined by.
+/// ShardAccount and then added to the machine once (Machine::merge_shard).
+/// That grouping of the floating-point additions is what the charged cost
+/// bits are defined by. An attached sink sees every charge as it happens,
+/// with the delta the account folds; it sums nothing itself.
 ///
 /// Charging and data placement are decoupled: charges use the *virtual*
 /// base address (where the paper's schedule would have placed the context,
@@ -129,14 +128,9 @@ public:
         return acc_;
     }
 
-    void group_begin() override {
-        if constexpr (Traced) m_.trace()->shard_begin();
-    }
-
     void group_end() override {
         m_.merge_shard(account_);
         account_.clear();
-        if constexpr (Traced) m_.trace()->shard_end();
     }
 
 private:

@@ -75,8 +75,6 @@ HmmSimResult HmmSimulator::simulate_with(
     SimState st(f_, v, mu);
     trace::Sink* const sink = options_.trace;
     st.machine.set_trace(sink);
-    // The machine is fresh (cost 0); a reused sink must restart its mirror.
-    if (sink != nullptr) sink->reset_total();
 
     // Load the initial contexts (the input configuration; uncharged, as the
     // simulated machine is assumed to start from this memory image).
@@ -161,9 +159,8 @@ HmmSimResult HmmSimulator::simulate_with(
         // on memory. So the round executes every context of the cluster IN
         // PLACE, charging virtual block-0 addresses into the account, and
         // emits the schedule's charge stream in cluster order: swap-in
-        // charge, the step's charges (streamed into the sink inside a
-        // shard_begin/shard_end bracket, and added to the machine once),
-        // swap-out charge.
+        // charge, the step's charges (folded into the account and added to
+        // the machine once), swap-out charge.
         for (std::uint64_t idx = 0; idx < csize; ++idx) {
             DBSP_ASSERT(st.proc_of_block[idx] == first + idx);
             if (idx > 0) {
@@ -175,12 +172,10 @@ HmmSimResult HmmSimulator::simulate_with(
                 const ProcId p = first + idx;
                 model::StepOutcome out;
                 if (sink != nullptr) {
-                    sink->shard_begin();
                     HmmShardAccessor<true> acc(st.machine, account, sink, st.block_addr(0),
                                                st.block_addr(idx), mu);
                     out = model::run_processor_step(program, layout, tree, s, p, acc);
                     sink->charge(static_cast<double>(out.ops));
-                    sink->shard_end();
                 } else {
                     HmmShardAccessor<false> acc(st.machine, account, nullptr,
                                                 st.block_addr(0), st.block_addr(idx), mu);

@@ -52,8 +52,8 @@ public:
         /// Charge-trace sink (not owned; must outlive simulate()). Every HMM
         /// charge is attributed to a phase: step execution, context movement
         /// (block swaps/rotations), message delivery — or dummy-superstep for
-        /// rounds executing a smoothing-inserted dummy. The sink's total()
-        /// equals HmmSimResult::hmm_cost bit for bit.
+        /// rounds executing a smoothing-inserted dummy. The words it sees
+        /// total HmmSimResult::words_touched.
         trace::Sink* trace = nullptr;
     };
 

@@ -27,8 +27,6 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
     hmm::Machine machine(f_, static_cast<std::uint64_t>(mu) * v);
     trace::Sink* const sink = options_.trace;
     machine.set_trace(sink);
-    // The machine is fresh (cost 0); a reused sink must restart its mirror.
-    if (sink != nullptr) sink->reset_total();
     {
         const auto init = model::DbspMachine::initial_contexts(program);
         auto raw = machine.raw();
@@ -57,7 +55,6 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
         ++result.rounds;
         for (ProcId lo = 0; lo < v; lo += model::kDeliveryGroupProcs) {
             const ProcId hi = std::min<ProcId>(v, lo + model::kDeliveryGroupProcs);
-            if (sink != nullptr) sink->shard_begin();
             for (ProcId p = lo; p < hi; ++p) {
                 const Addr base = p * mu;
                 model::StepOutcome out;
@@ -73,7 +70,6 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
             }
             machine.merge_shard(account);
             account.clear();
-            if (sink != nullptr) sink->shard_end();
         }
         model::deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
     }

@@ -17,10 +17,10 @@ class NaiveHmmSimulator {
 public:
     struct Options {
         /// Charge-trace sink (not owned; must outlive simulate()). Same
-        /// contract as HmmSimulator::Options::trace: the sink's total()
-        /// equals HmmSimResult::hmm_cost bit for bit, and per-word events
-        /// exist only on the traced accessor instantiation, so a run with no
-        /// sink pays nothing. Used by bench_e14 to profile the flat
+        /// contract as HmmSimulator::Options::trace: the words the sink sees
+        /// total HmmSimResult::words_touched, and per-word events exist only
+        /// on the traced accessor instantiation, so a run with no sink pays
+        /// nothing. Used by bench_e14 to profile the flat
         /// baseline's address stream.
         trace::Sink* trace = nullptr;
     };

@@ -120,7 +120,6 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
     const HmmSimulator local_sim(g_);
     const bool bulk = model::bulk_access_enabled();
     trace::Sink* const sink = trace_;
-    if (sink != nullptr) sink->reset_total();
     std::vector<Word> scan;  // reused out-buffer staging for the bulk path
 
     StepIndex s = 0;

@@ -58,11 +58,11 @@ public:
     /// Attach (or detach, with nullptr) a charge-trace sink. simulate() opens
     /// a local-run scope per maximal local stretch and a global-step scope per
     /// global superstep, charges the sink the exact doubles added to
-    /// host_time (the per-phase max-plus-communication terms, so total()
-    /// equals host_time bit for bit), and reports message volume per
-    /// exchange. The per-window HMM machines are deliberately left untraced:
-    /// host time charges the *maximum* over host processors, so summing
-    /// their individual costs would overcount. The sink is not owned.
+    /// host_time (the per-phase max-plus-communication terms), and reports
+    /// message volume per exchange. The per-window HMM machines are
+    /// deliberately left untraced: host time charges the *maximum* over host
+    /// processors, so summing their individual costs would overcount. The
+    /// sink is not owned.
     void set_trace(trace::Sink* sink) { trace_ = sink; }
     trace::Sink* trace() const { return trace_; }
 

@@ -99,17 +99,7 @@ void Machine::write_range(Addr x, std::span<const Word> values) {
 }
 
 void Machine::swap_blocks(Addr a, Addr b, std::uint64_t len) {
-    if (len == 0) return;
-    DBSP_REQUIRE(a + len <= capacity() && b + len <= capacity());
-    DBSP_REQUIRE(a + len <= b || b + len <= a);  // disjoint
-    const double delta =
-        2.0 * (table_->range_cost(a, a + len) + table_->range_cost(b, b + len));
-    cost_ += delta;
-    words_touched_ += 4 * len;
-    if (trace_ != nullptr) {
-        trace_->block_op(table_->prefix(), delta, 2, {{a, a + len}, {b, b + len}});
-    }
-    note_bulk(std::max(a, b) + len - 1, 4 * len);
+    charge_swap_blocks(a, b, len);
     std::swap_ranges(memory_.begin() + static_cast<std::ptrdiff_t>(a),
                      memory_.begin() + static_cast<std::ptrdiff_t>(a + len),
                      memory_.begin() + static_cast<std::ptrdiff_t>(b));
@@ -148,8 +138,6 @@ void Machine::charge(double c) {
 }
 
 void Machine::charge_swap_blocks(Addr a, Addr b, std::uint64_t len) {
-    // swap_blocks minus the std::swap_ranges: same delta expression, same
-    // fold, same telemetry, same trace event.
     if (len == 0) return;
     DBSP_REQUIRE(a + len <= capacity() && b + len <= capacity());
     DBSP_REQUIRE(a + len <= b || b + len <= a);  // disjoint

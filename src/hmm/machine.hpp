@@ -20,6 +20,9 @@
 ///    charged total is bit-for-bit the per-word path's — while moving the
 ///    data with one memcpy-able loop.
 ///
+/// The machine (with the ShardAccounts merged into it) is the only place its
+/// cost is summed; an attached trace::Sink only observes each charge's delta.
+///
 /// The cost table is obtained from the process-wide CostTableCache, so a
 /// sweep constructing many machines over the same access function builds the
 /// O(capacity) prefix array once.
@@ -83,8 +86,8 @@ public:
     /// never-taken branch on the sink pointer measurably slows the untraced
     /// harness (bench_micro). Per-word trace events are emitted by
     /// read_traced()/write_traced(), which charge identically (same delta,
-    /// same fold order — the sink mirror stays bit-for-bit); the simulators
-    /// route word traffic through them only when a sink is attached.
+    /// same fold order); the simulators route word traffic through them only
+    /// when a sink is attached.
     Word read(Addr x);
     void write(Addr x, Word value);
     Word read_traced(Addr x);
@@ -101,7 +104,8 @@ public:
 
     /// --- charged bulk operations -------------------------------------------
     /// Swap the disjoint word ranges [a, a+len) and [b, b+len). Each cell is
-    /// read and written once: charges 2 * (sum f over both ranges).
+    /// read and written once: charges 2 * (sum f over both ranges), through
+    /// charge_swap_blocks.
     void swap_blocks(Addr a, Addr b, std::uint64_t len);
 
     /// Copy [src, src+len) onto [dst, dst+len) (ranges may not overlap).
@@ -124,8 +128,7 @@ public:
     void charge_swap_blocks(Addr a, Addr b, std::uint64_t len);
 
     /// Fold one account into the machine: the cost fold is the single
-    /// `cost_ += account.cost` the sink's mirror also performs at
-    /// Sink::shard_end, keeping the two bit-identical.
+    /// `cost_ += account.cost`.
     void merge_shard(const ShardAccount& account);
 
     /// --- accounting --------------------------------------------------------
@@ -133,7 +136,6 @@ public:
     void reset_cost() {
         cost_ = 0.0;
         words_touched_ = 0;
-        if (trace_ != nullptr) trace_->reset_total();
     }
 
     /// Attach (or detach, with nullptr) a charge-trace sink. The machine does

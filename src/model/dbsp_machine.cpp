@@ -53,7 +53,6 @@ DbspResult DbspMachine::run(Program& program) const {
 
     VectorAccessorSource contexts(result.contexts, mu);
     DeliveryScratch scratch;
-    if (trace_ != nullptr) trace_->reset_total();
 
     for (StepIndex s = 0; s < steps; ++s) {
         const unsigned label = program.label(s);

@@ -68,9 +68,8 @@ public:
     /// Attach (or detach, with nullptr) a charge-trace sink: run() then emits
     /// one superstep event per executed superstep — charged exactly
     /// max(tau, 1) + h * g(comm_arg), the same double added to result.time —
-    /// and one messages event per delivery, and resets the sink's running
-    /// total on entry so total() mirrors that run's time bit for bit. The
-    /// sink is not owned and must outlive run().
+    /// and one messages event per delivery. The sink is not owned and must
+    /// outlive run().
     void set_trace(trace::Sink* sink) { trace_ = sink; }
     trace::Sink* trace() const { return trace_; }
 

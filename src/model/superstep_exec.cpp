@@ -39,7 +39,6 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
     pending.clear();
     for (ProcId lo = first; lo < end; lo += kDeliveryGroupProcs) {
         const ProcId hi = std::min<ProcId>(end, lo + kDeliveryGroupProcs);
-        contexts.group_begin();
         for (ProcId p = lo; p < hi; ++p) {
             ContextAccessor& acc = contexts.at(p);
             const auto sent = static_cast<std::size_t>(acc.get(layout.out_count_offset()));
@@ -98,7 +97,6 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
     std::size_t max_received = 0;
     sc.received.assign(count, 0);
     for (std::size_t g = 0; g < ngroups; ++g) {
-        contexts.group_begin();
         for (const Message& m : sc.by_group[g]) {
             ContextAccessor& acc = contexts.at(m.dest);
             auto in_count = static_cast<std::size_t>(acc.get(layout.in_count_offset()));

@@ -50,11 +50,9 @@ public:
     virtual ~AccessorSource() = default;
     virtual ContextAccessor& at(ProcId p) = 0;
 
-    /// Bracket one delivery group (see kDeliveryGroupProcs): a charged
-    /// source folds the group's charges from zero between the two calls and
-    /// adds the subtotal to its machine once, at group_end. No-ops for
-    /// uncharged sources.
-    virtual void group_begin() {}
+    /// Close one delivery group (see kDeliveryGroupProcs): a charged source
+    /// folds the group's charges from zero and adds the subtotal to its
+    /// machine once, here. No-op for uncharged sources.
     virtual void group_end() {}
 };
 
@@ -77,7 +75,7 @@ private:
 
 /// Group width of the delivery protocol: senders (phase 1) and destination
 /// inboxes (phase 2) are visited in runs of this many processors, and a
-/// charged source folds each run's charges separately (group_begin/
+/// charged source folds each run's charges separately (closing each with
 /// group_end). The grouping is part of the charging structure: the charged
 /// cost bits depend on it.
 inline constexpr std::uint64_t kDeliveryGroupProcs = 64;
@@ -126,8 +124,8 @@ private:
 /// Phase 1 walks the senders in ascending order, one kDeliveryGroupProcs
 /// group at a time; phase 2 buckets the canonical (src, send-order) message
 /// sequence by destination group (stable, so every inbox still receives its
-/// messages in canonical order) and appends group by group. Each group runs
-/// inside a contexts.group_begin()/group_end() bracket.
+/// messages in canonical order) and appends group by group. Each group ends
+/// with contexts.group_end().
 std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uint64_t count,
                              AccessorSource& contexts, ProcId id_base = 0,
                              DeliveryScratch* scratch = nullptr);

@@ -6,6 +6,28 @@
 
 namespace dbsp::report {
 
+namespace {
+
+/// The micro document's gated booleans: key, field, violation when false.
+struct GatedFlag {
+    const char* key;
+    bool MicroData::*field;
+    const char* broken;
+};
+constexpr GatedFlag kGatedFlags[] = {
+    {"costs_bit_identical", &MicroData::costs_bit_identical,
+     "bulk and per-word paths no longer charge bit-identical costs"},
+    {"trace_counts_exact", &MicroData::trace_counts_exact,
+     "AggregateSink attributed words no longer match words_touched"},
+    {"locality_counts_exact", &MicroData::locality_counts_exact,
+     "LocalitySink reference counts no longer match words_touched"},
+    {"costs_bit_identical_counters", &MicroData::counters_cost_bit_identical,
+     "arming hardware counters changed the charged cost (counters must be pure "
+     "observation)"},
+};
+
+}  // namespace
+
 std::optional<MicroData> MicroData::from_json(const Json& j, std::string* error) {
     if (!j.is_object()) {
         if (error != nullptr) *error = "micro document is not an object";
@@ -28,10 +50,7 @@ std::optional<MicroData> MicroData::from_json(const Json& j, std::string* error)
     m.locality_sampled_overhead_pct = j["locality_sampled_overhead_pct"].as_double(0.0);
     m.locality_sampled_score_abs_err =
         j["locality_sampled_score_abs_err"].as_double(0.0);
-    m.costs_bit_identical = j["costs_bit_identical"].as_bool(true);
-    m.trace_exact = j["trace_total_equals_cost"].as_bool(true);
-    m.locality_counts_exact = j["locality_counts_exact"].as_bool(true);
-    m.counters_cost_bit_identical = j["costs_bit_identical_counters"].as_bool(true);
+    for (const GatedFlag& g : kGatedFlags) m.*g.field = j[g.key].as_bool(false);
     m.counters_available = j["counters"]["available"].as_bool(false);
     m.counters_reason = j["counters"]["reason"].as_string();
     return m;
@@ -48,9 +67,10 @@ bool CombinedReport::pass() const {
     for (const auto& e : experiments) {
         if (!e.pass()) return false;
     }
-    if (micro && !(micro->costs_bit_identical && micro->trace_exact &&
-                   micro->locality_counts_exact && micro->counters_cost_bit_identical)) {
-        return false;
+    if (micro) {
+        for (const GatedFlag& g : kGatedFlags) {
+            if (!(*micro.*g.field)) return false;
+        }
     }
     return true;
 }
@@ -260,8 +280,8 @@ std::string CombinedReport::markdown(const CombinedReport* baseline) const {
                fmt(micro->locality_sampled_overhead_pct) + "% (score abs err " +
                fmt(micro->locality_sampled_score_abs_err) + ")\n";
         out += std::string("- costs bit-identical: ") +
-               (micro->costs_bit_identical ? "yes" : "**NO**") + ", trace mirror exact: " +
-               (micro->trace_exact ? "yes" : "**NO**") + ", locality counts exact: " +
+               (micro->costs_bit_identical ? "yes" : "**NO**") + ", trace counts exact: " +
+               (micro->trace_counts_exact ? "yes" : "**NO**") + ", locality counts exact: " +
                (micro->locality_counts_exact ? "yes" : "**NO**") +
                ", counter leg cost bit-identical: " +
                (micro->counters_cost_bit_identical ? "yes" : "**NO**") + "\n";
@@ -365,25 +385,20 @@ std::vector<std::string> gate_violations(const CombinedReport& current,
             violation("micro: bulk-path words/sec regressed " + fmt(drop_pct) +
                       "% vs baseline (allowed " + fmt(options.perf_drop_pct) + "%)");
         }
-        if (!current.micro->costs_bit_identical) {
-            violation("micro: bulk and per-word paths no longer charge bit-identical costs");
-        }
-        if (!current.micro->trace_exact) {
-            violation("micro: trace mirror no longer equals charged cost");
-        }
-        if (!current.micro->locality_counts_exact) {
-            violation("micro: LocalitySink reference counts no longer match words_touched");
-        }
-        if (!current.micro->counters_cost_bit_identical) {
-            violation("micro: arming hardware counters changed the charged cost "
-                      "(counters must be pure observation)");
-        }
     }
 
-    // Enabled-path ceilings are absolute bounds on the current run (no
-    // baseline needed): "profiling stays affordable" is a property of head,
-    // not a drift. Old artifacts without the keys default to 0 and pass.
+    // The gated booleans (missing = violation) and the enabled-path ceilings
+    // (missing = 0, passes) are properties of the current run, not drifts.
     if (current.micro) {
+        const MicroData& m = *current.micro;
+        for (const GatedFlag& g : kGatedFlags) {
+            if (!m.raw[g.key].is_bool()) {
+                violation(std::string("micro: gated key \"") + g.key +
+                          "\" missing from the current document");
+            } else if (!(m.*g.field)) {
+                violation(std::string("micro: ") + g.broken);
+            }
+        }
         if (current.micro->locality_enabled_overhead_pct >
             options.locality_enabled_overhead_max_pct) {
             violation("micro: exact locality profiling overhead " +

@@ -48,14 +48,16 @@ struct MicroData {
     /// |sampled score - exact score| over one rep of the E3 workload: the
     /// SHARDS estimation error at the production rate.
     double locality_sampled_score_abs_err = 0.0;
-    bool costs_bit_identical = true;
-    bool trace_exact = true;
+    /// Gated booleans; each reads false when its key is missing (fail closed).
+    bool costs_bit_identical = false;
+    /// AggregateSink attributed words matched words_touched on every rep.
+    bool trace_counts_exact = false;
     /// LocalitySink reference counts matched words_touched on every rep.
-    bool locality_counts_exact = true;
+    bool locality_counts_exact = false;
     /// The counter leg charged the same cost as the untraced leg, bit for
     /// bit — arming perf counters must be pure observation. Computed (and
     /// gated) regardless of whether the PMU was actually available.
-    bool counters_cost_bit_identical = true;
+    bool counters_cost_bit_identical = false;
     /// Whether the hardware-counter snapshot in the document carries live
     /// readings; informational (never gated — a counter-less host is a
     /// waiver, not a failure). `counters_reason` explains unavailability.

@@ -20,11 +20,7 @@ void TraceBundle::report(const char* tool, const std::string& what,
     if (!what.empty()) {
         std::printf("\n--- charge trace: %s ---\n", what.c_str());
     }
-    aggregate_->print(stdout);
-    if (aggregate_->total() != charged_cost) {
-        std::fprintf(stderr, "%s: trace total %.17g != charged cost %.17g\n", tool,
-                     aggregate_->total(), charged_cost);
-    }
+    aggregate_->print(stdout, charged_cost);
     if (chrome_ != nullptr && !chrome_path_.empty()) {
         if (chrome_->write(chrome_path_)) {
             std::printf("wrote Chrome trace to %s\n", chrome_path_.c_str());

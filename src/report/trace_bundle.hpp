@@ -3,9 +3,10 @@
 /// \file trace_bundle.hpp
 /// One charge-trace attachment bundle: an AggregateSink for the printed
 /// phase/level table, an optional ChromeTraceSink when a JSON path was
-/// requested, and a MultiSink fanning events to both. This used to be
-/// copy-pasted as bench::EnvTrace and dbsp_explore's LegTrace; both now wrap
-/// this class.
+/// requested, and a MultiSink fanning events to both. bench::EnvTrace and
+/// dbsp_explore's per-leg tracing both wrap this class. The sinks only
+/// observe; the report prints the executor's charged cost next to the sum
+/// the aggregate attributed.
 ///
 /// The bundle is not thread-safe (the sinks aren't): attach it to one serial
 /// run, never to parallel sweep workers.
@@ -46,12 +47,13 @@ public:
 
     bool enabled() const { return aggregate_ != nullptr; }
     trace::Sink* sink() { return enabled() ? &multi_ : nullptr; }
+    const trace::AggregateSink* aggregate() const { return aggregate_.get(); }
     const trace::ChromeTraceSink* chrome() const { return chrome_.get(); }
     const std::string& chrome_path() const { return chrome_path_; }
 
-    /// Print the aggregate table and audit the mirrored total against the
-    /// machine's own charged cost; if from_env() captured a Chrome path,
-    /// also write the trace file there. \p tool prefixes diagnostics.
+    /// Print the aggregate table, with \p charged_cost (the executor's own
+    /// total) next to the attributed sum; if from_env() captured a Chrome
+    /// path, also write the trace file there. \p tool prefixes diagnostics.
     void report(const char* tool, const std::string& what, double charged_cost) const;
 
 private:

@@ -4,8 +4,9 @@
 /// Request spans: every serve request gets a monotonically assigned id and a
 /// tree of named, steady-clock-timed spans (parse -> cache-probe -> run ->
 /// superstep[i] -> reply-write). SpanBuilder assembles the tree on the
-/// request thread; SpanSink rides the existing trace::Sink phase-scope hooks
-/// to time the simulator legs at superstep granularity without touching the
+/// request thread; SpanSink overrides only the trace::Sink phase-scope and
+/// superstep hooks (every other event stays the base's empty virtual) to
+/// time the simulator legs at superstep granularity without touching the
 /// charging paths.
 ///
 /// Spans observe wall time only. They never feed back into charged costs,
@@ -79,11 +80,8 @@ private:
 };
 
 /// trace::Sink adapter that turns the simulators' phase scopes (and the
-/// direct machine's superstep events) into timed spans. Charge events are
-/// deliberately no-ops: the base class's exact per-word mirror folding is
-/// the expensive path tracing pays for bit-identity audits, and spans need
-/// none of it — attaching a SpanSink costs one virtual call per *phase*,
-/// not per word.
+/// direct machine's superstep events) into timed spans. Charge events keep
+/// the base's empty implementations.
 ///
 /// Detail is bounded: the first kMaxDetail phase instances are recorded as
 /// individual spans ("superstep[i]" resolution — each simulator round is one
@@ -96,20 +94,6 @@ public:
     /// \p t0_ns: the owning request's start stamp (SpanBuilder::t0_ns), so
     /// leg spans share the request-relative timebase.
     explicit SpanSink(std::uint64_t t0_ns) : t0_ns_(t0_ns) {}
-
-    // Charge events: cheap no-ops (see file comment). total() stays 0; the
-    // cost mirror is the AggregateSink's job, not ours.
-    void access(trace::Addr, double) override {}
-    void access_range(std::span<const double>, trace::Addr, trace::Addr) override {}
-    void charge(double) override {}
-    void block_op(std::span<const double>, double, unsigned,
-                  std::initializer_list<trace::AddrRange>) override {}
-    void block_transfer(trace::Addr, trace::Addr, std::uint64_t, double,
-                        double) override {}
-    void messages(std::uint64_t) override {}
-    void shard_begin() override {}
-    void shard_end() override {}
-    void reset_total() override {}
 
     void phase_begin(trace::Phase phase, unsigned label) override;
     void phase_end(trace::Phase phase) override;

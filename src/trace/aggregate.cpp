@@ -7,7 +7,24 @@
 
 namespace dbsp::trace {
 
-void AggregateSink::on_bucket(unsigned level, std::uint64_t words, double cost) {
+namespace {
+
+/// Split [begin, end) at level boundaries: fn(level, seg_begin, seg_end)
+/// for each segment, ascending.
+template <typename Fn>
+void split_levels(Addr begin, Addr end, Fn&& fn) {
+    while (begin < end) {
+        const unsigned lev = level_of(begin);
+        const Addr seg_end = std::min<Addr>(end, lev == 0 ? 1 : Addr{1} << lev);
+        fn(lev, begin, seg_end);
+        begin = seg_end;
+    }
+}
+
+}  // namespace
+
+void AggregateSink::bucket(unsigned level, std::uint64_t words, double cost) {
+    words_ += words;
     attributed_ += cost;
     auto& l = levels_[level];
     l.words += words;
@@ -20,32 +37,55 @@ void AggregateSink::on_bucket(unsigned level, std::uint64_t words, double cost) 
     pl.cost += cost;
 }
 
-void AggregateSink::on_phase_begin(Phase phase, unsigned label, double model_time) {
-    (void)model_time;
-    stack_.push_back(PhaseKey{phase, label});
-    ++phases_[stack_.back()].scopes;
+void AggregateSink::access(Addr x, double cost) { bucket(level_of(x), 1, cost); }
+
+void AggregateSink::access_range(std::span<const double> prefix, Addr begin, Addr end) {
+    block_op(prefix, 0.0, 1, {{begin, end}});  // a one-touch bulk op
 }
 
-void AggregateSink::on_phase_end(Phase phase, double model_time) {
-    (void)phase, (void)model_time;
-    if (!stack_.empty()) stack_.pop_back();
+void AggregateSink::charge(double cost) { bucket(kNoLevel, 0, cost); }
+
+void AggregateSink::block_op(std::span<const double> prefix, double /*delta*/,
+                             unsigned touches, std::initializer_list<AddrRange> ranges) {
+    // Each level segment costs touches * (prefix[end] - prefix[begin]).
+    for (const AddrRange& r : ranges) {
+        split_levels(r.begin, r.end, [&](unsigned lev, Addr a, Addr b) {
+            bucket(lev, touches * (b - a),
+                   static_cast<double>(touches) * (prefix[b] - prefix[a]));
+        });
+    }
 }
 
-void AggregateSink::on_transfer(std::uint64_t len, double latency) {
-    (void)latency;
+void AggregateSink::block_transfer(Addr src, Addr dst, std::uint64_t len, double latency,
+                                   double /*delta*/) {
     ++transfers_;
     transfer_volume_ += len;
+    // The f()-latency is paid at the deeper of the two block ends (f is
+    // nondecreasing, so the deeper end is the larger address); the pipelined
+    // part costs one unit per destination cell.
+    bucket(level_of(std::max(src, dst) + len - 1), 1, latency);
+    split_levels(dst, dst + len, [&](unsigned lev, Addr a, Addr b) {
+        bucket(lev, b - a, static_cast<double>(b - a));
+    });
 }
 
-void AggregateSink::on_messages(std::uint64_t count) { messages_ += count; }
+void AggregateSink::messages(std::uint64_t count) { messages_ += count; }
 
-void AggregateSink::on_superstep(unsigned label, std::uint64_t tau, std::size_t h,
-                                 double comm_arg, double cost) {
-    (void)tau, (void)h, (void)comm_arg;
+void AggregateSink::superstep(unsigned label, std::uint64_t /*tau*/, std::size_t /*h*/,
+                              double /*comm_arg*/, double cost) {
     attributed_ += cost;
     auto& p = phases_[PhaseKey{Phase::kSuperstep, label}];
     ++p.scopes;
     p.cost += cost;
+}
+
+void AggregateSink::phase_begin(Phase phase, unsigned label) {
+    stack_.push_back(PhaseKey{phase, label});
+    ++phases_[stack_.back()].scopes;
+}
+
+void AggregateSink::phase_end(Phase /*phase*/) {
+    if (!stack_.empty()) stack_.pop_back();
 }
 
 double AggregateSink::phase_cost(Phase p) const {
@@ -122,8 +162,8 @@ std::string level_range(unsigned level) {
 
 }  // namespace
 
-void AggregateSink::print(std::FILE* out) const {
-    std::fprintf(out, "charge trace: total cost %.17g  (attributed %.17g)\n", total(),
+void AggregateSink::print(std::FILE* out, double charged_cost) const {
+    std::fprintf(out, "charge trace: total cost %.17g  (attributed %.17g)\n", charged_cost,
                  attributed_);
     if (transfers_ > 0 || messages_ > 0) {
         std::fprintf(out,
@@ -139,7 +179,7 @@ void AggregateSink::print(std::FILE* out) const {
         for (const auto& [level, stats] : levels_) {
             block.add({level == kNoLevel ? "(ops)" : fmt_u64(level),
                        level == kNoLevel ? "-" : level_range(level), fmt_u64(stats.words),
-                       fmt_cost(stats.cost), fmt_pct(stats.cost, total())});
+                       fmt_cost(stats.cost), fmt_pct(stats.cost, charged_cost)});
         }
         block.print(out);
     }
@@ -151,18 +191,18 @@ void AggregateSink::print(std::FILE* out) const {
         for (const auto& [key, stats] : phases_) {
             block.add({phase_name(key.phase), fmt_u64(key.label), fmt_u64(stats.scopes),
                        fmt_u64(stats.words), fmt_cost(stats.cost),
-                       fmt_pct(stats.cost, total())});
+                       fmt_pct(stats.cost, charged_cost)});
         }
         block.print(out);
     }
 }
 
-std::string AggregateSink::to_string() const {
+std::string AggregateSink::to_string(double charged_cost) const {
     char* buf = nullptr;
     std::size_t size = 0;
     std::FILE* mem = open_memstream(&buf, &size);
     if (mem == nullptr) return {};
-    print(mem);
+    print(mem, charged_cost);
     std::fclose(mem);
     std::string s(buf, size);
     std::free(buf);

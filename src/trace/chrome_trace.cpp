@@ -4,20 +4,17 @@
 
 namespace dbsp::trace {
 
-void ChromeTraceSink::on_phase_begin(Phase phase, unsigned label, double model_time) {
-    events_.push_back(Event{'B', phase, label, model_time});
+void ChromeTraceSink::phase_begin(Phase phase, unsigned label) {
+    events_.push_back(Event{'B', phase, label, now_});
 }
 
-void ChromeTraceSink::on_phase_end(Phase phase, double model_time) {
-    events_.push_back(Event{'E', phase, 0, model_time});
-}
+void ChromeTraceSink::phase_end(Phase phase) { events_.push_back(Event{'E', phase, 0, now_}); }
 
-void ChromeTraceSink::on_superstep(unsigned label, std::uint64_t tau, std::size_t h,
-                                   double comm_arg, double cost) {
-    (void)tau, (void)h, (void)comm_arg;
-    // The superstep event fires after total() was advanced by `cost`; the
-    // complete ('X') event spans [total - cost, total] in model time.
-    events_.push_back(Event{'X', Phase::kSuperstep, label, total() - cost, cost});
+void ChromeTraceSink::superstep(unsigned label, std::uint64_t /*tau*/, std::size_t /*h*/,
+                                double /*comm_arg*/, double cost) {
+    // The complete ('X') event spans [now, now + cost] in model time.
+    events_.push_back(Event{'X', Phase::kSuperstep, label, now_, cost});
+    now_ += cost;
 }
 
 void ChromeTraceSink::append_events(std::FILE* out, bool* first) const {

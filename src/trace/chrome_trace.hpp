@@ -3,9 +3,10 @@
 /// \file chrome_trace.hpp
 /// Chrome `trace_event` JSON writer (load the output into chrome://tracing or
 /// https://ui.perfetto.dev). Phase scopes become duration (B/E) events whose
-/// timestamps are the *model time* — the cumulative charged cost at scope
-/// entry/exit — so the timeline shows where charged cost accrues, not wall
-/// clock. Charge totals per scope land in the E event's args.
+/// timestamps are the *model time* — the running sum of the charge deltas
+/// the sink has seen (a range event adds prefix[end] - prefix[begin]) — so
+/// the timeline shows where charged cost accrues, not wall clock. Every
+/// delta is non-negative, so timestamps never decrease along a track.
 
 #include <cstdint>
 #include <cstdio>
@@ -37,18 +38,29 @@ public:
 
     std::size_t event_count() const { return events_.size(); }
 
-protected:
-    void on_phase_begin(Phase phase, unsigned label, double model_time) override;
-    void on_phase_end(Phase phase, double model_time) override;
-    void on_superstep(unsigned label, std::uint64_t tau, std::size_t h, double comm_arg,
-                      double cost) override;
+    void access(Addr, double cost) override { now_ += cost; }
+    void access_range(std::span<const double> prefix, Addr begin, Addr end) override {
+        now_ += prefix[end] - prefix[begin];
+    }
+    void charge(double cost) override { now_ += cost; }
+    void block_op(std::span<const double>, double delta, unsigned,
+                  std::initializer_list<AddrRange>) override {
+        now_ += delta;
+    }
+    void block_transfer(Addr, Addr, std::uint64_t, double, double delta) override {
+        now_ += delta;
+    }
+    void superstep(unsigned label, std::uint64_t tau, std::size_t h, double comm_arg,
+                   double cost) override;
+    void phase_begin(Phase phase, unsigned label) override;
+    void phase_end(Phase phase) override;
 
 private:
     struct Event {
         char type;  // 'B' or 'E' or 'X' (complete, for supersteps)
         Phase phase;
         unsigned label;
-        double ts;        // model time (cumulative charged cost)
+        double ts;        // model time (running sum of charge deltas)
         double dur = 0.0;  // 'X' only
     };
 
@@ -56,6 +68,7 @@ private:
 
     std::string track_;
     std::vector<Event> events_;
+    double now_ = 0.0;  ///< model time: running sum of the charge deltas seen
 };
 
 }  // namespace dbsp::trace

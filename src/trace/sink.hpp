@@ -4,8 +4,8 @@
 /// Charge-trace event interface. The machines (hmm::Machine, bt::Machine,
 /// model::DbspMachine) emit a charge event for every unit of model cost they
 /// account; the simulators bracket the events in named phase scopes
-/// (context movement, step execution, message delivery, ...). A sink consumes
-/// the stream and attributes every charged unit to
+/// (context movement, step execution, message delivery, ...). A sink
+/// observes the stream and attributes the charges it sees, e.g. to
 /// (phase x memory level x superstep label).
 ///
 /// Zero overhead when disabled: a machine holds a raw `trace::Sink*`
@@ -14,18 +14,12 @@
 /// hot path unless a sink is attached (overhead budget verified by
 /// bench_micro, see EXPERIMENTS.md "Harness performance").
 ///
-/// Exactness contract: a sink's total() must equal the machine's charged
-/// cost bit for bit. Floating-point addition does not commute, so the base
-/// class reproduces the *accumulation procedure* of the machines rather than
-/// summing opaque deltas:
-///  * scalar charges arrive as the exact double the machine added and are
-///    folded with the same `+=`;
-///  * per-word ranges arrive as (prefix array, address range) and are folded
-///    word by word in ascending order — the mirror image of
-///    CostTable::accumulate.
-/// Per-level and per-phase sub-totals are attribution statistics (each adds
-/// its bucket in its own order) and are exact only as a partition of events,
-/// not of floating-point roundings; the grand total is the audited quantity.
+/// Sinks only observe. The machine is the one place where charged cost is
+/// summed; every event carries the delta the machine charged for it, and
+/// every event is an empty virtual here, so a sink overrides exactly the
+/// events it needs and keeps no competing total. Sinks are audited against
+/// the executors' integer counters (words touched, block transfers,
+/// supersteps), never against the cost's floating-point bits.
 
 #include <bit>
 #include <cstdint>
@@ -74,7 +68,7 @@ struct AddrRange {
     Addr end;
 };
 
-class BufferSink;  ///< never defined; see Sink::merge_replay
+class BufferSink;  ///< never defined; named only by the unused hook below
 
 class Sink {
 public:
@@ -82,90 +76,48 @@ public:
 
     /// --- charge events (emitted by the machines) ---------------------------
     /// Single word access at \p x, charged \p cost (= f(x)).
-    virtual void access(Addr x, double cost);
+    virtual void access(Addr /*x*/, double /*cost*/) {}
 
-    /// Range access [begin, end) charged word by word in ascending order
-    /// through \p prefix (the machine's cost-table prefix sums); mirrors
-    /// CostTable::accumulate exactly.
-    virtual void access_range(std::span<const double> prefix, Addr begin, Addr end);
+    /// Range access [begin, end), one touch per cell, charged
+    /// prefix[end] - prefix[begin] through \p prefix (the machine's
+    /// cost-table prefix sums).
+    virtual void access_range(std::span<const double> /*prefix*/, Addr /*begin*/,
+                              Addr /*end*/) {}
 
     /// Pure-computation charge (unit ops; no memory level).
-    virtual void charge(double cost);
+    virtual void charge(double /*cost*/) {}
 
     /// Bulk HMM operation over \p ranges (swap_blocks, copy_block,
-    /// charge_range). \p delta is the exact double added to the machine's
-    /// cost accumulator; \p touches is the per-cell touch multiplicity
-    /// (2 for a swap: one read + one write per cell of each range).
-    virtual void block_op(std::span<const double> prefix, double delta, unsigned touches,
-                          std::initializer_list<AddrRange> ranges);
+    /// charge_range), charged \p delta in total; \p touches is the per-cell
+    /// touch multiplicity (2 for a swap: one read + one write per cell of
+    /// each range).
+    virtual void block_op(std::span<const double> /*prefix*/, double /*delta*/,
+                          unsigned /*touches*/, std::initializer_list<AddrRange> /*ranges*/) {}
 
     /// BT block transfer [src, src+len) -> [dst, dst+len): charged
-    /// \p delta = \p latency + len. The latency is attributed to the deeper
-    /// block end's level; the pipelined per-cell unit costs to the
-    /// destination range's levels.
-    virtual void block_transfer(Addr src, Addr dst, std::uint64_t len, double latency,
-                                double delta);
+    /// \p delta = \p latency + len, where the latency is f at the deeper
+    /// block end.
+    virtual void block_transfer(Addr /*src*/, Addr /*dst*/, std::uint64_t /*len*/,
+                                double /*latency*/, double /*delta*/) {}
 
     /// \p count messages moved by the enclosing delivery phase.
-    virtual void messages(std::uint64_t count);
+    virtual void messages(std::uint64_t /*count*/) {}
 
     /// One executed D-BSP superstep (direct machine): charged \p cost =
     /// max(tau, 1) + h * g(comm_arg).
-    virtual void superstep(unsigned label, std::uint64_t tau, std::size_t h,
-                           double comm_arg, double cost);
+    virtual void superstep(unsigned /*label*/, std::uint64_t /*tau*/, std::size_t /*h*/,
+                           double /*comm_arg*/, double /*cost*/) {}
 
     /// --- phase scopes (emitted by the simulators) --------------------------
-    virtual void phase_begin(Phase phase, unsigned label);
-    virtual void phase_end(Phase phase);
+    virtual void phase_begin(Phase /*phase*/, unsigned /*label*/) {}
+    virtual void phase_end(Phase /*phase*/) {}
 
-    /// Mirrors Machine::reset_cost (clears the running total, keeps
-    /// attribution statistics).
-    virtual void reset_total() { total_ = 0.0; }
-
-    /// Bracket the events of one fold unit — a step execution or a delivery
-    /// group, which the executors fold from zero into a ShardAccount and add
-    /// to the machine once. begin stashes the running total and zeroes it,
-    /// so the unit's events fold from zero; end sets it to
-    /// `stashed + unit subtotal`, the same single add the machine's account
-    /// merge performs, which keeps total() equal to the machine's cost bit
-    /// for bit. Brackets do not nest.
-    virtual void shard_begin() {
-        shard_saved_ = total_;
-        total_ = 0.0;
-    }
-    virtual void shard_end() { total_ = shard_saved_ + total_; }
-
-    /// No-op. Kept only because benchmark/src/spans.hpp overrides it.
+    /// Nothing emits these four; they exist only because the frozen
+    /// benchmark/src/spans.hpp overrides them.
+    virtual void reset_total() {}
+    virtual void shard_begin() {}
+    virtual void shard_end() {}
     virtual void merge_replay(const BufferSink&) {}
-
-    /// Running mirror of the machine's charged cost; equals it bit for bit.
-    double total() const { return total_; }
-
-protected:
-    /// Attribution hooks, invoked by the default event implementations after
-    /// the total has been updated. \p level is kNoLevel for pure compute.
-    virtual void on_bucket(unsigned level, std::uint64_t words, double cost) {
-        (void)level, (void)words, (void)cost;
-    }
-    virtual void on_phase_begin(Phase phase, unsigned label, double model_time) {
-        (void)phase, (void)label, (void)model_time;
-    }
-    virtual void on_phase_end(Phase phase, double model_time) { (void)phase, (void)model_time; }
-    virtual void on_transfer(std::uint64_t len, double latency) { (void)len, (void)latency; }
-    virtual void on_messages(std::uint64_t count) { (void)count; }
-    virtual void on_superstep(unsigned label, std::uint64_t tau, std::size_t h,
-                              double comm_arg, double cost) {
-        (void)label, (void)tau, (void)h, (void)comm_arg, (void)cost;
-    }
-
-    /// Split [begin, end) at level boundaries and report each segment to
-    /// on_bucket with cost `touches * (prefix[seg_end] - prefix[seg_begin])`.
-    void attribute_range(std::span<const double> prefix, Addr begin, Addr end,
-                         unsigned touches);
-
-private:
-    double total_ = 0.0;
-    double shard_saved_ = 0.0;  ///< total stashed by an open shard_begin()
 };
 
 /// RAII phase scope; null-safe so emission sites need no branching of their
@@ -186,10 +138,9 @@ private:
     Phase phase_;
 };
 
-/// Fan-out sink: maintains its own exact total and forwards every event
-/// verbatim to each child, so every child keeps an exact mirror as well.
-/// Used by dbsp_explore to feed the aggregate table and the Chrome trace
-/// writer from a single run.
+/// Fan-out sink: forwards every event verbatim to each child, in the order
+/// the children were added. Used by dbsp_explore to feed the aggregate
+/// table, the Chrome trace writer and the locality profiler from one run.
 class MultiSink final : public Sink {
 public:
     MultiSink() = default;
@@ -208,9 +159,6 @@ public:
                    double cost) override;
     void phase_begin(Phase phase, unsigned label) override;
     void phase_end(Phase phase) override;
-    void reset_total() override;
-    void shard_begin() override;
-    void shard_end() override;
 
 private:
     std::vector<Sink*> children_;

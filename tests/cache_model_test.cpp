@@ -157,17 +157,12 @@ TEST(RecordingSink, MirrorsTheLocalitySinkLinearizationConventions) {
                                                20, 21, 30, 31};
     EXPECT_EQ(rec.stream(), expected);
     EXPECT_EQ(rec.extent(), 32u);
-    // Recording is observation-only: no cost is folded.
-    EXPECT_EQ(rec.total(), 0.0);
 
     // The identical calls drive a LocalitySink to the identical reference
     // count — the contract that lets the oracle replay recorded streams
-    // against profiles. mirror_costs = false because these hand-built events
-    // carry no prefix table for the base cost fold (observation-only, like
-    // the RecordingSink itself).
-    LocalityOptions opts;
-    opts.mirror_costs = false;
-    LocalitySink loc(opts);
+    // against profiles. Neither sink reads the (empty) prefix table: the
+    // linearization looks at addresses only.
+    LocalitySink loc;
     loc.access(7, 1.0);
     loc.access_range({}, 2, 5);
     loc.block_op({}, 0.0, 2, {{10, 12}});

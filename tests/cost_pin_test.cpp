@@ -86,27 +86,23 @@ public:
     std::uint64_t events() const { return n_; }
 
     void access(model::Addr x, double cost) override {
-        Sink::access(x, cost);
         event(1);
         fnv_mix(h_, x);
         fnv_mix(h_, cost);
     }
     void access_range(std::span<const double> prefix, model::Addr begin,
                       model::Addr end) override {
-        Sink::access_range(prefix, begin, end);
         event(2);
         fnv_mix(h_, begin);
         fnv_mix(h_, end);
         fnv_mix(h_, prefix[end] - prefix[begin]);
     }
     void charge(double cost) override {
-        Sink::charge(cost);
         event(3);
         fnv_mix(h_, cost);
     }
-    void block_op(std::span<const double> prefix, double delta, unsigned touches,
+    void block_op(std::span<const double>, double delta, unsigned touches,
                   std::initializer_list<trace::AddrRange> ranges) override {
-        Sink::block_op(prefix, delta, touches, ranges);
         event(4);
         fnv_mix(h_, delta);
         fnv_mix(h_, std::uint64_t{touches});
@@ -117,7 +113,6 @@ public:
     }
     void block_transfer(model::Addr src, model::Addr dst, std::uint64_t len, double latency,
                         double delta) override {
-        Sink::block_transfer(src, dst, len, latency, delta);
         event(5);
         fnv_mix(h_, src);
         fnv_mix(h_, dst);
@@ -126,13 +121,11 @@ public:
         fnv_mix(h_, delta);
     }
     void messages(std::uint64_t count) override {
-        Sink::messages(count);
         event(6);
         fnv_mix(h_, count);
     }
     void superstep(unsigned label, std::uint64_t tau, std::size_t h, double comm_arg,
                    double cost) override {
-        Sink::superstep(label, tau, h, comm_arg, cost);
         event(7);
         fnv_mix(h_, std::uint64_t{label});
         fnv_mix(h_, tau);
@@ -204,7 +197,6 @@ Outcome run(const std::string& executor, const std::string& program_name, std::u
         out = {r.bt_cost, r.block_transfers, image_digest(r.contexts)};
     }
     if (traced) {
-        EXPECT_EQ(sink.total(), out.cost) << executor << "/" << program_name << "/v" << v;
         out.events = sink.events();
         out.event_digest = sink.digest();
     }

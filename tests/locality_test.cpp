@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "algos/fft_direct.hpp"
+#include "check/per_word_locality.hpp"
+#include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
 #include "core/naive_hmm_simulator.hpp"
 #include "core/smoothing.hpp"
@@ -21,6 +23,8 @@
 #include "locality/reuse_tree.hpp"
 #include "locality/sink.hpp"
 #include "report/json.hpp"
+#include "report/metrics.hpp"
+#include "report/trace_bundle.hpp"
 #include "util/rng.hpp"
 
 namespace dbsp::locality {
@@ -448,19 +452,18 @@ void drive_machine(hmm::Machine& machine) {
 TEST(LocalitySink, BatchedAndPerWordPathsAreBitIdentical) {
     // The tentpole's core contract: the O(log n + b) batched engine path and
     // coalescing produce a profile bit-identical to the per-word reference
-    // path on the same stream (also a fuzz-oracle invariant; this is the
+    // profiler on the same stream (also a fuzz-oracle invariant; this is the
     // deterministic unit-test anchor).
     const auto f = model::AccessFunction::polynomial(0.5);
-    LocalityOptions per_word;
-    per_word.batched = false;
-    LocalitySink fast, slow(per_word);
+    LocalitySink fast;
+    check::PerWordLocalitySink slow;
     hmm::Machine m_fast(f, 2048), m_slow(f, 2048);
     m_fast.set_trace(&fast);
     m_slow.set_trace(&slow);
     drive_machine(m_fast);
     drive_machine(m_slow);
-    EXPECT_EQ(fast.recorded_accesses(), slow.recorded_accesses());
-    EXPECT_EQ(fast.total(), slow.total());
+    EXPECT_EQ(fast.recorded_accesses(), slow.profile().accesses);
+    EXPECT_EQ(fast.recorded_accesses(), m_fast.words_touched());
     EXPECT_TRUE(fast.profile().identical(slow.profile()));
 }
 
@@ -487,10 +490,9 @@ TEST(LocalitySink, SampledModeStillCountsEveryReference) {
     hmm::Machine machine(f, 2048);
     machine.set_trace(&sink);
     drive_machine(machine);
-    // The clock and cost mirror are exact in sampled mode; only the
-    // distance measurements are subsampled.
+    // The clock is exact in sampled mode; only the distance measurements
+    // are subsampled.
     EXPECT_EQ(sink.recorded_accesses(), machine.words_touched());
-    EXPECT_EQ(sink.total(), machine.cost());
     EXPECT_GT(sink.sampled_accesses(), 0u);
     EXPECT_LT(sink.sampled_accesses(), sink.recorded_accesses());
     LocalityProfile p = sink.profile();
@@ -501,34 +503,39 @@ TEST(LocalitySink, SampledModeStillCountsEveryReference) {
 
 TEST(LocalitySink, CountsAndCostsMatchTheMachine) {
     const auto f = model::AccessFunction::polynomial(0.5);
-    hmm::Machine machine(f, 1024);
+    hmm::Machine machine(f, 1024), untraced(f, 1024);
     LocalitySink sink;
     machine.set_trace(&sink);
 
-    // A mix of every charged operation kind. Untraced read()/write() are not
-    // used here: with a sink attached the simulators route all word traffic
-    // through the traced variants, and that is the contract being tested.
-    std::uint64_t expected_refs = 0;
-    machine.write_traced(5, 7);
-    machine.write_traced(900, 1);
-    ASSERT_EQ(machine.read_traced(5), 7u);
-    expected_refs += 3;
-
-    std::vector<model::Word> buf(64, 3);
-    machine.write_range(0, buf);
-    machine.read_range(32, std::span<model::Word>(buf.data(), 32));
-    expected_refs += 64 + 32;
-
-    machine.swap_blocks(0, 512, 64);   // 4 * 64 touches
-    machine.copy_block(0, 256, 32);    // 2 * 32 touches
-    machine.charge_range(100, 200);    // 100 touches
-    machine.charge(17.0);              // pure computation: no references
-    expected_refs += 4 * 64 + 2 * 32 + 100;
+    // A mix of every charged operation kind. With a sink attached the
+    // simulators route all word traffic through the traced variants, and
+    // that is the contract being tested; the untraced machine runs the
+    // hook-free read()/write() instead.
+    const auto ops = [](hmm::Machine& m, bool traced) {
+        if (traced) {
+            m.write_traced(5, 7);
+            m.write_traced(900, 1);
+            EXPECT_EQ(m.read_traced(5), 7u);
+        } else {
+            m.write(5, 7);
+            m.write(900, 1);
+            EXPECT_EQ(m.read(5), 7u);
+        }
+        std::vector<model::Word> buf(64, 3);
+        m.write_range(0, buf);
+        m.read_range(32, std::span<model::Word>(buf.data(), 32));
+        m.swap_blocks(0, 512, 64);  // 4 * 64 touches
+        m.copy_block(0, 256, 32);   // 2 * 32 touches
+        m.charge_range(100, 200);   // 100 touches
+        m.charge(17.0);             // pure computation: no references
+    };
+    ops(machine, true);
+    ops(untraced, false);
+    const std::uint64_t expected_refs = 3 + 64 + 32 + 4 * 64 + 2 * 32 + 100;
 
     EXPECT_EQ(sink.recorded_accesses(), expected_refs);
     EXPECT_EQ(sink.recorded_accesses(), machine.words_touched());
-    EXPECT_EQ(sink.total(), machine.cost());  // bit-exact mirror
-    EXPECT_EQ(sink.block_op_words(), 4u * 64 + 2u * 32 + 100);
+    EXPECT_EQ(machine.cost(), untraced.cost());  // the sink only observes
     EXPECT_EQ(sink.range_words(), 96u);
 
     const LocalityProfile p = sink.profile();
@@ -560,15 +567,70 @@ TEST(LocalitySink, RecursiveSimulationScoresBelowNaive) {
     naive_opt.trace = &naive_sink;
     const auto naive_res = core::NaiveHmmSimulator(f, naive_opt).simulate(naive_prog);
 
-    // Exact count and cost mirrors on both legs.
+    // Exact counts on both legs.
     EXPECT_EQ(recursive_sink.recorded_accesses(), rec_res.words_touched);
-    EXPECT_EQ(recursive_sink.total(), rec_res.hmm_cost);
     EXPECT_EQ(naive_sink.recorded_accesses(), naive_res.words_touched);
-    EXPECT_EQ(naive_sink.total(), naive_res.hmm_cost);
 
     const double rec_score = recursive_sink.profile().locality_score();
     const double naive_score = naive_sink.profile().locality_score();
     EXPECT_LT(rec_score, naive_score);
+}
+
+TEST(LocalitySink, NestedFanOutBesideATraceBundleKeepsTheProfile) {
+    // dbsp_explore --trace --locality attaches MultiSink{bundle sink,
+    // LocalitySink}, where the bundle's sink is itself a MultiSink over an
+    // AggregateSink and a ChromeTraceSink. Every leaf must see every event:
+    // the profile equals a LocalitySink-only run's, and the aggregate's
+    // counts equal the machine's.
+    const auto f = model::AccessFunction::polynomial(0.5);
+    const std::uint64_t v = 32;
+    SplitMix64 rng(9);
+    std::vector<std::complex<double>> x(v);
+    for (auto& c : x) c = {rng.next_double() - 0.5, rng.next_double() - 0.5};
+    algo::FftDirectProgram prog(x);
+    const std::size_t mu = prog.context_words();
+
+    {
+        auto smoothed = core::smooth(prog, core::hmm_label_set(f, mu, v));
+        LocalitySink alone;
+        core::HmmSimulator::Options options;
+        options.trace = &alone;
+        const auto plain = core::HmmSimulator(f, options).simulate(*smoothed);
+
+        report::TraceBundle bundle("hmm", /*with_chrome=*/true);
+        LocalitySink loc;
+        trace::MultiSink nested{bundle.sink(), &loc};
+        options.trace = &nested;
+        const auto res = core::HmmSimulator(f, options).simulate(*smoothed);
+
+        EXPECT_EQ(res.hmm_cost, plain.hmm_cost);
+        EXPECT_TRUE(loc.profile().identical(alone.profile()));
+        EXPECT_EQ(loc.recorded_accesses(), res.words_touched);
+        EXPECT_EQ(bundle.aggregate()->attributed_words(), res.words_touched);
+        EXPECT_GT(bundle.chrome()->event_count(), 0u);
+    }
+    {
+        auto smoothed = core::smooth(prog, core::bt_label_set(f, mu, v));
+        LocalitySink alone;
+        core::BtSimulator::Options options;
+        options.trace = &alone;
+        const auto plain = core::BtSimulator(f, options).simulate(*smoothed);
+
+        report::TraceBundle bundle("bt", /*with_chrome=*/true);
+        LocalitySink loc;
+        trace::MultiSink nested{bundle.sink(), &loc};
+        options.trace = &nested;
+        auto& transfer_words = report::metric_counter("bt.transfer_words");
+        const std::uint64_t before = transfer_words.value();
+        const auto res = core::BtSimulator(f, options).simulate(*smoothed);
+        const std::uint64_t transferred = transfer_words.value() - before;
+
+        EXPECT_EQ(res.bt_cost, plain.bt_cost);
+        EXPECT_TRUE(loc.profile().identical(alone.profile()));
+        EXPECT_EQ(bundle.aggregate()->block_transfers(), res.block_transfers);
+        EXPECT_EQ(bundle.aggregate()->transfer_volume(), transferred);
+        EXPECT_GT(bundle.chrome()->event_count(), 0u);
+    }
 }
 
 }  // namespace

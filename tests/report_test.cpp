@@ -235,7 +235,9 @@ TEST(Provenance, FromJsonDefaultsMissingFields) {
 
 // --- combined report + gate -------------------------------------------------
 
-Json micro_doc(double words_per_sec, bool bit_identical = true, bool trace_exact = true) {
+/// A bench_micro document carrying every gated boolean.
+Json micro_doc(double words_per_sec, bool bit_identical = true,
+               bool trace_counts_exact = true) {
     Json bulk = Json::object();
     bulk.set("words_per_sec", words_per_sec);
     Json measurements = Json::object();
@@ -245,7 +247,9 @@ Json micro_doc(double words_per_sec, bool bit_identical = true, bool trace_exact
     doc.set("speedup_bulk_vs_per_word", 5.0);
     doc.set("tracing_overhead_pct", 10.0);
     doc.set("costs_bit_identical", bit_identical);
-    doc.set("trace_total_equals_cost", trace_exact);
+    doc.set("trace_counts_exact", trace_counts_exact);
+    doc.set("locality_counts_exact", true);
+    doc.set("costs_bit_identical_counters", true);
     return doc;
 }
 
@@ -363,7 +367,30 @@ TEST(Gate, PassesAgainstItselfAndCatchesEachRegressionKind) {
         cur.micro = *MicroData::from_json(micro_doc(1e6, false, false), &error);
         EXPECT_FALSE(cur.pass());
         const auto v = report::gate_violations(cur, base, opts);
-        EXPECT_EQ(v.size(), 2u);  // bit-identical + trace mirror
+        EXPECT_EQ(v.size(), 2u);  // bit-identical + trace counts
+    }
+}
+
+TEST(Gate, MicroDocumentMissingAGatedBooleanFailsClosed) {
+    // A bench_micro document that lacks a gated key (renamed, or written by
+    // an older binary) must not read as passing.
+    const CombinedReport base = sample_report();
+    const GateOptions opts;
+    const Json full = micro_doc(1e6);
+    for (const char* key : {"costs_bit_identical", "trace_counts_exact",
+                            "locality_counts_exact", "costs_bit_identical_counters"}) {
+        Json doc = Json::object();
+        for (const auto& [name, value] : full.members()) {
+            if (name != key) doc.set(name, value);
+        }
+        std::string error;
+        CombinedReport cur = base;
+        cur.micro = *MicroData::from_json(doc, &error);
+        EXPECT_FALSE(cur.pass()) << key;
+        const auto v = report::gate_violations(cur, base, opts);
+        ASSERT_EQ(v.size(), 1u) << key;
+        EXPECT_NE(v[0].find(key), std::string::npos) << v[0];
+        EXPECT_NE(v[0].find("missing"), std::string::npos) << v[0];
     }
 }
 
