@@ -24,6 +24,7 @@
 
 #include "check/program_gen.hpp"
 #include "model/recorded_program.hpp"
+#include "util/rng.hpp"
 
 namespace dbsp::check {
 
@@ -48,5 +49,12 @@ bool parse_repro(const std::string& text, Repro* out, std::string* error);
 /// Read and parse a repro file; returns false with a message on I/O or
 /// parse failure.
 bool load_repro_file(const std::string& path, Repro* out, std::string* error);
+
+/// One deterministic byte/line mutation of serialized text, for the parser
+/// fuzzers (dbsp_fuzz --parse-fuzz and the pinned verdict digest in
+/// fuzz_oracle_test.cpp). The menu is aimed at the parsers' soft spots:
+/// framing (truncation, deleted chunks), the strict-header rules (duplicated
+/// lines), and numeric fields (huge counts spliced over tokens).
+void mutate(std::string* text, SplitMix64& rng);
 
 }  // namespace dbsp::check

@@ -254,6 +254,100 @@ TEST(TraceIo, RejectsMalformedInput) {
                             &spec, &error));
 }
 
+/// FNV-1a of \p bytes folded into \p h, closed by a separator byte so that
+/// adjacent strings cannot trade bytes without moving the digest.
+std::uint64_t fold(std::uint64_t h, const std::string& bytes) {
+    for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+    return (h ^ 0xffu) * 1099511628211ull;
+}
+
+TEST(TraceIo, MutatedCorpusVerdictsMatchPinnedDigest) {
+    // Pins the whole text grammar, not only the happy path: the verdict,
+    // the rejection message, or the canonical re-serialization of 20,000
+    // mutated corpus specs (the parse fuzzer's mutation menu: truncations,
+    // duplicated sections, huge and negative counts, spliced keywords), read
+    // as dbsp-spec v1 and again re-headed as dbsp-trace v2. A parser or
+    // writer change that moves any accepted input, message or byte moves the
+    // digest; the accept counts say which format moved.
+    const GenConfig config;
+    std::uint64_t h = 14695981039346656037ull;
+    std::uint64_t specs_accepted = 0;
+    std::uint64_t traces_accepted = 0;
+    for (std::uint64_t seed = 1; seed <= 20000; ++seed) {
+        SplitMix64 rng(seed * 0x9e3779b97f4a7c15ull + 1);
+        std::string text = serialize_spec(generate_spec(config, seed));
+        const std::uint64_t mutations = 1 + rng.next_below(8);
+        for (std::uint64_t k = 0; k < mutations; ++k) mutate(&text, rng);
+
+        ProgramSpec spec;
+        std::string error;
+        const bool spec_ok = parse_spec(text, &spec, &error);
+        h = fold(fold(h, spec_ok ? "accepted" : "rejected"),
+                 spec_ok ? serialize_spec(spec) : error);
+
+        const std::size_t at = text.find("dbsp-spec v1");
+        if (at != std::string::npos) text.replace(at, 12, "dbsp-trace v2");
+        model::Trace trace;
+        error.clear();
+        const bool trace_ok = parse_trace(text, &trace, &error);
+        h = fold(fold(h, trace_ok ? "accepted" : "rejected"),
+                 trace_ok ? serialize_trace(trace) : error);
+
+        specs_accepted += spec_ok;
+        traces_accepted += trace_ok;
+    }
+    EXPECT_EQ(specs_accepted, 650u);
+    EXPECT_EQ(traces_accepted, 12u);
+    EXPECT_EQ(h, 0xd62d02ca6eb1e4ebull) << std::hex << h;
+}
+
+TEST(TraceIo, NumericFieldsFollowStreamExtraction) {
+    // The numeric-field grammar, case by case: an optional sign ('-' wraps
+    // on unsigned fields), range-checked digits, reading stops at the first
+    // non-digit, C isspace separators, '#' and blank lines skipped, and a
+    // line with no keyword keeps the previous line's keyword.
+    const std::string base =
+        "dbsp-spec v1\nv 2\nD 1\nB 1\nsteps 1\nlabels 0\n"
+        "event 0 0 3 0 0 1\nsend 1 5 6\nend\n";
+    const auto edit = [&](const std::string& from, const std::string& to) {
+        std::string text = base;
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    const auto parse = [](const std::string& text, ProgramSpec* spec) {
+        std::string error;
+        return parse_spec(text, spec, &error) ? std::string() : error;
+    };
+    ProgramSpec spec;
+    ASSERT_EQ(parse(base, &spec), "");
+    const std::string canonical = serialize_spec(spec);
+
+    ASSERT_EQ(parse(edit(" 3 ", " +7 "), &spec), "");
+    EXPECT_EQ(spec.events[0][0].extra_ops, 7u);
+    ASSERT_EQ(parse(edit("send 1 5", "send 1 -1"), &spec), "");
+    EXPECT_EQ(spec.events[0][0].sends[0].payload0, ~Word{0});
+    ASSERT_EQ(parse(edit(" 3 ", " -3 "), &spec), "");
+    EXPECT_EQ(spec.events[0][0].extra_ops, ~std::uint64_t{0} - 2);
+    EXPECT_EQ(parse(edit("send 1 5", "send 1 18446744073709551616"), &spec),
+              "bad send line");
+
+    // Accepted spellings of the base spec.
+    std::string crlf;
+    for (const char c : base) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+    for (const std::string& text :
+         {edit("event 0 0 3", "event\t0\v0 3"), crlf, edit("v 2", "v 2 trailing tokens"),
+          edit("D 1", "D 1x"), edit("\nsend", "\n# comment\nsend"),
+          base.substr(0, base.size() - 1)}) {
+        ASSERT_EQ(parse(text, &spec), "") << text;
+        EXPECT_EQ(serialize_spec(spec), canonical) << text;
+    }
+
+    // A line holding only '\v' is not skipped: it keeps the previous keyword.
+    EXPECT_EQ(parse(edit("send 1 5 6\n", "send 1 5 6\n\v\n"), &spec), "missing end line");
+    EXPECT_EQ(parse(edit("v 2\n", "v 2\n\v\n"), &spec), "duplicate v line");
+}
+
 TEST(ReproCorpus, AllCommittedReprosPassClean) {
     // Every file under tests/repros/ is a shrunk repro of a fixed bug; each
     // must parse and run the full differential matrix clean at head. A

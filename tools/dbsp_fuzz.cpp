@@ -87,54 +87,6 @@ int run_repro(const std::string& path) {
     return 0;
 }
 
-/// One deterministic byte/line mutation. The menu is aimed at the parser's
-/// soft spots: framing (truncation, deleted chunks), the strict-header rules
-/// (duplicated lines), and numeric fields (huge counts spliced over tokens).
-void mutate(std::string* text, SplitMix64& rng) {
-    if (text->empty()) {
-        *text = "x";
-        return;
-    }
-    switch (rng.next_below(6)) {
-        case 0: {  // flip one byte
-            (*text)[rng.next_below(text->size())] =
-                static_cast<char>(rng.next_below(256));
-            break;
-        }
-        case 1: {  // truncate
-            text->resize(rng.next_below(text->size()));
-            break;
-        }
-        case 2: {  // duplicate a random line (header sections included)
-            const std::size_t at = rng.next_below(text->size());
-            const std::size_t begin = text->rfind('\n', at) + 1;  // npos+1 == 0
-            std::size_t end = text->find('\n', at);
-            if (end == std::string::npos) end = text->size();
-            const std::string line = text->substr(begin, end - begin) + "\n";
-            text->insert(begin, line);
-            break;
-        }
-        case 3: {  // splice a huge count over a random position
-            static const char* kHuge[] = {"1152921504606846976", "18446744073709551615",
-                                          "99999999999999999999", "-1"};
-            text->insert(rng.next_below(text->size()), kHuge[rng.next_below(4)]);
-            break;
-        }
-        case 4: {  // delete a random chunk
-            const std::size_t begin = rng.next_below(text->size());
-            const std::size_t len = 1 + rng.next_below(text->size() - begin);
-            text->erase(begin, len);
-            break;
-        }
-        case 5: {  // splice a keyword somewhere
-            static const char* kWords[] = {"\nevent ", "\nsend ", "\nlabels ", "\nend\n",
-                                           "\nv ",     "\nmsg ",  " "};
-            text->insert(rng.next_below(text->size()), kWords[rng.next_below(7)]);
-            break;
-        }
-    }
-}
-
 /// The --parse-fuzz main loop; see the file comment. Returns the exit code.
 int run_parse_fuzz(std::uint64_t seed, std::uint64_t iters) {
     check::GenConfig config;
@@ -145,7 +97,7 @@ int run_parse_fuzz(std::uint64_t seed, std::uint64_t iters) {
         SplitMix64 rng(iter_seed * 0x9e3779b97f4a7c15ull + 1);
         std::string text = check::serialize_spec(check::generate_spec(config, iter_seed));
         const std::uint64_t mutations = 1 + rng.next_below(8);
-        for (std::uint64_t k = 0; k < mutations; ++k) mutate(&text, rng);
+        for (std::uint64_t k = 0; k < mutations; ++k) check::mutate(&text, rng);
 
         check::Repro repro;
         std::string error;
