@@ -1,7 +1,7 @@
 #include "check/program_gen.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 #include "util/bits.hpp"
 #include "util/contracts.hpp"
@@ -38,15 +38,21 @@ std::uint64_t ProgramSpec::total_messages() const {
 }
 
 std::string ProgramSpec::describe() const {
-    std::ostringstream os;
-    os << "v=" << processors << " D=" << data_words << " B=" << max_messages
-       << " steps=" << labels.size() << " labels=[";
-    for (std::size_t s = 0; s < labels.size(); ++s) {
-        if (s > 0) os << ",";
-        os << labels[s];
-    }
-    os << "] msgs=" << total_messages();
-    return os.str();
+    std::string out;
+    out.reserve(48 + 4 * labels.size());
+    const auto put = [&out](const char* text, std::uint64_t x) {
+        out += text;
+        char digits[20];
+        out.append(digits, std::to_chars(digits, digits + sizeof digits, x).ptr);
+    };
+    put("v=", processors);
+    put(" D=", data_words);
+    put(" B=", max_messages);
+    put(" steps=", labels.size());
+    out += " labels=[";
+    for (std::size_t s = 0; s < labels.size(); ++s) put(s == 0 ? "" : ",", labels[s]);
+    put("] msgs=", total_messages());
+    return out;
 }
 
 bool spec_valid(const ProgramSpec& spec, std::string* why) {

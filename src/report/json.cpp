@@ -296,6 +296,15 @@ private:
         ++pos_;  // opening quote
         out.clear();
         while (true) {
+            // Copy the run of plain bytes up to the next quote, backslash or
+            // control byte in one append.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size()) {
+                const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+                if (c == '"' || c == '\\' || c < 0x20) break;
+                ++pos_;
+            }
+            out.append(text_.data() + run, pos_ - run);
             if (pos_ >= text_.size()) return fail("unterminated string");
             const unsigned char c = static_cast<unsigned char>(text_[pos_]);
             if (c == '"') {
@@ -303,12 +312,7 @@ private:
                 return true;
             }
             if (c < 0x20) return fail("raw control character in string");
-            if (c != '\\') {
-                out += static_cast<char>(c);
-                ++pos_;
-                continue;
-            }
-            ++pos_;
+            ++pos_;  // backslash
             if (pos_ >= text_.size()) return fail("unterminated escape");
             switch (text_[pos_]) {
                 case '"': out += '"'; break;
