@@ -195,8 +195,8 @@ int run_json_mode(const std::string& path) {
     constexpr std::uint64_t kProcessors = 1 << 11;
     constexpr int kReps = 16;
     constexpr int kRounds = 5;
-    // Enabled-path legs: the exact engine runs the workload tens of times
-    // slower than untraced (treap + stamp-slot work on every reference), the
+    // Enabled-path legs: the exact engine runs the workload about ten times
+    // slower than untraced (stack-slot work on every reference), the
     // sampled engine a few times slower, so their rep counts are scaled down
     // to bound wall-clock share; overheads compare *throughput*, so unequal
     // rep counts stay comparable.
@@ -242,9 +242,9 @@ int run_json_mode(const std::string& path) {
     // position bias.
     const double aa_median_pct = median_of(aa_deltas);
     // The sink-attached legs run after the untraced rounds finish: the
-    // AggregateSink's per-level buckets and the LocalitySink's hash map and
-    // treap churn the cache, and interleaving them would bleed that pollution
-    // into the untraced (disabled-path) timings.
+    // AggregateSink's per-level buckets and the LocalitySink's entries and
+    // slot bitmap churn the cache, and interleaving them would bleed that
+    // pollution into the untraced (disabled-path) timings.
     for (int round = 0; round < kTracedRounds; ++round) {
         const JsonMeasurement t = run_e3_workload(kProcessors, kReps, true,
                                                   TraceLeg::kAggregate);

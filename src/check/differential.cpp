@@ -127,7 +127,7 @@ private:
 /// Locality-profiler mode axes, shared by the HMM and BT blocks: \p exact is
 /// a default LocalitySink's profile of the simulation, which \p run re-runs
 /// deterministically with the given sink attached (same reference stream).
-///  * batched vs per-word: the engine's O(log n + b) bulk path promises an
+///  * batched vs per-word: the engine's one-scan bulk path promises an
 ///    event stream — and therefore a profile — bit-identical to feeding
 ///    every word through record() alone (PerWordLocalitySink);
 ///  * sampled rate 1.0: the SHARDS filter passes every address and all rate

@@ -22,7 +22,8 @@
 /// equal distances extend a pending (distance, count) run that is flushed as
 /// one count * log2(d+1) term. Both make a batched event stream fold to a
 /// profile bit-identical to the per-word stream's, which the differential
-/// oracle asserts via identical().
+/// oracle asserts via identical(). The engine's bulk path reports whole runs
+/// of cells, which note_cells folds in closed form under the same contract.
 ///
 /// Sampled mode (SHARDS): only spatially sampled references carry events;
 /// sampled distances are unbiased estimates of distance * rate, so note_run
@@ -99,16 +100,67 @@ struct LocalityProfile {
                 std::llround(static_cast<double>(d) * inv_rate));
         }
         distance_count[std::bit_width(d)] += n;
-        if (pending_count != 0 && pending_distance == d) {
-            pending_count += n;
-        } else {
-            flush_score();
-            pending_distance = d;
-            pending_count = n;
-        }
+        push_score(d, n);
         const unsigned tb = std::bit_width(e.time);
         time_count[tb] += n;
         time_sum[tb] += static_cast<unsigned __int128>(e.time) * n;
+    }
+
+    /// Fold one run of the engine's record_range(): \p cells cells, cell j's
+    /// first reference being \p first with its time advanced by j * \p step,
+    /// each followed by touches - 1 immediate reuses (distance 0, time 1).
+    /// Bit-identical to the per-reference note() stream. The histograms fold
+    /// in closed form; where that stream flushes the score once per cell
+    /// (a non-zero distance with touches > 1) the score keeps one add per
+    /// cell, so no bit moves. Sampled mode, and a run whose times cross a
+    /// log2 bucket, fall back to note_run.
+    void note_cells(const ReuseDistanceProfiler::Event& first, std::int64_t step,
+                    std::uint64_t cells, unsigned touches) {
+        const std::uint64_t repeats = cells * (touches - 1);
+        const auto dstep = static_cast<std::uint64_t>(step);
+        const std::uint64_t last_time = first.time + (cells - 1) * dstep;
+        if (!first.sampled) {
+            accesses += cells * touches;
+            return;
+        }
+        if (sampled_mode ||
+            (!first.cold && std::bit_width(first.time) != std::bit_width(last_time))) {
+            const ReuseDistanceProfiler::Event reuse{false, 0, 1};
+            ReuseDistanceProfiler::Event e = first;
+            for (std::uint64_t j = 0; j < cells; ++j, e.time += dstep) {
+                note_run(e, 1);
+                if (touches > 1) note_run(reuse, touches - 1);
+            }
+            return;
+        }
+        accesses += cells * touches;
+        sampled_accesses += cells * touches;
+        distance_count[0] += repeats;
+        time_count[1] += repeats;
+        time_sum[1] += repeats;
+        if (first.cold) {
+            cold_misses += cells;
+            if (repeats != 0) push_score(0, repeats);
+            return;
+        }
+        const std::uint64_t d = first.distance;
+        distance_count[std::bit_width(d)] += cells;
+        const unsigned tb = std::bit_width(first.time);
+        time_count[tb] += cells;
+        // Sum of the arithmetic series, exact in 128 bits (times < 2^63).
+        time_sum[tb] += static_cast<unsigned __int128>(
+            static_cast<__int128>(first.time) * cells +
+            static_cast<__int128>(step) * (static_cast<__int128>(cells) * (cells - 1) / 2));
+        if (d == 0 || touches == 1) {
+            push_score(d, d == 0 ? cells * touches : cells);
+            return;
+        }
+        // Per cell the stream is d then touches - 1 zeros: the first cell
+        // may extend a carried run of d, and every later cell flushes a
+        // (d, 1) run of its own.
+        push_score(d, 1);
+        push_score(0, touches - 1);
+        for (std::uint64_t j = 1; j < cells; ++j) score_sum += cached_log;
     }
 
     /// Profiles are bit-identical: every counter, histogram bucket, and the
@@ -146,6 +198,17 @@ struct LocalityProfile {
     void print(std::FILE* out, const std::string& title) const;
 
 private:
+    /// Extend the pending score run by n references at distance d, or
+    /// flush it and start a new one.
+    void push_score(std::uint64_t d, std::uint64_t n) {
+        if (pending_count != 0 && pending_distance == d) {
+            pending_count += n;
+        } else {
+            flush_score();
+            pending_distance = d;
+            pending_count = n;
+        }
+    }
     void flush_score() {
         if (pending_count != 0) {
             // d = 0 contributes count * log2(1) = count * 0.0; adding +0.0 to

@@ -8,7 +8,8 @@
 /// equals the machine-published bt.range_words for a BT run — invariants
 /// enforced by the differential oracle and bench_micro.
 ///
-/// Bulk events go through the engine's O(log n + b) record_range path, and
+/// Bulk events go through the engine's one-scan record_range path, whose
+/// runs of cells LocalityProfile::note_cells folds in closed form, and
 /// single-word access() events are coalesced: an ascending run of adjacent
 /// addresses is held pending and flushed as one record_range when the run
 /// breaks (or any bulk event / profile read arrives). Coalescing only
@@ -87,8 +88,10 @@ private:
     void touch_range(trace::Addr begin, trace::Addr end, unsigned touches) {
         flush_run();
         engine_.record_range(begin, end, touches,
-                             [this](const ReuseDistanceProfiler::Event& e,
-                                    std::uint64_t n) { profile_.note_run(e, n); });
+                             [this](const ReuseDistanceProfiler::Event& first,
+                                    std::int64_t step, std::uint64_t cells, unsigned t) {
+                                 profile_.note_cells(first, step, cells, t);
+                             });
     }
     /// Flush the pending coalesced run of single-word accesses (the run is
     /// cleared first, so touch_range's own flush is a no-op).

@@ -98,11 +98,11 @@ struct GateOptions {
     /// on the sampled-mode score error. The untraced leg charges bulk ops in
     /// closed form without touching their words (~1 ns per charged word), so
     /// any per-reference measurement is a large multiple of it; these
-    /// ceilings are the measured paired-round medians (~3050% exact, ~250%
+    /// ceilings are the measured paired-round medians (~1000% exact, ~250%
     /// sampled @0.01, ~0.21 score error) plus headroom for machine-to-
     /// machine variance — honest measured bounds, not aspirations. See
     /// EXPERIMENTS.md "Locality profiling cost" for the floor decomposition.
-    double locality_enabled_overhead_max_pct = 4000.0;
+    double locality_enabled_overhead_max_pct = 1500.0;
     double locality_sampled_overhead_max_pct = 400.0;
     double locality_sampled_score_err_max = 0.5;
     bool subset_ok = false;

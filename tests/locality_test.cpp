@@ -1,12 +1,13 @@
-/// Tests for src/locality/: the order-statistics treap, the reuse-distance
-/// engine (cross-checked against a brute-force LRU stack simulation), the
-/// derived analytics (histograms, working set, per-level slicing), and the
-/// LocalitySink's count/cost agreement with hmm::Machine.
+/// Tests for src/locality/: the reuse-distance engine (its per-reference and
+/// bulk paths cross-checked against a brute-force LRU stack simulation), the
+/// derived analytics (histograms, working set, per-level slicing, the
+/// closed-form run fold), and the LocalitySink's count/cost agreement with
+/// hmm::Machine.
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "hmm/machine.hpp"
 #include "locality/profile.hpp"
 #include "locality/reuse_distance.hpp"
-#include "locality/reuse_tree.hpp"
 #include "locality/sink.hpp"
 #include "report/json.hpp"
 #include "report/metrics.hpp"
@@ -29,200 +29,6 @@
 
 namespace dbsp::locality {
 namespace {
-
-TEST(ReuseTree, InsertEraseCountAgainstBruteForce) {
-    ReuseTree tree;
-    std::set<std::uint64_t> reference;
-    SplitMix64 rng(7);
-    for (int step = 0; step < 4000; ++step) {
-        const std::uint64_t key = rng.next_below(512);
-        if (reference.count(key) == 0 && rng.next_below(3) != 0) {
-            tree.insert(key);
-            reference.insert(key);
-        } else if (reference.count(key) != 0) {
-            tree.erase(key);
-            reference.erase(key);
-        }
-        ASSERT_EQ(tree.size(), reference.size());
-        const std::uint64_t probe = rng.next_below(512);
-        const auto greater = static_cast<std::uint64_t>(std::distance(
-            reference.upper_bound(probe), reference.end()));
-        ASSERT_EQ(tree.count_greater(probe), greater) << "probe " << probe;
-    }
-    tree.clear();
-    EXPECT_EQ(tree.size(), 0u);
-    EXPECT_EQ(tree.count_greater(0), 0u);
-}
-
-TEST(ReuseTree, EraseAbsentKeyLeavesTheTreeUnchanged) {
-    ReuseTree tree;
-    tree.insert(10);
-    tree.insert(20);
-    tree.insert(30);
-    tree.erase(15);  // absent, inside the key span
-    tree.erase(5);   // absent, below the minimum
-    tree.erase(99);  // absent, above the maximum
-    EXPECT_EQ(tree.size(), 3u);
-    EXPECT_EQ(tree.count_greater(9), 3u);
-    EXPECT_EQ(tree.count_greater(10), 2u);
-    // erase_ranked on an absent key returns the rank alone, without mutating.
-    EXPECT_EQ(tree.erase_ranked(15), 2u);
-    EXPECT_EQ(tree.size(), 3u);
-    EXPECT_EQ(tree.count_greater(0), 3u);
-}
-
-TEST(ReuseTree, NonMonotoneInsertionKeepsExactRanks) {
-    // The engine only ever inserts the current (maximal) timestamp, but the
-    // structure accepts any unique key; out-of-order inserts force tail
-    // flushes and mid-tree splits.
-    ReuseTree tree;
-    std::set<std::uint64_t> ref;
-    for (std::uint64_t k : {100u, 50u, 75u, 25u, 150u, 1u, 125u, 99u, 101u}) {
-        tree.insert(k);
-        ref.insert(k);
-        for (std::uint64_t probe : {0u, 25u, 75u, 100u, 149u, 150u}) {
-            ASSERT_EQ(tree.count_greater(probe),
-                      static_cast<std::uint64_t>(
-                          std::distance(ref.upper_bound(probe), ref.end())))
-                << "probe " << probe << " after inserting " << k;
-        }
-    }
-    EXPECT_EQ(tree.size(), ref.size());
-}
-
-TEST(ReuseTree, ClearRecyclesNodesThroughTheFreeList) {
-    ReuseTree tree;
-    for (int round = 0; round < 3; ++round) {
-        // Descending inserts defeat the hot tail, so the tree itself holds
-        // the nodes that clear() must push onto the free list ...
-        for (std::uint64_t k = 200; k > 0; k -= 2) tree.insert(k);
-        EXPECT_EQ(tree.size(), 100u);
-        EXPECT_EQ(tree.count_greater(100), 50u);
-        tree.clear();
-        EXPECT_EQ(tree.size(), 0u);
-        EXPECT_EQ(tree.count_greater(0), 0u);
-        // ... and the rebuild after clear() runs on recycled nodes, which
-        // must behave exactly like fresh ones.
-        for (std::uint64_t k = 0; k < 64; ++k) tree.insert(k * 3);
-        EXPECT_EQ(tree.size(), 64u);
-        EXPECT_EQ(tree.count_greater(95), 32u);  // keys 96, 99, ..., 189
-        tree.clear();
-    }
-}
-
-TEST(ReuseTree, CountGreaterAtTheKeyExtremes) {
-    ReuseTree tree;
-    EXPECT_EQ(tree.count_greater(0), 0u);
-    EXPECT_EQ(tree.count_greater(UINT64_MAX), 0u);
-    tree.insert(0);
-    EXPECT_EQ(tree.count_greater(0), 0u);  // strictly greater
-    tree.insert(UINT64_MAX);
-    EXPECT_EQ(tree.count_greater(0), 1u);
-    EXPECT_EQ(tree.count_greater(UINT64_MAX - 1), 1u);
-    EXPECT_EQ(tree.count_greater(UINT64_MAX), 0u);
-    tree.erase(0);
-    tree.erase(UINT64_MAX);
-    EXPECT_EQ(tree.size(), 0u);
-    EXPECT_EQ(tree.count_greater(0), 0u);
-}
-
-/// Sorted-vector reference model for the batched tree operations — the
-/// brute-force oracle the run-compressed treap (and its two rewrites) is
-/// cross-checked against.
-struct TreeOracle {
-    std::vector<std::uint64_t> keys;  // sorted ascending
-
-    std::uint64_t count_greater(std::uint64_t k) const {
-        return static_cast<std::uint64_t>(
-            keys.end() - std::upper_bound(keys.begin(), keys.end(), k));
-    }
-    std::uint64_t erase_ranked(std::uint64_t k) {
-        const std::uint64_t above = count_greater(k);
-        const auto it = std::lower_bound(keys.begin(), keys.end(), k);
-        if (it != keys.end() && *it == k) keys.erase(it);
-        return above;
-    }
-    void append_run(std::uint64_t first, std::uint64_t stride, std::uint64_t count) {
-        for (std::uint64_t i = 0; i < count; ++i) keys.push_back(first + i * stride);
-    }
-    bool erase_span_exact(std::uint64_t lo, std::uint64_t hi, std::uint64_t expected,
-                          std::uint64_t* above_out) {
-        const auto b = std::lower_bound(keys.begin(), keys.end(), lo);
-        const auto e = std::upper_bound(keys.begin(), keys.end(), hi);
-        if (above_out != nullptr) {
-            *above_out = static_cast<std::uint64_t>(keys.end() - e);
-        }
-        if (static_cast<std::uint64_t>(e - b) != expected) return false;
-        keys.erase(b, e);
-        return true;
-    }
-    bool replace_max(std::uint64_t old_key, std::uint64_t new_key) {
-        if (keys.empty() || keys.back() != old_key) return false;
-        keys.back() = new_key;
-        return true;
-    }
-};
-
-TEST(ReuseTree, BatchedOperationsMatchASortedVectorOracle) {
-    ReuseTree tree;
-    TreeOracle oracle;
-    SplitMix64 rng(2024);
-    std::uint64_t clock = 1;  // fresh keys come from here, above every live key
-    for (int step = 0; step < 3000; ++step) {
-        switch (rng.next_below(5)) {
-            case 0: {  // append_run of fresh ascending stamps
-                const std::uint64_t stride = 1 + rng.next_below(3);
-                const std::uint64_t count = 1 + rng.next_below(16);
-                tree.append_run(clock, stride, count);
-                oracle.append_run(clock, stride, count);
-                clock += stride * count;
-                break;
-            }
-            case 1: {  // erase_ranked of a (frequently absent) key
-                const std::uint64_t k = rng.next_below(clock);
-                ASSERT_EQ(tree.erase_ranked(k), oracle.erase_ranked(k)) << "step " << step;
-                break;
-            }
-            case 2: {  // erase_span_exact, half the time with a wrong population
-                const std::uint64_t lo = rng.next_below(clock);
-                const std::uint64_t hi = lo + rng.next_below(64);
-                const auto b =
-                    std::lower_bound(oracle.keys.begin(), oracle.keys.end(), lo);
-                const auto e =
-                    std::upper_bound(oracle.keys.begin(), oracle.keys.end(), hi);
-                const auto pop = static_cast<std::uint64_t>(e - b);
-                const std::uint64_t expected = rng.next_below(2) == 0 ? pop : pop + 1;
-                std::uint64_t above_tree = 0, above_oracle = 0;
-                const bool rt = tree.erase_span_exact(lo, hi, expected, &above_tree);
-                const bool ro = oracle.erase_span_exact(lo, hi, expected, &above_oracle);
-                ASSERT_EQ(rt, ro) << "step " << step;
-                ASSERT_EQ(above_tree, above_oracle) << "step " << step;
-                break;
-            }
-            case 3: {  // replace_max, hitting and missing
-                if (oracle.keys.empty()) break;
-                const std::uint64_t old_key =
-                    rng.next_below(2) == 0 ? oracle.keys.back() : rng.next_below(clock);
-                const std::uint64_t new_key = clock;
-                const bool rt = tree.replace_max(old_key, new_key);
-                const bool ro = oracle.replace_max(old_key, new_key);
-                ASSERT_EQ(rt, ro) << "step " << step;
-                if (rt) clock = new_key + 1;
-                break;
-            }
-            case 4: {  // single fresh insert (extends the hot tail)
-                tree.insert(clock);
-                oracle.keys.push_back(clock);
-                ++clock;
-                break;
-            }
-        }
-        ASSERT_EQ(tree.size(), oracle.keys.size()) << "step " << step;
-        const std::uint64_t probe = rng.next_below(clock + 2);
-        ASSERT_EQ(tree.count_greater(probe), oracle.count_greater(probe))
-            << "step " << step << " probe " << probe;
-    }
-}
 
 TEST(ReuseDistance, FirstTouchesAreCold) {
     ReuseDistanceProfiler prof;
@@ -294,6 +100,100 @@ TEST(ReuseDistance, MatchesBruteForceStackSimulation) {
         }
     }
     EXPECT_EQ(prof.distinct_addresses(), brute.stack.size());
+}
+
+TEST(ReuseDistance, RangesMatchBruteForceStackSimulation) {
+    // A seeded mix of record() and record_range(), every run the bulk path
+    // folds expanded per word and checked event for event against the
+    // brute-force stack (distance) and a last-touch clock (time). Re-touched
+    // ranges come back in contiguous slot order (the previous range again)
+    // and in stranger-interleaved order (cells last touched one at a time
+    // between other addresses); some ranges straddle the direct-mapped limit
+    // 2^26; and the stream is long enough to renumber the slot space often.
+    constexpr Addr kLimit = Addr{1} << 26;
+    ReuseDistanceProfiler prof;
+    StackSim brute;
+    std::unordered_map<Addr, std::uint64_t> last_touch;
+    std::uint64_t clock = 0;
+    // The brute-force event of the next reference to x.
+    const auto reference = [&](Addr x) {
+        ReuseDistanceProfiler::Event want = brute.touch(x);
+        ++clock;
+        if (!want.cold) want.time = clock - last_touch[x];
+        last_touch[x] = clock;
+        return want;
+    };
+    const auto check = [](const ReuseDistanceProfiler::Event& got,
+                          const ReuseDistanceProfiler::Event& want, int op) {
+        ASSERT_EQ(got.cold, want.cold) << "op " << op;
+        if (!got.cold) {
+            ASSERT_EQ(got.distance, want.distance) << "op " << op;
+            ASSERT_EQ(got.time, want.time) << "op " << op;
+        }
+    };
+    const auto range = [&](Addr begin, Addr end, unsigned touches, int op) {
+        Addr x = begin;
+        prof.record_range(begin, end, touches,
+                          [&](const ReuseDistanceProfiler::Event& first, std::int64_t step,
+                              std::uint64_t cells, unsigned t) {
+                              ASSERT_EQ(t, touches);
+                              ReuseDistanceProfiler::Event e = first;
+                              for (std::uint64_t j = 0; j < cells; ++j, ++x) {
+                                  check(e, reference(x), op);
+                                  for (unsigned r = 1; r < t; ++r) {
+                                      check({false, 0, 1}, reference(x), op);
+                                  }
+                                  e.time += static_cast<std::uint64_t>(step);
+                              }
+                          });
+        ASSERT_EQ(x, end) << "op " << op;
+    };
+    SplitMix64 rng(16);
+    Addr last_begin = 0, last_end = 1;
+    for (int op = 0; op < 3000; ++op) {
+        const unsigned touches = 1 + static_cast<unsigned>(rng.next_below(4));
+        switch (rng.next_below(6)) {
+            case 0:  // single words, near and far, skewed to short distances
+                for (int i = 0; i < 8; ++i) {
+                    const Addr x = rng.next_below(4) == 0 ? kLimit - 8 + rng.next_below(16)
+                                                          : rng.next_below(24);
+                    check(prof.record(x), reference(x), op);
+                }
+                break;
+            case 1:  // a fresh or partly warm range
+                last_begin = rng.next_below(400);
+                last_end = last_begin + 1 + rng.next_below(48);
+                range(last_begin, last_end, touches, op);
+                break;
+            case 2:  // the previous range again: contiguous previous slots
+                range(last_begin, last_end, touches, op);
+                break;
+            case 3:  // its cells one at a time between strangers, then the range
+                for (Addr x = last_begin; x < last_end; ++x) {
+                    check(prof.record(x), reference(x), op);
+                    const Addr stranger = 400 + rng.next_below(64);
+                    check(prof.record(stranger), reference(stranger), op);
+                }
+                range(last_begin, last_end, touches, op);
+                break;
+            case 4:  // the previous range backwards, one word at a time
+                for (Addr x = last_end; x-- > last_begin;) {
+                    check(prof.record(x), reference(x), op);
+                }
+                range(last_begin, last_end, touches, op);
+                break;
+            case 5: {  // straddling the direct-mapped limit
+                const Addr begin = kLimit - 1 - rng.next_below(40);
+                range(begin, begin + 2 + rng.next_below(60), touches, op);
+                break;
+            }
+        }
+        if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(prof.accesses(), clock);
+    EXPECT_EQ(prof.sampled_accesses(), clock);
+    EXPECT_EQ(prof.distinct_addresses(), brute.stack.size());
+    EXPECT_GE(prof.renumberings(), 8u);
 }
 
 TEST(Profile, LevelCapacityBoundarySlicingIsExact) {
@@ -411,6 +311,67 @@ TEST(Profile, NoteRunIsBitIdenticalToRepeatedNote) {
         for (std::uint64_t j = 0; j < n; ++j) singles.note(e);
     }
     EXPECT_TRUE(runs.identical(singles));
+}
+
+/// The per-reference note() stream of one record_range() run.
+void note_per_reference(LocalityProfile& p, const ReuseDistanceProfiler::Event& first,
+                        std::int64_t step, std::uint64_t cells, unsigned touches) {
+    if (!first.sampled) {
+        for (std::uint64_t i = 0; i < cells * touches; ++i) p.note(first);
+        return;
+    }
+    ReuseDistanceProfiler::Event e = first;
+    for (std::uint64_t j = 0; j < cells; ++j, e.time += static_cast<std::uint64_t>(step)) {
+        p.note(e);
+        for (unsigned r = 1; r < touches; ++r) p.note({false, 0, 1});
+    }
+}
+
+TEST(Profile, NoteCellsIsBitIdenticalToThePerReferenceStream) {
+    using Event = ReuseDistanceProfiler::Event;
+    for (const bool sampled : {false, true}) {
+        LocalityProfile cells, refs;
+        cells.set_mode(sampled, 0.25);
+        refs.set_mode(sampled, 0.25);
+        const auto fold = [&](const Event& first, std::int64_t step, std::uint64_t n,
+                              unsigned touches) {
+            cells.note_cells(first, step, n, touches);
+            note_per_reference(refs, first, step, n, touches);
+            ASSERT_TRUE(cells.identical(refs))
+                << "d " << first.distance << " time " << first.time << " step " << step
+                << " cells " << n << " touches " << touches;
+        };
+        // Named cases: a negative step; d = 0 with touches > 1; a pending run
+        // of d carried in from single notes, then extended with touches = 1
+        // and with touches > 1; times crossing the bucket boundary at 64, up
+        // and down; cold cells between warm runs.
+        fold({false, 9, 40}, -3, 10, 1);
+        fold({false, 0, 5}, 2, 7, 3);
+        cells.note({false, 6, 3});
+        refs.note({false, 6, 3});
+        fold({false, 6, 20}, 0, 5, 1);
+        fold({false, 6, 20}, 1, 5, 4);
+        fold({false, 6, 60}, 3, 10, 2);
+        fold({false, 6, 70}, -2, 8, 1);
+        fold({true, 0, 0}, 0, 6, 3);
+        fold({false, 0, 1}, 0, 4, 1);
+        fold({false, 0, 0, false}, 0, 33, 1);
+        // A seeded mix, with distances from a small set so runs carry over.
+        SplitMix64 rng(sampled ? 61 : 60);
+        for (int i = 0; i < 2000 && !HasFatalFailure(); ++i) {
+            const std::uint64_t n = 1 + rng.next_below(12);
+            const unsigned touches = 1 + static_cast<unsigned>(rng.next_below(4));
+            const bool cold = rng.next_below(10) == 0;
+            const std::uint64_t d = rng.next_below(4) == 0 ? 0 : rng.next_below(6);
+            Event first{cold, d, 1 + rng.next_below(1 << 10), rng.next_below(12) != 0};
+            auto step = static_cast<std::int64_t>(rng.next_below(9)) - 4;
+            // Keep every time >= 1: a negative step flips when it would not.
+            if (step < 0 && first.time <= static_cast<std::uint64_t>(-step) * (n - 1)) {
+                step = -step;
+            }
+            fold(first, step, n, touches);
+        }
+    }
 }
 
 /// Drive the same deterministic mix of traced machine operations (every

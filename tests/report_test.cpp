@@ -448,27 +448,27 @@ TEST(Gate, LocalityOverheadCeilingsAreAbsoluteBoundsOnHead) {
         return cur;
     };
     EXPECT_TRUE(
-        report::gate_violations(with_locality(3000, 250, 0.2), base, opts).empty());
+        report::gate_violations(with_locality(1000, 250, 0.2), base, opts).empty());
     {
-        const auto v = report::gate_violations(with_locality(4500, 250, 0.2), base, opts);
+        const auto v = report::gate_violations(with_locality(2000, 250, 0.2), base, opts);
         ASSERT_EQ(v.size(), 1u);
         EXPECT_NE(v[0].find("exact locality profiling overhead"), std::string::npos);
     }
     {
-        const auto v = report::gate_violations(with_locality(3000, 450, 0.2), base, opts);
+        const auto v = report::gate_violations(with_locality(1000, 450, 0.2), base, opts);
         ASSERT_EQ(v.size(), 1u);
         EXPECT_NE(v[0].find("sampled locality profiling overhead"), std::string::npos);
     }
     {
-        const auto v = report::gate_violations(with_locality(3000, 250, 0.7), base, opts);
+        const auto v = report::gate_violations(with_locality(1000, 250, 0.7), base, opts);
         ASSERT_EQ(v.size(), 1u);
         EXPECT_NE(v[0].find("score error"), std::string::npos);
     }
     // The ceilings are configurable like every other gate knob.
     GateOptions tight = opts;
-    tight.locality_enabled_overhead_max_pct = 1000.0;
+    tight.locality_enabled_overhead_max_pct = 500.0;
     EXPECT_EQ(
-        report::gate_violations(with_locality(3000, 250, 0.2), base, tight).size(), 1u);
+        report::gate_violations(with_locality(1000, 250, 0.2), base, tight).size(), 1u);
 }
 
 TEST(Check, WaivedChecksRoundTripAndRejectContradictions) {

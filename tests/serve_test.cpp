@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -556,11 +557,45 @@ std::uint64_t status_kib(const std::string& key) {
     return kib;
 }
 
+/// Bytes of a thread stack std::thread allocates: the default attribute's
+/// stack size.
+std::uint64_t default_stack_bytes() {
+    pthread_attr_t attr;
+    std::size_t bytes = 0;
+    if (::pthread_getattr_default_np(&attr) == 0) {
+        ::pthread_attr_getstacksize(&attr, &bytes);
+        ::pthread_attr_destroy(&attr);
+    }
+    return bytes;
+}
+
+/// Private read-write mappings of exactly \p bytes in /proc/self/maps. A
+/// thread stack is one such mapping of the stack size (its guard page is a
+/// mapping of its own), and it stays mapped until the thread is joined.
+int mappings_of_size(std::uint64_t bytes) {
+    std::FILE* f = std::fopen("/proc/self/maps", "r");
+    if (f == nullptr) return -1;
+    int n = 0;
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        unsigned long lo = 0, hi = 0;
+        char perms[8] = {};
+        if (std::sscanf(line, "%lx-%lx %7s", &lo, &hi, perms) == 3 &&
+            std::strcmp(perms, "rw-p") == 0 && hi - lo == bytes) {
+            ++n;
+        }
+    }
+    std::fclose(f);
+    return n;
+}
+
 TEST(ServeSocket, ClosedConnectionsReleaseTheirThreads) {
     // Each connection runs on its own thread. A daemon that joined those
-    // threads only at shutdown kept every finished thread's stack mapped
-    // (8 MiB of address space by default), so its size grew with every
-    // connection it had ever accepted.
+    // threads only at shutdown kept every finished thread's stack mapped, so
+    // its mappings and size grew with every connection it had ever accepted.
+    // Count the stacks themselves: mappings of the default stack size.
+    const std::uint64_t stack_bytes = default_stack_bytes();
+    ASSERT_GT(stack_bytes, 0u);
     serve::Server::Options options;
     options.socket_path =
         "/tmp/dbsp_serve_reap_test_" + std::to_string(::getpid()) + ".sock";
@@ -571,15 +606,20 @@ TEST(ServeSocket, ClosedConnectionsReleaseTheirThreads) {
 
     constexpr int kWarmup = 100;
     constexpr int kConnections = 1100;
-    std::uint64_t before = 0;
+    int stacks_before = 0;
+    std::uint64_t rss_before = 0;
     std::string reply;
     for (int i = 0; i < kConnections; ++i) {
-        if (i == kWarmup) before = status_kib("VmSize");
+        if (i == kWarmup) {
+            stacks_before = mappings_of_size(stack_bytes);
+            rss_before = status_kib("VmRSS");
+        }
         serve::Client client;
         ASSERT_TRUE(client.connect(options.socket_path, &error)) << error;
         ASSERT_TRUE(client.request("{\"op\":\"ping\"}", &reply, &error)) << error;
     }
-    const std::uint64_t after = status_kib("VmSize");
+    const int stacks_after = mappings_of_size(stack_bytes);
+    const std::uint64_t rss_after = status_kib("VmRSS");
 
     serve::Client client;
     ASSERT_TRUE(client.connect(options.socket_path, &error)) << error;
@@ -587,11 +627,14 @@ TEST(ServeSocket, ClosedConnectionsReleaseTheirThreads) {
     client.close();
     loop.join();
 
-    ASSERT_GT(before, 0u);
-    // 1000 held stacks would add about 8 GiB; the bound leaves room for the
-    // few connection threads still in flight and the allocator's caches.
-    EXPECT_LT(after - std::min(after, before), std::uint64_t{256} * 1024)
-        << "VmSize grew from " << before << " KiB to " << after << " KiB";
+    ASSERT_GE(stacks_before, 0);
+    ASSERT_GT(rss_before, 0u);
+    // 1000 held stacks would add 1000 mappings; the allowance covers the
+    // connection threads still in flight and glibc's cache of freed stacks.
+    EXPECT_LE(stacks_after, stacks_before + 16)
+        << "thread-stack mappings grew from " << stacks_before << " to " << stacks_after;
+    EXPECT_LT(rss_after - std::min(rss_after, rss_before), std::uint64_t{64} * 1024)
+        << "VmRSS grew from " << rss_before << " KiB to " << rss_after << " KiB";
 }
 
 /// A raw client socket, for framing tests that send bytes without the

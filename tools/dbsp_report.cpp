@@ -24,7 +24,7 @@
 ///     --value-drift X    gate: max relative value drift (default 0.25)
 ///     --perf-drop X      gate: max words/sec drop, percent (default 35)
 ///     --locality-overhead-max X         gate: ceiling on the exact-mode
-///                        enabled-path locality overhead, percent (default 4000)
+///                        enabled-path locality overhead, percent (default 1500)
 ///     --locality-sampled-overhead-max X gate: same for the sampled mode
 ///                        (default 400)
 ///     --locality-score-err-max X        gate: ceiling on the sampled-mode
