@@ -32,8 +32,8 @@
 /// co-scheduled all-or-nothing, which wastes slots when one cache event is
 /// unsupported; independent fds let each event multiplex on its own and
 /// degrade per event. `inherit` extends counting to threads spawned after
-/// open — dbsp_serve opens its group before the worker pool so frames cover
-/// the whole process.
+/// open — dbsp_serve opens its group before it starts any connection
+/// thread, so frames cover the whole process.
 
 #include <cstdint>
 #include <string>

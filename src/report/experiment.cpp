@@ -228,7 +228,6 @@ Json metrics_to_json() {
     for (const auto& m : Registry::global().snapshot()) {
         switch (m.kind) {
             case MetricValue::Kind::kCounter: j.set(m.name, m.count); break;
-            case MetricValue::Kind::kGauge: j.set(m.name, m.gauge); break;
             case MetricValue::Kind::kHistogram: {
                 Json h = Json::object();
                 h.set("total", m.count);

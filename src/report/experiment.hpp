@@ -98,7 +98,7 @@ struct ExperimentResult {
 };
 
 /// Snapshot of the global metrics registry as a JSON object
-/// (counters/gauges as scalars, histograms as bucket arrays).
+/// (counters as scalars, histograms as bucket arrays).
 Json metrics_to_json();
 
 }  // namespace dbsp::report

@@ -31,11 +31,6 @@ std::uint64_t WindowedCounter::sum_over(std::int64_t now_s, unsigned window_s) c
     return sum;
 }
 
-double WindowedCounter::rate_over(std::int64_t now_s, unsigned window_s) const {
-    if (window_s == 0) return 0.0;
-    return static_cast<double>(sum_over(now_s, window_s)) / window_s;
-}
-
 void WindowedHistogram::observe(std::int64_t now_s, std::uint64_t value,
                                 std::uint64_t weight) {
     const unsigned bucket = Histogram::bucket_of(value);
@@ -116,7 +111,6 @@ void Histogram::reset() {
 struct Registry::Impl {
     mutable std::mutex mutex;
     std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
 };
 
@@ -139,15 +133,6 @@ Counter& Registry::counter(std::string_view name) {
     return *it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    auto it = impl_->gauges.find(name);
-    if (it == impl_->gauges.end()) {
-        it = impl_->gauges.emplace(std::string(name), std::make_unique<Gauge>()).first;
-    }
-    return *it->second;
-}
-
 Histogram& Registry::histogram(std::string_view name) {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     auto it = impl_->histograms.find(name);
@@ -160,19 +145,12 @@ Histogram& Registry::histogram(std::string_view name) {
 std::vector<MetricValue> Registry::snapshot() const {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     std::vector<MetricValue> out;
-    out.reserve(impl_->counters.size() + impl_->gauges.size() + impl_->histograms.size());
+    out.reserve(impl_->counters.size() + impl_->histograms.size());
     for (const auto& [name, c] : impl_->counters) {
         MetricValue v;
         v.name = name;
         v.kind = MetricValue::Kind::kCounter;
         v.count = c->value();
-        out.push_back(std::move(v));
-    }
-    for (const auto& [name, g] : impl_->gauges) {
-        MetricValue v;
-        v.name = name;
-        v.kind = MetricValue::Kind::kGauge;
-        v.gauge = g->value();
         out.push_back(std::move(v));
     }
     for (const auto& [name, h] : impl_->histograms) {
@@ -193,13 +171,12 @@ std::vector<MetricValue> Registry::snapshot() const {
 void Registry::reset_values() {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     for (auto& [name, c] : impl_->counters) c->reset();
-    for (auto& [name, g] : impl_->gauges) g->reset();
     for (auto& [name, h] : impl_->histograms) h->reset();
 }
 
 std::size_t Registry::size() const {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->counters.size() + impl_->gauges.size() + impl_->histograms.size();
+    return impl_->counters.size() + impl_->histograms.size();
 }
 
 }  // namespace dbsp::report

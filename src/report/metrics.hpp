@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file metrics.hpp
-/// Process-wide metrics registry: named counters, gauges and log-bucketed
+/// Process-wide metrics registry: named counters and log-bucketed
 /// histograms with lock-free (relaxed-atomic) update paths. The simulators,
-/// the machines' bulk operations, the cost-table cache and the parallel
-/// harness all publish always-on operational telemetry here; bench binaries
+/// the machines' bulk operations, the cost-table cache and the serve daemon
+/// all publish always-on operational telemetry here; bench binaries
 /// and dbsp_report snapshot the registry into the "metrics" section of their
 /// JSON artifacts.
 ///
@@ -24,7 +24,7 @@
 /// dimension the monotonic registry lacks: a ring of per-second slots over
 /// which the telemetry layer computes rolling rates (QPS), ratios and
 /// bucket-interpolated quantiles for the 1s/10s/60s windows of the
-/// dbsp-telemetry-v1 frames. Time enters as an explicit integer epoch second
+/// dbsp-telemetry-v2 frames. Time enters as an explicit integer epoch second
 /// supplied by the caller (steady-clock seconds in production, synthetic in
 /// tests) — the instruments themselves never read a clock, so window
 /// rollover is unit-testable without sleeping.
@@ -48,18 +48,6 @@ public:
 
 private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-written level (e.g. configured thread count). Stored as double so the
-/// snapshot layer has one scalar type.
-class Gauge {
-public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    double value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
-private:
-    std::atomic<double> value_{0.0};
 };
 
 /// Log2-bucketed histogram of nonnegative integer samples. Bucket i counts
@@ -129,9 +117,6 @@ public:
     /// Total events in the last \p window_s completed seconds.
     std::uint64_t sum_over(std::int64_t now_s, unsigned window_s) const;
 
-    /// Events per second over the window (sum_over / window_s).
-    double rate_over(std::int64_t now_s, unsigned window_s) const;
-
 private:
     struct Slot {
         std::int64_t epoch = -1;  ///< second this slot currently counts
@@ -183,11 +168,10 @@ private:
 
 /// One registered instrument (snapshot view).
 struct MetricValue {
-    enum class Kind { kCounter, kGauge, kHistogram };
+    enum class Kind { kCounter, kHistogram };
     std::string name;
     Kind kind;
     std::uint64_t count = 0;                ///< counter value / histogram total
-    double gauge = 0.0;                     ///< gauge value
     std::vector<std::uint64_t> buckets;     ///< histogram buckets, trimmed
 };
 
@@ -198,7 +182,6 @@ public:
 
     /// Find-or-register. References stay valid for the process lifetime.
     Counter& counter(std::string_view name);
-    Gauge& gauge(std::string_view name);
     Histogram& histogram(std::string_view name);
 
     /// Ordered (by name) snapshot of every registered instrument.
@@ -223,7 +206,6 @@ private:
 inline Counter& metric_counter(std::string_view name) {
     return Registry::global().counter(name);
 }
-inline Gauge& metric_gauge(std::string_view name) { return Registry::global().gauge(name); }
 inline Histogram& metric_histogram(std::string_view name) {
     return Registry::global().histogram(name);
 }

@@ -16,7 +16,7 @@
 ///   {"op":"ping"}      liveness probe
 ///   {"op":"shutdown"}  clean daemon stop
 ///   {"op":"watch","interval_ms":1000,"count":5}
-///                      stream `count` newline-framed "dbsp-telemetry-v1"
+///                      stream `count` newline-framed "dbsp-telemetry-v2"
 ///                      frames, one every `interval_ms` — the ONE op whose
 ///                      reply spans multiple lines
 ///   {"op":"spans","limit":16}

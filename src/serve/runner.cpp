@@ -63,13 +63,13 @@ std::optional<model::AccessFunction> parse_function(const std::string& text,
     if (text.rfind("x^", 0) == 0 && text.size() > 2) {
         char* end = nullptr;
         const double alpha = std::strtod(text.c_str() + 2, &end);
-        if (end != nullptr && *end == '\0' && std::isfinite(alpha) && alpha >= 0.0) {
+        // The paper's polynomial case study: 0 < A < 1 (NaN fails both).
+        if (end != nullptr && *end == '\0' && alpha > 0.0 && alpha < 1.0) {
             return model::AccessFunction::polynomial(alpha);
         }
     }
     if (error != nullptr) {
-        *error = "invalid access function \"" + text +
-                 "\" (expected x^A with A a nonnegative number, or log)";
+        *error = "\"" + text + "\" is not log or x^A with 0 < A < 1";
     }
     return std::nullopt;
 }

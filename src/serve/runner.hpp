@@ -54,9 +54,11 @@ struct RunOptions {
 /// all invalid — degenerate rates are rejected, never clamped.
 bool valid_sample_rate(double rate);
 
-/// Strict non-exiting access-function parse: "log" or "x^A" with A a full
-/// nonnegative floating-point literal, no trailing garbage. Returns nullopt
-/// (and a message) on violation.
+/// The one access-function grammar, shared by the dbsp_explore `--f` flag
+/// and the serve request schema: "log" or "x^A" with A a full
+/// floating-point literal, no trailing garbage, and 0 < A < 1 (the range
+/// AccessFunction::polynomial requires). Returns nullopt (and a message) on
+/// violation; never exits.
 std::optional<model::AccessFunction> parse_function(const std::string& text,
                                                     std::string* error);
 

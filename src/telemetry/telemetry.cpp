@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "telemetry/clock.hpp"
-#include "util/parallel.hpp"
 
 namespace dbsp::telemetry {
 
@@ -35,7 +34,6 @@ Telemetry::Telemetry(Options options)
 
 void Telemetry::record_request(RequestRecord record) {
     const std::int64_t now_s = steady_seconds();
-    requests_.add(now_s);
     if (!record.ok) errors_.add(now_s);
     latency_us_.observe(now_s, static_cast<std::uint64_t>(record.ms * 1000.0));
     if (record.hmm_slack > 0.0) {
@@ -71,8 +69,10 @@ void Telemetry::record_cache(bool hit) {
 
 report::Json Telemetry::window_json(std::int64_t now_s, unsigned window_s) const {
     report::Json w = report::Json::object();
-    w.set("qps", requests_.rate_over(now_s, window_s));
+    // Every request adds one latency sample, so the window's sample count is
+    // its request count.
     const auto lat = latency_us_.window_over(now_s, window_s);
+    w.set("qps", static_cast<double>(lat.total) / window_s);
     w.set("p50_ms", lat.quantile(0.50) / 1000.0);
     w.set("p99_ms", lat.quantile(0.99) / 1000.0);
     const double hits = static_cast<double>(cache_hits_.sum_over(now_s, window_s));
@@ -125,12 +125,6 @@ report::Json Telemetry::frame(std::uint64_t seq, const ServerVitals& vitals) con
     cache.set("entries", vitals.cache_entries);
     server.set("cache", std::move(cache));
     f.set("server", std::move(server));
-
-    const util::PoolStats pool = util::pool_stats();
-    report::Json pj = report::Json::object();
-    pj.set("workers", static_cast<std::uint64_t>(pool.workers));
-    pj.set("busy", static_cast<std::uint64_t>(pool.busy));
-    f.set("pool", std::move(pj));
 
     report::Json log = report::Json::object();
     if (options_.logger != nullptr) {

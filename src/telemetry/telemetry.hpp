@@ -4,16 +4,16 @@
 /// The live-telemetry hub behind dbsp_serve's `watch` and `spans` ops: a
 /// time-dimensioned layer over the monotonic metrics registry. It owns
 ///  * sliding 1s/10s/60s windows (report::WindowedCounter/-Histogram) over
-///    requests, errors, cache probes and request latency, yielding rolling
-///    QPS, p50/p99 and cache-hit ratio;
+///    errors, cache probes and request latency, yielding rolling QPS (the
+///    latency window's sample count), p50/p99 and cache-hit ratio;
 ///  * per-request bound-slack gauges — measured simulated cost divided by
 ///    the paper's Theorem 5 (HMM) / Theorem 12 (BT) predictions, windowed so
 ///    `dbsp_top` flags a served workload drifting from its theoretical cost
 ///    envelope live;
 ///  * the recent-request ring of span trees served by op:"spans";
-///  * frame() — one "dbsp-telemetry-v1" document combining the windows with
-///    process vitals (/proc fd + thread counts, worker-pool occupancy,
-///    logger backpressure counters).
+///  * frame() — one "dbsp-telemetry-v2" document combining the windows with
+///    process vitals (/proc fd + thread counts, logger backpressure
+///    counters).
 ///
 /// Everything here observes wall time and never feeds the deterministic
 /// reply path: frames and span trees travel only through the telemetry ops
@@ -93,7 +93,7 @@ public:
     void run_begin() { in_flight_.fetch_add(1, std::memory_order_relaxed); }
     void run_end() { in_flight_.fetch_sub(1, std::memory_order_relaxed); }
 
-    /// One "dbsp-telemetry-v1" frame. \p seq is the caller's frame counter
+    /// One "dbsp-telemetry-v2" frame. \p seq is the caller's frame counter
     /// (per watch stream).
     report::Json frame(std::uint64_t seq, const ServerVitals& vitals) const;
 
@@ -101,7 +101,7 @@ public:
     report::Json spans_json(std::size_t limit) const;
 
     /// Schema identifier carried by every frame.
-    static constexpr const char* kSchema = "dbsp-telemetry-v1";
+    static constexpr const char* kSchema = "dbsp-telemetry-v2";
 
 private:
     report::Json window_json(std::int64_t now_s, unsigned window_s) const;
@@ -111,7 +111,6 @@ private:
     std::atomic<std::uint64_t> next_id_{0};
     std::atomic<std::uint64_t> in_flight_{0};
 
-    report::WindowedCounter requests_;
     report::WindowedCounter errors_;
     report::WindowedCounter cache_hits_;
     report::WindowedCounter cache_misses_;
@@ -125,9 +124,9 @@ private:
     std::deque<RequestRecord> ring_;  ///< newest at the back
 
     /// Process-wide hardware counters (inherit=1: opened at construction,
-    /// before the worker pool spawns, so child threads count too). Counting
-    /// runs from boot; each frame reports the totals so far. Unavailable
-    /// groups (containers, DBSP_NO_PERF) degrade to an
+    /// before the daemon starts any connection thread, so those threads
+    /// count too). Counting runs from boot; each frame reports the totals
+    /// so far. Unavailable groups (containers, DBSP_NO_PERF) degrade to an
     /// {"available":false, "reason":...} section — never an error.
     perf::CounterGroup counters_{perf::CounterGroup::Options{/*inherit=*/true}};
 };

@@ -31,15 +31,6 @@ TEST(Metrics, CounterAddAndReset) {
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Metrics, GaugeHoldsLastWrite) {
-    auto& g = report::metric_gauge("test.gauge_basic");
-    g.set(2.5);
-    g.set(-7.0);
-    EXPECT_DOUBLE_EQ(g.value(), -7.0);
-    g.reset();
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-}
-
 TEST(Metrics, RegistryFindOrRegisterReturnsSameInstrument) {
     auto& a = report::metric_counter("test.identity");
     auto& b = report::metric_counter("test.identity");
@@ -110,13 +101,10 @@ TEST(Metrics, ResetValuesKeepsReferencesValid) {
 
 TEST(Metrics, SnapshotReportsKindsValuesAndSortedNames) {
     auto& c = report::metric_counter("test.snap_counter");
-    auto& g = report::metric_gauge("test.snap_gauge");
     auto& h = report::metric_histogram("test.snap_hist");
     c.reset();
-    g.reset();
     h.reset();
     c.add(5);
-    g.set(1.5);
     h.observe(6, 3);  // bucket 3
 
     const auto snap = Registry::global().snapshot();
@@ -124,20 +112,15 @@ TEST(Metrics, SnapshotReportsKindsValuesAndSortedNames) {
         EXPECT_LT(snap[i - 1].name, snap[i].name) << "snapshot must be name-sorted";
     }
     const report::MetricValue* counter = nullptr;
-    const report::MetricValue* gauge = nullptr;
     const report::MetricValue* hist = nullptr;
     for (const auto& m : snap) {
         if (m.name == "test.snap_counter") counter = &m;
-        if (m.name == "test.snap_gauge") gauge = &m;
         if (m.name == "test.snap_hist") hist = &m;
     }
     ASSERT_NE(counter, nullptr);
-    ASSERT_NE(gauge, nullptr);
     ASSERT_NE(hist, nullptr);
     EXPECT_EQ(counter->kind, report::MetricValue::Kind::kCounter);
     EXPECT_EQ(counter->count, 5u);
-    EXPECT_EQ(gauge->kind, report::MetricValue::Kind::kGauge);
-    EXPECT_DOUBLE_EQ(gauge->gauge, 1.5);
     EXPECT_EQ(hist->kind, report::MetricValue::Kind::kHistogram);
     EXPECT_EQ(hist->count, 3u);
     ASSERT_EQ(hist->buckets.size(), 4u);  // trimmed to populated_buckets()

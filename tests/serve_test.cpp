@@ -157,14 +157,16 @@ TEST(ServeServer, MalformedInputsGetStructuredErrors) {
         "{\"op\":\"run\",\"spec\":\"x\",\"locality\":{\"mode\":\"sampled\",\"rate\":nan}}",
         "{\"op\":\"run\",\"spec\":\"x\",\"locality\":{\"rate\":0.5}}",
     };
-    {
-        // A well-formed request whose spec parses but whose access function
-        // does not: the f-validation leg specifically, so the spec string is
-        // built by the JSON writer (raw newlines are not legal in literals).
+    // Well-formed requests whose spec parses but whose access function does
+    // not: the f-validation leg specifically, so the spec string is built by
+    // the JSON writer (raw newlines are not legal in literals). Exponents
+    // outside (0, 1) must be refused here: AccessFunction::polynomial aborts
+    // on them.
+    for (const char* f : {"x^junk", "x^0", "x^1", "x^1.5", "x^-0", "x^1e999"}) {
         report::Json req = report::Json::object();
         req.set("op", "run");
         req.set("spec", valid);
-        req.set("f", "x^junk");
+        req.set("f", f);
         bad.push_back(req.dump_compact());
     }
     for (const std::string& line : bad) {
@@ -271,7 +273,7 @@ TEST(ServeServer, WatchOpStreamsSchemaConformantFrames) {
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const auto frame = report::Json::parse(lines[i]);
         ASSERT_TRUE(frame.has_value()) << lines[i];
-        EXPECT_EQ((*frame)["schema"].as_string(), "dbsp-telemetry-v1");
+        EXPECT_EQ((*frame)["schema"].as_string(), "dbsp-telemetry-v2");
         EXPECT_EQ((*frame)["seq"].as_double(), static_cast<double>(i));
         EXPECT_TRUE((*frame)["windows"]["60s"]["p50_ms"].is_number());
         EXPECT_TRUE((*frame)["bound_slack"]["bt"]["p99"].is_number());

@@ -31,7 +31,6 @@ TEST(WindowedCounter, EmptyWindowIsZero) {
     report::WindowedCounter c;
     EXPECT_EQ(c.sum_over(100, 1), 0u);
     EXPECT_EQ(c.sum_over(100, 60), 0u);
-    EXPECT_EQ(c.rate_over(100, 10), 0.0);
 }
 
 TEST(WindowedCounter, WindowCoversCompletedSecondsOnly) {
@@ -45,7 +44,6 @@ TEST(WindowedCounter, WindowCoversCompletedSecondsOnly) {
     EXPECT_EQ(c.sum_over(101, 1), 5u);
     // Sixty-one seconds later it has left the 60s window.
     EXPECT_EQ(c.sum_over(162, 60), 0u);
-    EXPECT_DOUBLE_EQ(c.rate_over(101, 10), 0.5);
 }
 
 TEST(WindowedCounter, SlotRolloverReclaimsStaleSeconds) {
@@ -327,7 +325,8 @@ TEST(Telemetry, FrameCarriesSchemaWindowsAndVitals) {
     vitals.cache_hits = 1;
     vitals.cache_misses = 1;
     const report::Json f = hub.frame(7, vitals);
-    EXPECT_EQ(f["schema"].as_string(), "dbsp-telemetry-v1");
+    EXPECT_EQ(f["schema"].as_string(), "dbsp-telemetry-v2");
+    EXPECT_FALSE(f.contains("pool"));
     EXPECT_EQ(f["seq"].as_double(), 7.0);
     EXPECT_TRUE(f["windows"]["1s"]["qps"].is_number());
     EXPECT_TRUE(f["windows"]["10s"]["p99_ms"].is_number());

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,7 +173,7 @@ TEST(Stats, Spread) {
 }
 
 TEST(ParseThreadCount, AcceptsOnlyFullPositiveIntegers) {
-    // The DBSP_BENCH_THREADS / DBSP_THREADS override must be parsed strictly:
+    // The DBSP_THREADS override must be parsed strictly:
     // "abc" and "4x" used to be treated as unset with no diagnostic.
     EXPECT_EQ(util::parse_thread_count("1"), 1u);
     EXPECT_EQ(util::parse_thread_count("8"), 8u);
@@ -201,11 +208,38 @@ TEST(ParallelFor, ZeroIterationsIsANoop) {
 }
 
 TEST(ParallelFor, SerialWhenThreadsIsOne) {
-    // threads == 1 must not involve the pool: the body runs on this thread.
+    // threads == 1 starts no thread: the body runs on this thread.
     const auto caller = std::this_thread::get_id();
     util::parallel_for(100, [&](std::size_t) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
     }, 1);
+}
+
+TEST(ParallelFor, NoWorkerThreadOutlivesTheCall) {
+    // Every thread a call starts is joined before it returns. The bodies
+    // sleep so that the started threads take part whatever the scheduler
+    // does; each records its kernel thread id.
+    const pid_t caller = ::gettid();
+    std::mutex mutex;
+    std::set<pid_t> tids;
+    util::parallel_for(64, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::lock_guard<std::mutex> lock(mutex);
+        tids.insert(::gettid());
+    }, 4);
+    tids.erase(caller);
+    EXPECT_FALSE(tids.empty()) << "no started thread ran a body";
+    // A joined thread's /proc entry can outlast the join by a moment (the
+    // kernel wakes the joiner before it unhashes the task), so wait for it
+    // to go; a thread left parked in a pool never goes.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (const pid_t tid : tids) {
+        const std::filesystem::path task = "/proc/self/task/" + std::to_string(tid);
+        while (std::filesystem::exists(task) && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_FALSE(std::filesystem::exists(task)) << "thread " << tid << " outlived the call";
+    }
 }
 
 TEST(ParallelFor, PropagatesFirstException) {

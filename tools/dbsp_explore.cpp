@@ -130,20 +130,6 @@ std::uint64_t parse_u64(const char* flag, const char* value) {
     return n;
 }
 
-/// Strict access-function parse: "log" or "x^A" with A a full nonnegative
-/// floating-point literal (no trailing garbage). Exits 2 on violation.
-model::AccessFunction parse_access_function(const char* value) {
-    if (std::strcmp(value, "log") == 0) return model::AccessFunction::logarithmic();
-    if (std::strncmp(value, "x^", 2) == 0 && value[2] != '\0') {
-        char* end = nullptr;
-        const double alpha = std::strtod(value + 2, &end);
-        if (end != nullptr && *end == '\0' && alpha >= 0.0) {
-            return model::AccessFunction::polynomial(alpha);
-        }
-    }
-    bad_arg("--f", value, "x^A with A a nonnegative number, or log");
-}
-
 std::unique_ptr<model::Program> make_program(const std::string& name, std::uint64_t v,
                                              std::uint64_t seed) {
     SplitMix64 rng(seed);
@@ -276,7 +262,13 @@ int main(int argc, char** argv) {
             v = parse_u64("--v", next());
             if (v == 0) bad_arg("--v", "0", "a positive power of two");
         } else if (arg == "--f") {
-            f = parse_access_function(next());
+            std::string error;
+            auto parsed = serve::parse_function(next(), &error);
+            if (!parsed.has_value()) {
+                std::fprintf(stderr, "dbsp_explore: invalid --f: %s\n", error.c_str());
+                std::exit(2);
+            }
+            f = *std::move(parsed);
         } else if (arg == "--model") {
             model_name = next();
         } else if (arg == "--seed") {
@@ -303,7 +295,7 @@ int main(int argc, char** argv) {
                     const double rate =
                         (*rate_str == '@') ? std::strtod(rate_str + 1, &end) : 0.0;
                     if (*rate_str != '@' || rate_str[1] == '\0' || end == nullptr ||
-                        *end != '\0' || !(rate > 0.0) || rate > 1.0) {
+                        *end != '\0' || !serve::valid_sample_rate(rate)) {
                         bad_arg("--locality", arg.c_str(),
                                 ":sampled or :sampled@R with R in (0, 1]");
                     }

@@ -6,9 +6,10 @@
 ///      locally computed serve::run_to_json document (the same runner
 ///      dbsp_explore --spec uses), with cached=false then cached=true;
 ///   2. malformed barrage: canned adversarial lines (broken JSON, nesting
-///      bombs, oversized geometry, degenerate sampling rates, unknown
-///      fields) — every one must come back as a structured
-///      {"ok":false,...} reply with the daemon still answering pings;
+///      bombs, oversized geometry, degenerate sampling rates, an
+///      out-of-range exponent, unknown fields) — every one must come back
+///      as a structured {"ok":false,...} reply with the daemon still
+///      answering pings;
 ///   3. latency: single round-trip run requests over the warmed cache,
 ///      yielding the p50/p99 latency series;
 ///   4. batched throughput: the same requests pipelined in batches.
@@ -26,7 +27,7 @@
 ///                [--distinct K] [--batch B] [--out FILE] [--telemetry]
 ///
 /// --telemetry adds a fifth leg (PR 9): validate the op:"watch" frame
-/// stream ("dbsp-telemetry-v1" schema) and the op:"spans" ring, and — when
+/// stream ("dbsp-telemetry-v2" schema) and the op:"spans" ring, and — when
 /// --spawn is given — measure telemetry_overhead_pct: the daemon CPU-time
 /// overhead (summed per-thread schedstat runtime, nanosecond resolution)
 /// of running with --log at the default info level (the production
@@ -64,6 +65,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/runner.hpp"
+#include "telemetry/telemetry.hpp"
 #include "version.hpp"
 
 namespace {
@@ -195,6 +197,11 @@ std::vector<std::string> malformed_lines(const std::string& valid_spec) {
     loc0.set("rate", 0.0);
     rate_zero.set("locality", std::move(loc0));
 
+    report::Json f_range = report::Json::object();
+    f_range.set("op", "run");
+    f_range.set("spec", valid_spec);
+    f_range.set("f", "x^1");
+
     std::vector<std::string> lines = {
         "this is not json",                                     // not JSON at all
         "{\"op\":\"run\"}",                                     // missing spec
@@ -214,6 +221,9 @@ std::vector<std::string> malformed_lines(const std::string& valid_spec) {
         rate_zero.dump_compact(),
         "{\"op\":\"run\",\"spec\":\"x\",\"locality\":{\"mode\":\"sampled\","
         "\"rate\":nan}}",
+        // exponent outside (0, 1): AccessFunction::polynomial would abort
+        // the daemon
+        f_range.dump_compact(),
     };
     return lines;
 }
@@ -388,7 +398,7 @@ int main(int argc, char** argv) {
     double overhead_pct = 0.0;
     bool overhead_measured = false;
     if (telemetry) {
-        // Watch: three fast frames, each a valid "dbsp-telemetry-v1" doc.
+        // Watch: three fast frames, each a valid "dbsp-telemetry-v2" doc.
         if (!client.send_line("{\"op\":\"watch\",\"interval_ms\":10,\"count\":3}",
                               &error)) {
             std::fprintf(stderr, "dbsp_loadgen: watch request failed: %s\n",
@@ -406,7 +416,7 @@ int main(int argc, char** argv) {
                 const auto frame = report::Json::parse(frame_line);
                 bool good =
                     frame.has_value() &&
-                    (*frame)["schema"].as_string() == "dbsp-telemetry-v1" &&
+                    (*frame)["schema"].as_string() == telemetry::Telemetry::kSchema &&
                     (*frame)["seq"].as_double(-1.0) == static_cast<double>(i) &&
                     (*frame)["windows"]["60s"]["qps"].is_number() &&
                     (*frame)["windows"]["60s"]["p50_ms"].is_number() &&
@@ -415,7 +425,7 @@ int main(int argc, char** argv) {
                     (*frame)["bound_slack"]["hmm"]["p50"].is_number() &&
                     (*frame)["bound_slack"]["bt"]["p99"].is_number() &&
                     (*frame)["server"]["requests"].is_number() &&
-                    (*frame)["pool"]["workers"].is_number() &&
+                    !frame->contains("pool") &&
                     (*frame)["proc"]["open_fds"].as_double() > 0.0;
                 // Counters section: always present with an availability flag;
                 // event readings must appear iff the group is available, and

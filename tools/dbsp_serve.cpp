@@ -18,7 +18,7 @@
 /// Observability: --log enables the structured JSONL event log
 /// (bounded queue, background writer, size-based rotation to FILE.1);
 /// --slow-ms logs the full span tree of any request at/above the threshold;
-/// op:"watch" streams "dbsp-telemetry-v1" frames and op:"spans" serves the
+/// op:"watch" streams "dbsp-telemetry-v2" frames and op:"spans" serves the
 /// recent-request ring (see tools/dbsp_top).
 ///
 /// Example session (socat or any line client):

@@ -1,10 +1,10 @@
 /// dbsp_top — terminal dashboard for a running dbsp_serve daemon.
 ///
 /// Connects to the daemon's Unix socket and drives the op:"watch" stream of
-/// "dbsp-telemetry-v1" frames (rolling QPS, p50/p99 latency, cache-hit
-/// ratio, Theorem-5/12 bound-slack quantiles, worker-pool occupancy, logger
-/// backpressure, /proc vitals), rendering one screen per frame. `--spans`
-/// fetches the recent-request span trees instead.
+/// "dbsp-telemetry-v2" frames (rolling QPS, p50/p99 latency, cache-hit
+/// ratio, Theorem-5/12 bound-slack quantiles, logger backpressure, /proc
+/// vitals), rendering one screen per frame. `--spans` fetches the
+/// recent-request span trees instead.
 ///
 /// Usage:
 ///   dbsp_top --socket PATH [--interval-ms N] [--count N] [--once] [--json]
@@ -89,12 +89,9 @@ void render_frame(const std::string& socket_path, const dbsp::report::Json& f) {
                 s["cache"]["hits"].as_double() + s["cache"]["misses"].as_double(),
                 s["cache"]["entries"].as_double());
 
-    const dbsp::report::Json& pool = f["pool"];
     const dbsp::report::Json& log = f["log"];
     const dbsp::report::Json& proc = f["proc"];
-    std::printf("  pool %.0f/%.0f busy   log %s written %.0f dropped %.0f rot %.0f   "
-                "proc fds %.0f threads %.0f\n",
-                pool["busy"].as_double(), pool["workers"].as_double(),
+    std::printf("  log %s written %.0f dropped %.0f rot %.0f   proc fds %.0f threads %.0f\n",
                 log["enabled"].as_bool() ? "on" : "off", log["written"].as_double(),
                 log["dropped"].as_double(), log["rotations"].as_double(),
                 proc["open_fds"].as_double(), proc["threads"].as_double());
