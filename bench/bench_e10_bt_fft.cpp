@@ -60,16 +60,18 @@ int main(int argc, char** argv) {
     {
         Table table({"n", "BT sim", "n log^2 n", "ratio"});
         std::vector<double> ratios;
-        for (std::uint64_t n = 1 << 6; n <= (1 << 12); n <<= 2) {
-            algo::FftDirectProgram prog(signal(n, n));
-            auto smoothed =
-                core::smooth(prog, core::bt_label_set(f, prog.context_words(), n));
-            const auto res = core::BtSimulator(f).simulate(*smoothed);
-            const double dn = static_cast<double>(n);
-            const double shape = dn * std::log2(dn) * std::log2(dn);
-            table.add_row_values({dn, res.bt_cost, shape, res.bt_cost / shape});
-            ratios.push_back(res.bt_cost / shape);
-        }
+        ex.timed_leg("e10 direct-schedule BT sweep", [&] {
+            for (std::uint64_t n = 1 << 6; n <= (1 << 12); n <<= 2) {
+                algo::FftDirectProgram prog(signal(n, n));
+                auto smoothed =
+                    core::smooth(prog, core::bt_label_set(f, prog.context_words(), n));
+                const auto res = core::BtSimulator(f).simulate(*smoothed);
+                const double dn = static_cast<double>(n);
+                const double shape = dn * std::log2(dn) * std::log2(dn);
+                table.add_row_values({dn, res.bt_cost, shape, res.bt_cost / shape});
+                ratios.push_back(res.bt_cost / shape);
+            }
+        });
         table.print();
         ex.check_band("direct-schedule BT sim / (n log^2 n)", ratios, 1.6);
     }
@@ -78,16 +80,18 @@ int main(int argc, char** argv) {
     {
         Table table({"n", "BT sim", "n logn loglogn", "ratio"});
         std::vector<double> ratios;
-        for (std::uint64_t n : {16u, 256u, 65536u}) {
-            algo::FftRecursiveProgram prog(signal(n, n));
-            auto smoothed =
-                core::smooth(prog, core::bt_label_set(f, prog.context_words(), n));
-            const auto res = core::BtSimulator(f).simulate(*smoothed);
-            const double dn = static_cast<double>(n);
-            const double shape = dn * std::log2(dn) * std::log2(std::log2(dn) + 1.0);
-            table.add_row_values({dn, res.bt_cost, shape, res.bt_cost / shape});
-            ratios.push_back(res.bt_cost / shape);
-        }
+        ex.timed_leg("e10 recursive-schedule BT sweep", [&] {
+            for (std::uint64_t n : {16u, 256u, 65536u}) {
+                algo::FftRecursiveProgram prog(signal(n, n));
+                auto smoothed =
+                    core::smooth(prog, core::bt_label_set(f, prog.context_words(), n));
+                const auto res = core::BtSimulator(f).simulate(*smoothed);
+                const double dn = static_cast<double>(n);
+                const double shape = dn * std::log2(dn) * std::log2(std::log2(dn) + 1.0);
+                table.add_row_values({dn, res.bt_cost, shape, res.bt_cost / shape});
+                ratios.push_back(res.bt_cost / shape);
+            }
+        });
         table.print();
         ex.check_band("recursive-schedule BT sim / (n logn loglogn)", ratios, 1.7);
     }

@@ -42,28 +42,30 @@ int main(int argc, char** argv) {
         Table table({"n", "sort delivery", "transpose delivery", "speedup", "n log n",
                      "transpose/(n log n)", "#transposes"});
         std::vector<double> ratios, speedups;
-        for (std::uint64_t n : {16u, 256u, 65536u}) {
-            algo::FftRecursiveProgram p_sort(signal(n, n));
-            auto s_sort =
-                core::smooth(p_sort, core::bt_label_set(f, p_sort.context_words(), n));
-            const auto r_sort = core::BtSimulator(f).simulate(*s_sort);
+        ex.timed_leg("e11 BT sweep [" + f.name() + "]", [&] {
+            for (std::uint64_t n : {16u, 256u, 65536u}) {
+                algo::FftRecursiveProgram p_sort(signal(n, n));
+                auto s_sort =
+                    core::smooth(p_sort, core::bt_label_set(f, p_sort.context_words(), n));
+                const auto r_sort = core::BtSimulator(f).simulate(*s_sort);
 
-            algo::FftRecursiveProgram p_rat(signal(n, n));
-            auto s_rat =
-                core::smooth(p_rat, core::bt_label_set(f, p_rat.context_words(), n));
-            core::BtSimulator::Options options;
-            options.use_rational_permutations = true;
-            const auto r_rat = core::BtSimulator(f, options).simulate(*s_rat);
+                algo::FftRecursiveProgram p_rat(signal(n, n));
+                auto s_rat =
+                    core::smooth(p_rat, core::bt_label_set(f, p_rat.context_words(), n));
+                core::BtSimulator::Options options;
+                options.use_rational_permutations = true;
+                const auto r_rat = core::BtSimulator(f, options).simulate(*s_rat);
 
-            const double dn = static_cast<double>(n);
-            const double shape = dn * std::log2(dn);
-            table.add_row_values({dn, r_sort.bt_cost, r_rat.bt_cost,
-                                  r_sort.bt_cost / r_rat.bt_cost, shape,
-                                  r_rat.bt_cost / shape,
-                                  static_cast<double>(r_rat.transpose_invocations)});
-            ratios.push_back(r_rat.bt_cost / shape);
-            speedups.push_back(r_sort.bt_cost / r_rat.bt_cost);
-        }
+                const double dn = static_cast<double>(n);
+                const double shape = dn * std::log2(dn);
+                table.add_row_values({dn, r_sort.bt_cost, r_rat.bt_cost,
+                                      r_sort.bt_cost / r_rat.bt_cost, shape,
+                                      r_rat.bt_cost / shape,
+                                      static_cast<double>(r_rat.transpose_invocations)});
+                ratios.push_back(r_rat.bt_cost / shape);
+                speedups.push_back(r_sort.bt_cost / r_rat.bt_cost);
+            }
+        });
         table.print();
         ex.check_band("transpose-delivery cost / (n log n) [" + f.name() + "]", ratios, 1.8);
         // Sorting pays the extra log log n the rational permutation avoids,

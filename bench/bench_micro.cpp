@@ -18,6 +18,7 @@
 
 #include "algos/bitonic_sort.hpp"
 #include "algos/permutation.hpp"
+#include "bt/sort.hpp"
 #include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
 #include "core/smoothing.hpp"
@@ -85,6 +86,29 @@ void BM_BtSimulator(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_BtSimulator)->Arg(1 << 8)->Arg(1 << 10);
+
+/// The BT simulator's delivery primitive alone: records/s of the staged merge
+/// sort on 5-word records (the simulator's record size) under x^0.5.
+void BM_BtMergeSort(benchmark::State& state) {
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    const std::uint64_t r = 5;
+    const model::Addr base = 4096, scratch = base + n * r;
+    bt::Machine m(model::AccessFunction::polynomial(0.5), scratch + n * r);
+    SplitMix64 rng(3);
+    std::vector<model::Word> input(n * r);
+    for (auto& w : input) w = rng.next();
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::copy(input.begin(), input.end(), m.raw().begin() + base);
+        state.ResumeTiming();
+        bt::merge_sort_records(m, base, n, r, scratch, /*stage=*/0, /*stage_words=*/2048);
+        benchmark::DoNotOptimize(m.raw().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_BtMergeSort)->Arg(1 << 10)->Arg(1 << 14);
 
 // --- the --json mode --------------------------------------------------------
 

@@ -25,11 +25,14 @@ std::uint64_t transpose_index(std::uint64_t x, std::uint64_t side) {
 
 FftRecursiveProgram::FftRecursiveProgram(std::vector<std::complex<double>> input)
     : input_(std::move(input)), log_v_(ilog2(input_.size())) {
-    DBSP_REQUIRE(is_pow2(input_.size()));
-    // The recursion halves log m; every split must stay square.
-    DBSP_REQUIRE(log_v_ <= 2 || is_pow2(log_v_));
+    DBSP_REQUIRE(valid_size(input_.size()));
     build(0, input_.size());
     actions_.push_back(Action{0, pending_, pending_m_, false, 0, Send::kNone, 0});
+}
+
+bool FftRecursiveProgram::valid_size(std::uint64_t n) {
+    // The recursion halves log m; every split must stay square.
+    return is_pow2(n) && (ilog2(n) <= 2 || is_pow2(ilog2(n)));
 }
 
 void FftRecursiveProgram::build(unsigned l, std::uint64_t m) {

@@ -36,8 +36,12 @@ using model::Word;
 
 class FftRecursiveProgram final : public Program {
 public:
-    /// \p input: n complex values; n must be 2^(2^k) with n >= 4, or n <= 2.
+    /// \p input: n complex values, with valid_size(n).
     explicit FftRecursiveProgram(std::vector<std::complex<double>> input);
+
+    /// The sizes whose transposes all stay square: n = 2^(2^k) (4, 16, 256,
+    /// 65536, ...), or n <= 4.
+    static bool valid_size(std::uint64_t n);
 
     std::string name() const override { return "fft-recursive"; }
     std::uint64_t num_processors() const override { return input_.size(); }

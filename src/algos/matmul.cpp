@@ -22,12 +22,13 @@ constexpr std::uint8_t kTokenB[3][4] = {{0, 1, 2, 3}, {0, 3, 2, 1}, {2, 1, 0, 3}
 
 MatMulProgram::MatMulProgram(std::vector<Word> a, std::vector<Word> b)
     : a_(std::move(a)), b_(std::move(b)), log_v_(ilog2(a_.size())) {
-    DBSP_REQUIRE(is_pow2(a_.size()));
+    DBSP_REQUIRE(valid_size(a_.size()));
     DBSP_REQUIRE(a_.size() == b_.size());
-    DBSP_REQUIRE(log_v_ % 2 == 0);  // n must be a power of 4
     build(0);
     actions_.push_back(Action{Kind::kFinal, 0, 0, 0, 0});
 }
+
+bool MatMulProgram::valid_size(std::uint64_t n) { return is_pow2(n) && ilog2(n) % 2 == 0; }
 
 void MatMulProgram::build(unsigned depth) {
     if (2 * depth == log_v_) {

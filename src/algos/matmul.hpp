@@ -32,8 +32,11 @@ using model::Word;
 
 class MatMulProgram final : public Program {
 public:
-    /// \p a, \p b: n-element inputs in Morton order (n a power of 4).
+    /// \p a, \p b: n-element inputs in Morton order, with valid_size(n).
     MatMulProgram(std::vector<Word> a, std::vector<Word> b);
+
+    /// The processor counts the recursion supports: powers of 4.
+    static bool valid_size(std::uint64_t n);
 
     std::string name() const override { return "matmul"; }
     std::uint64_t num_processors() const override { return a_.size(); }

@@ -68,6 +68,7 @@ public:
     ~Machine();
 
     /// --- charged word accesses (HMM-style) ---------------------------------
+    /// Defined below, in this header: the staged streams issue one per word.
     Word read(Addr x);
     void write(Addr x, Word value);
 
@@ -153,5 +154,23 @@ private:
     /// len); mirrors report::Histogram's bucketing.
     std::array<std::uint64_t, 65> transfer_size_by_bucket_{};
 };
+
+inline Word Machine::read(Addr x) {
+    DBSP_REQUIRE(x < capacity());
+    const double delta = table_->cost(x);
+    cost_ += delta;
+    word_access_ += delta;
+    if (trace_ != nullptr) [[unlikely]] return traced_read_tail(x);
+    return memory_[x];
+}
+
+inline void Machine::write(Addr x, Word value) {
+    DBSP_REQUIRE(x < capacity());
+    const double delta = table_->cost(x);
+    cost_ += delta;
+    word_access_ += delta;
+    if (trace_ != nullptr) [[unlikely]] { traced_write_tail(x, value); return; }
+    memory_[x] = value;
+}
 
 }  // namespace dbsp::bt

@@ -47,46 +47,64 @@ Word touch_region(Machine& m, Addr base, std::uint64_t n) {
 }
 
 StageTower::StageTower(const Machine& m, Addr stage, std::uint64_t chunk,
-                       std::uint64_t align, std::uint64_t lane, std::uint64_t lanes) {
+                       std::uint64_t align, std::uint64_t lanes)
+    : stage(stage), end(stage + lanes * chunk), lanes(lanes) {
     DBSP_REQUIRE(align >= 1);
     DBSP_REQUIRE(chunk >= align && chunk % align == 0);
-    DBSP_REQUIRE(lanes >= 1 && lane < lanes);
+    DBSP_REQUIRE(lanes >= 1);
+    DBSP_REQUIRE(end <= m.capacity());
     // Raw level sizes: s_{k+1} ~ f(s_k), aligned, until levels stop paying
-    // for themselves. Sizes are a function of (chunk, align, lanes) only, so
-    // all lanes compute identical layouts.
-    std::vector<std::uint64_t> sizes{chunk};
+    // for themselves.
+    levels.push_back(Level{0, chunk});
     while (true) {
-        std::uint64_t nxt = chunk_words(m, stage + lanes * sizes.back(), sizes.back() / 4);
+        const std::uint64_t prev = levels.back().capacity;
+        std::uint64_t nxt = chunk_words(m, stage + lanes * prev, prev / 4);
         nxt -= nxt % align;
-        if (nxt < align || nxt < 8 || 4 * nxt > sizes.back()) break;
-        sizes.push_back(nxt);
+        if (nxt < align || nxt < 8 || 4 * nxt > prev) break;
+        levels.push_back(Level{0, nxt});
     }
     // Inner levels keep their size; the outermost absorbs the remainder so
     // each lane's tower occupies exactly chunk words.
     std::uint64_t inner_total = 0;
-    for (std::size_t k = 1; k < sizes.size(); ++k) inner_total += sizes[k];
+    for (std::size_t k = 1; k < levels.size(); ++k) inner_total += levels[k].capacity;
     DBSP_ASSERT(inner_total < chunk);
-    levels.resize(sizes.size());
-    for (std::size_t k = 0; k < sizes.size(); ++k) {
-        levels[k].capacity = (k == 0) ? chunk - inner_total : sizes[k];
-    }
+    levels[0].capacity = chunk - inner_total;
     // Depth-interleaved layout: all lanes' level-(K-1) buffers first, then
     // all level-(K-2) buffers, ..., outermost last.
     Addr at = stage;
-    for (std::size_t k = sizes.size(); k-- > 0;) {
-        levels[k].addr = at + lane * levels[k].capacity;
+    for (std::size_t k = levels.size(); k-- > 0;) {
+        levels[k].addr = at;
         at += lanes * levels[k].capacity;
     }
 }
 
-StagedReader::StagedReader(Machine& m, Addr begin, std::uint64_t len, Addr stage,
-                           std::uint64_t chunk, std::uint64_t align, std::uint64_t lane,
-                           std::uint64_t lanes)
-    : m_(m), begin_(begin), len_(len), tower_(m, stage, chunk, align, lane, lanes),
-      lo_(tower_.levels.size(), 0), hi_(tower_.levels.size(), 0) {
-    DBSP_REQUIRE(begin_ + len_ <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= begin_ || begin_ + len_ <= stage);
+StagedReader::StagedReader(Machine& m, const StageTower& tower, std::uint64_t lane,
+                           Addr begin, std::uint64_t len)
+    : m_(m), tower_(tower), lane_(lane), inner_(tower.levels.size() - 1),
+      inner_addr_(tower.addr(inner_, lane)), lo_(tower.levels.size(), 0),
+      hi_(tower.levels.size(), 0) {
+    DBSP_REQUIRE(lane < tower.lanes);
+    reset(begin, len);
+}
+
+void StagedReader::reset(Addr begin, std::uint64_t len) {
+    DBSP_REQUIRE(begin + len <= m_.capacity());
+    DBSP_REQUIRE(tower_.end <= begin || begin + len <= tower_.stage);
+    begin_ = begin;
+    len_ = len;
+    pos_ = 0;
+    std::fill(lo_.begin(), lo_.end(), 0);
+    std::fill(hi_.begin(), hi_.end(), 0);
+}
+
+void StagedReader::refill_to_pos() {
+    // A record never straddles windows when every capacity is a multiple of
+    // the record size and advance() moves in whole records, so a miss always
+    // lands exactly at the consumption point.
+    DBSP_ASSERT(pos_ >= hi_[inner_]);
+    for (std::size_t k = 0; k <= inner_; ++k) {
+        if (pos_ >= hi_[k]) refill(k);
+    }
 }
 
 void StagedReader::refill(std::size_t level) {
@@ -94,64 +112,37 @@ void StagedReader::refill(std::size_t level) {
     lo_[level] = pos_;
     const std::uint64_t parent_hi = (level == 0) ? len_ : hi_[level - 1];
     hi_[level] = std::min(pos_ + tower_.levels[level].capacity, parent_hi);
-    const Addr src = (level == 0)
-                         ? begin_ + pos_
-                         : tower_.levels[level - 1].addr + (pos_ - lo_[level - 1]);
-    m_.block_copy(src, tower_.levels[level].addr, hi_[level] - lo_[level]);
+    const Addr src = (level == 0) ? begin_ + pos_
+                                  : tower_.addr(level - 1, lane_) + (pos_ - lo_[level - 1]);
+    m_.block_copy(src, tower_.addr(level, lane_), hi_[level] - lo_[level]);
 }
 
-Word StagedReader::peek(std::uint64_t offset) {
-    const std::uint64_t at = pos_ + offset;
-    DBSP_REQUIRE(at < len_);
-    const std::size_t inner = tower_.levels.size() - 1;
-    if (at >= hi_[inner]) {
-        // A record never straddles windows when every capacity is a multiple
-        // of the record size and advance() moves in whole records, so a miss
-        // always lands exactly at the consumption point.
-        DBSP_ASSERT(pos_ >= hi_[inner]);
-        for (std::size_t k = 0; k <= inner; ++k) {
-            if (pos_ >= hi_[k]) refill(k);
-        }
-    }
-    DBSP_ASSERT(at >= lo_[inner]);
-    return m_.read(tower_.levels[inner].addr + (at - lo_[inner]));
-}
-
-void StagedReader::advance(std::uint64_t words) {
-    DBSP_REQUIRE(pos_ + words <= len_);
-    pos_ += words;
-}
-
-StagedWriter::StagedWriter(Machine& m, Addr begin, std::uint64_t len, Addr stage,
-                           std::uint64_t chunk, std::uint64_t align, std::uint64_t lane,
-                           std::uint64_t lanes)
-    : m_(m), begin_(begin), len_(len), tower_(m, stage, chunk, align, lane, lanes),
-      fill_(tower_.levels.size(), 0) {
-    DBSP_REQUIRE(begin_ + len_ <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= m_.capacity());
-    DBSP_REQUIRE(stage + lanes * chunk <= begin_ || begin_ + len_ <= stage);
+StagedWriter::StagedWriter(Machine& m, const StageTower& tower, std::uint64_t lane,
+                           Addr begin, std::uint64_t len)
+    : m_(m), tower_(tower), lane_(lane), inner_(tower.levels.size() - 1),
+      inner_addr_(tower.addr(inner_, lane)),
+      inner_capacity_(tower.levels.back().capacity), fill_(tower.levels.size(), 0) {
+    DBSP_REQUIRE(lane < tower.lanes);
+    reset(begin, len);
 }
 
 StagedWriter::~StagedWriter() { flush(); }
 
-std::uint64_t StagedWriter::written() const {
-    std::uint64_t total = written_;
-    for (std::uint64_t f : fill_) total += f;
-    return total;
-}
-
-void StagedWriter::push(Word w) {
-    DBSP_REQUIRE(written() < len_);
-    const std::size_t inner = tower_.levels.size() - 1;
-    m_.write(tower_.levels[inner].addr + fill_[inner], w);
-    if (++fill_[inner] == tower_.levels[inner].capacity) spill(inner);
+void StagedWriter::reset(Addr begin, std::uint64_t len) {
+    flush();
+    DBSP_REQUIRE(begin + len <= m_.capacity());
+    DBSP_REQUIRE(tower_.end <= begin || begin + len <= tower_.stage);
+    begin_ = begin;
+    len_ = len;
+    pushed_ = 0;
+    flushed_ = 0;
 }
 
 void StagedWriter::spill(std::size_t level) {
     if (fill_[level] == 0) return;
     if (level == 0) {
-        m_.block_copy(tower_.levels[0].addr, begin_ + written_, fill_[0]);
-        written_ += fill_[0];
+        m_.block_copy(tower_.addr(0, lane_), begin_ + flushed_, fill_[0]);
+        flushed_ += fill_[0];
         fill_[0] = 0;
         return;
     }
@@ -159,14 +150,14 @@ void StagedWriter::spill(std::size_t level) {
     if (tower_.levels[parent].capacity - fill_[parent] < fill_[level]) {
         spill(parent);
     }
-    m_.block_copy(tower_.levels[level].addr,
-                  tower_.levels[parent].addr + fill_[parent], fill_[level]);
+    m_.block_copy(tower_.addr(level, lane_), tower_.addr(parent, lane_) + fill_[parent],
+                  fill_[level]);
     fill_[parent] += fill_[level];
     fill_[level] = 0;
 }
 
 void StagedWriter::flush() {
-    for (std::size_t k = tower_.levels.size(); k-- > 0;) spill(k);
+    for (std::size_t k = fill_.size(); k-- > 0;) spill(k);
 }
 
 }  // namespace dbsp::bt

@@ -12,15 +12,16 @@
 ///  * StagedReader / StagedWriter — sequential charged streams over deep
 ///    regions that stage chunks at the top via block transfer (the machinery
 ///    behind the BT merge sort and the simulator's context rewrites). Both
-///    build the full touching-recursion tower inside their stage window:
-///    level k+1 is a Theta(f(size of level k))-sized buffer, down to O(1),
-///    so the per-word access cost is O(f*(n))-amortized — this is what makes
-///    Theorem 12's f-independence hold in the measurements, not just in the
-///    asymptotics.
+///    stage through the full touching-recursion tower (StageTower) inside
+///    their stage window: level k+1 is a Theta(f(size of level k))-sized
+///    buffer, down to O(1), so the per-word access cost is
+///    O(f*(n))-amortized — this is what makes Theorem 12's f-independence
+///    hold in the measurements, not just in the asymptotics.
 
 #include <vector>
 
 #include "bt/machine.hpp"
+#include "util/contracts.hpp"
 
 namespace dbsp::bt {
 
@@ -44,53 +45,80 @@ Word touch_region(Machine& m, Addr base, std::uint64_t n);
 /// it is cheap.
 ///
 /// When several streams cooperate (e.g. the two inputs and the output of a
-/// merge), each takes one of \p lanes lanes over a shared window: the levels
+/// merge), each takes one of \p lanes lanes over the shared window: the levels
 /// of all lanes are interleaved depth-wise, so every stream's innermost
 /// buffer sits at the very top of the window — the whole point of the tower
 /// is that the cheapest addresses serve the per-word traffic of *all*
-/// streams.
+/// streams. The layout depends only on (f, stage, chunk, align, lanes), so one
+/// tower serves every lane and every region its streams are aimed at: build it
+/// once per pass, not once per stream.
 struct StageTower {
     StageTower(const Machine& m, Addr stage, std::uint64_t chunk, std::uint64_t align,
-               std::uint64_t lane, std::uint64_t lanes);
+               std::uint64_t lanes = 1);
 
     struct Level {
-        Addr addr;
+        Addr addr;  ///< lane 0's buffer; lane j's starts j * capacity further on
         std::uint64_t capacity;
     };
+
+    /// First address of \p lane's buffer at \p level.
+    Addr addr(std::size_t level, std::uint64_t lane) const {
+        return levels[level].addr + lane * levels[level].capacity;
+    }
+
+    Addr stage;             ///< the window is [stage, end)
+    Addr end;
+    std::uint64_t lanes;
     std::vector<Level> levels;  ///< [0] = outermost, back() = innermost
 };
 
-/// Sequential reader over the \p len words at [begin, begin+len). Data
-/// cascades through the staging tower in [stage, stage+chunk) (a multiple of
-/// \p align) via block transfers; reads are served from the innermost level.
-/// The stage window must be disjoint from the source region.
+/// Sequential reader over the \p len words at [begin, begin+len), on lane
+/// \p lane of \p tower (which must outlive the reader). Data cascades through
+/// the tower via block transfers; reads are served from the innermost level.
+/// The stage window must be disjoint from the source region. reset() re-aims
+/// the reader at another region without touching the tower.
 class StagedReader {
 public:
-    StagedReader(Machine& m, Addr begin, std::uint64_t len, Addr stage,
-                 std::uint64_t chunk, std::uint64_t align = 1, std::uint64_t lane = 0,
-                 std::uint64_t lanes = 1);
+    StagedReader(Machine& m, const StageTower& tower, std::uint64_t lane, Addr begin = 0,
+                 std::uint64_t len = 0);
 
-    /// Words not yet consumed.
-    std::uint64_t remaining() const { return len_ - pos_; }
+    /// Start over on [begin, begin+len): nothing of the previous region stays
+    /// staged, so the reader charges exactly what a fresh one would.
+    void reset(Addr begin, std::uint64_t len);
+
+    /// True once every word of the region has been consumed.
     bool done() const { return pos_ == len_; }
 
     /// Charged read of the word at (current position + offset); requires the
     /// addressed word to lie within the innermost staged window, which holds
     /// whenever offset < align and advance() moves in align units.
-    Word peek(std::uint64_t offset = 0);
+    Word peek(std::uint64_t offset = 0) {
+        const std::uint64_t at = pos_ + offset;
+        DBSP_REQUIRE(at < len_);
+        if (at >= hi_[inner_]) refill_to_pos();
+        DBSP_ASSERT(at >= lo_[inner_]);
+        return m_.read(inner_addr_ + (at - lo_[inner_]));
+    }
 
     /// Consume \p words words.
-    void advance(std::uint64_t words);
+    void advance(std::uint64_t words) {
+        DBSP_REQUIRE(pos_ + words <= len_);
+        pos_ += words;
+    }
 
 private:
+    void refill_to_pos();
     void refill(std::size_t level);
 
     Machine& m_;
-    Addr begin_;
-    std::uint64_t len_;
-    StageTower tower_;
-    std::uint64_t pos_ = 0;                    ///< consumed words
-    std::vector<std::uint64_t> lo_, hi_;       ///< staged region-offset windows
+    const StageTower& tower_;
+    std::uint64_t lane_;
+    std::size_t inner_;                  ///< index of the innermost level
+    Addr inner_addr_;                    ///< this lane's innermost buffer
+    Addr begin_ = 0;
+    std::uint64_t len_ = 0;
+    std::uint64_t pos_ = 0;              ///< consumed words
+    std::vector<std::uint64_t> lo_, hi_; ///< staged region-offset windows
 };
 
 /// Sequential writer over the \p len words at [begin, begin+len); words are
@@ -98,31 +126,42 @@ private:
 /// transfers. Mirrors StagedReader's layout.
 class StagedWriter {
 public:
-    StagedWriter(Machine& m, Addr begin, std::uint64_t len, Addr stage,
-                 std::uint64_t chunk, std::uint64_t align = 1, std::uint64_t lane = 0,
-                 std::uint64_t lanes = 1);
+    StagedWriter(Machine& m, const StageTower& tower, std::uint64_t lane, Addr begin = 0,
+                 std::uint64_t len = 0);
     ~StagedWriter();
 
     StagedWriter(const StagedWriter&) = delete;
     StagedWriter& operator=(const StagedWriter&) = delete;
 
+    /// Flush what is buffered to the current region, then start over on
+    /// [begin, begin+len).
+    void reset(Addr begin, std::uint64_t len);
+
     /// Append one word; requires fewer than len words pushed so far.
-    void push(Word w);
+    void push(Word w) {
+        DBSP_REQUIRE(pushed_ < len_);
+        ++pushed_;
+        m_.write(inner_addr_ + fill_[inner_], w);
+        if (++fill_[inner_] == inner_capacity_) spill(inner_);
+    }
 
     /// Flush all buffered words to the destination. Also called by the
     /// destructor; idempotent.
     void flush();
 
-    std::uint64_t written() const;
-
 private:
     void spill(std::size_t level);  ///< move level's contents one step out
 
     Machine& m_;
-    Addr begin_;
-    std::uint64_t len_;
-    StageTower tower_;
-    std::uint64_t written_ = 0;        ///< words already at the destination
+    const StageTower& tower_;
+    std::uint64_t lane_;
+    std::size_t inner_;                ///< index of the innermost level
+    Addr inner_addr_;                  ///< this lane's innermost buffer
+    std::uint64_t inner_capacity_;
+    Addr begin_ = 0;
+    std::uint64_t len_ = 0;
+    std::uint64_t pushed_ = 0;         ///< words pushed since the last reset
+    std::uint64_t flushed_ = 0;        ///< words already at the destination
     std::vector<std::uint64_t> fill_;  ///< buffered words per level
 };
 

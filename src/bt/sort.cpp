@@ -10,15 +10,12 @@ namespace dbsp::bt {
 namespace {
 
 /// Merge the sorted runs [a, a+la) and [b, b+lb) (word lengths, both multiples
-/// of r) into dst, using three staging buffers of `chunk` words each at
-/// stage, stage+chunk, stage+2*chunk.
-void merge_runs(Machine& m, Addr a, std::uint64_t la, Addr b, std::uint64_t lb, Addr dst,
-                std::uint64_t r, Addr stage, std::uint64_t chunk) {
-    // Three cooperating streams share one depth-interleaved staging tower,
-    // so all their innermost buffers sit at the top of the stage window.
-    StagedReader ra(m, a, la, stage, chunk, /*align=*/r, /*lane=*/0, /*lanes=*/3);
-    StagedReader rb(m, b, lb, stage, chunk, /*align=*/r, /*lane=*/1, /*lanes=*/3);
-    StagedWriter out(m, dst, la + lb, stage, chunk, /*align=*/r, /*lane=*/2, /*lanes=*/3);
+/// of r) into dst, re-aiming the sort's two readers and writer at them.
+void merge_runs(Machine& m, StagedReader& ra, StagedReader& rb, StagedWriter& out, Addr a,
+                std::uint64_t la, Addr b, std::uint64_t lb, Addr dst, std::uint64_t r) {
+    ra.reset(a, la);
+    rb.reset(b, lb);
+    out.reset(dst, la + lb);
 
     auto take = [&](StagedReader& src) {
         for (std::uint64_t t = 0; t < r; ++t) out.push(src.peek(t));
@@ -64,6 +61,14 @@ void merge_sort_records(Machine& m, Addr base, std::uint64_t n_records,
     std::uint64_t chunk = chunk_words(m, deepest, stage_words / 3);
     chunk = std::max<std::uint64_t>(chunk - chunk % r, r);
 
+    // Three cooperating streams share one depth-interleaved staging tower,
+    // so all their innermost buffers sit at the top of the stage window. The
+    // tower and the streams are set up once; every merge only re-aims them.
+    const StageTower tower(m, stage, chunk, /*align=*/r, /*lanes=*/3);
+    StagedReader ra(m, tower, /*lane=*/0);
+    StagedReader rb(m, tower, /*lane=*/1);
+    StagedWriter out(m, tower, /*lane=*/2);
+
     Addr src = base;
     Addr dst = scratch;
     for (std::uint64_t width = 1; width < n_records; width *= 2) {
@@ -77,7 +82,7 @@ void merge_sort_records(Machine& m, Addr base, std::uint64_t n_records,
                 m.block_copy(src + lo * r, dst + lo * r, la);
                 continue;
             }
-            merge_runs(m, src + lo * r, la, src + mid * r, lb, dst + lo * r, r, stage, chunk);
+            merge_runs(m, ra, rb, out, src + lo * r, la, src + mid * r, lb, dst + lo * r, r);
         }
         std::swap(src, dst);
     }

@@ -126,7 +126,8 @@ private:
 };
 
 /// A parsed processor context (executor bookkeeping; all words it carries
-/// were charged when read from the machine).
+/// were charged when read from the machine). One instance serves a whole
+/// cluster pass: each parse reuses its storage.
 struct ParsedContext {
     std::vector<Word> data;
     std::vector<model::Message> outgoing;                  ///< dest/payloads
@@ -183,7 +184,7 @@ private:
     // --- streaming helpers --------------------------------------------------
     std::uint64_t stream_chunk(Addr deepest, std::uint64_t share,
                                std::uint64_t align) const;
-    ParsedContext parse_context(bt::StagedReader& rd) const;
+    void parse_context(bt::StagedReader& rd, ParsedContext& ctx) const;
     std::uint64_t serialize_cluster(ProcId first, std::uint64_t csize, Addr dst);
     void deserialize_cluster(ProcId first, std::uint64_t csize, Addr src,
                              std::uint64_t n_rec);
@@ -357,9 +358,10 @@ std::uint64_t BtSim::stream_chunk(Addr deepest, std::uint64_t share,
     return c;
 }
 
-ParsedContext BtSim::parse_context(bt::StagedReader& rd) const {
-    ParsedContext ctx;
-    ctx.data.reserve(d_);
+void BtSim::parse_context(bt::StagedReader& rd, ParsedContext& ctx) const {
+    ctx.data.clear();
+    ctx.outgoing.clear();
+    ctx.old_inbox.clear();
     for (std::size_t i = 0; i < d_; ++i) {
         ctx.data.push_back(rd.peek());
         rd.advance(1);
@@ -378,7 +380,8 @@ ParsedContext BtSim::parse_context(bt::StagedReader& rd) const {
             ctx.outgoing.push_back(model::Message{0, dest, p0, p1});
         }
     }
-    std::vector<std::array<Word, 3>> in_records;
+    // All b inbox records are read (and charged); the count that follows
+    // says how many of them are live.
     for (std::size_t k = 0; k < b_; ++k) {
         std::array<Word, 3> rec{};
         rec[0] = rd.peek();
@@ -387,14 +390,12 @@ ParsedContext BtSim::parse_context(bt::StagedReader& rd) const {
         rd.advance(1);
         rec[2] = rd.peek();
         rd.advance(1);
-        in_records.push_back(rec);
+        ctx.old_inbox.push_back(rec);
     }
     const auto in_count = static_cast<std::size_t>(rd.peek());
     rd.advance(1);
     DBSP_ASSERT(in_count <= b_);
-    ctx.old_inbox.assign(in_records.begin(),
-                         in_records.begin() + static_cast<std::ptrdiff_t>(in_count));
-    return ctx;
+    ctx.old_inbox.resize(in_count);
 }
 
 std::uint64_t BtSim::serialize_cluster(ProcId first, std::uint64_t csize, Addr dst) {
@@ -402,10 +403,9 @@ std::uint64_t BtSim::serialize_cluster(ProcId first, std::uint64_t csize, Addr d
     const std::uint64_t max_words = rec_region_words(csize);
     const std::uint64_t chunk =
         stream_chunk(std::max(slot_addr(csize), dst + max_words), pad_ / 2, 1);
-    bt::StagedReader rd(machine_, slot_addr(0), ctx_words, /*stage=*/0, chunk, 1,
-                        /*lane=*/0, /*lanes=*/2);
-    bt::StagedWriter wr(machine_, dst, max_words, /*stage=*/0, chunk, 1,
-                        /*lane=*/1, /*lanes=*/2);
+    const bt::StageTower tower(machine_, /*stage=*/0, chunk, /*align=*/1, /*lanes=*/2);
+    bt::StagedReader rd(machine_, tower, /*lane=*/0, slot_addr(0), ctx_words);
+    bt::StagedWriter wr(machine_, tower, /*lane=*/1, dst, max_words);
 
     std::uint64_t n_rec = 0;
     last_outgoing_ = 0;
@@ -418,8 +418,9 @@ std::uint64_t BtSim::serialize_cluster(ProcId first, std::uint64_t csize, Addr d
         ++n_rec;
     };
 
+    ParsedContext ctx;
     for (ProcId p = first; p < first + csize; ++p) {
-        const ParsedContext ctx = parse_context(rd);
+        parse_context(rd, ctx);
         for (std::uint64_t i = 0; i < dr_; ++i) {
             const Word w0 = ctx.data[2 * i];
             const Word w1 = (2 * i + 1 < d_) ? ctx.data[2 * i + 1] : 0;
@@ -444,10 +445,10 @@ void BtSim::deserialize_cluster(ProcId first, std::uint64_t csize, Addr src,
     const std::uint64_t ctx_words = csize * mu_;
     const std::uint64_t chunk = stream_chunk(
         std::max(src + n_rec * kRecWords, slot_addr(csize)), pad_ / 2, kRecWords);
-    bt::StagedReader rd(machine_, src, n_rec * kRecWords, /*stage=*/0, chunk,
-                        /*align=*/kRecWords, /*lane=*/0, /*lanes=*/2);
-    bt::StagedWriter wr(machine_, slot_addr(0), ctx_words, /*stage=*/0, chunk,
-                        /*align=*/kRecWords, /*lane=*/1, /*lanes=*/2);
+    const bt::StageTower tower(machine_, /*stage=*/0, chunk, /*align=*/kRecWords,
+                               /*lanes=*/2);
+    bt::StagedReader rd(machine_, tower, /*lane=*/0, src, n_rec * kRecWords);
+    bt::StagedWriter wr(machine_, tower, /*lane=*/1, slot_addr(0), ctx_words);
 
     auto read_rec = [&](Word out[kRecWords]) {
         for (std::uint64_t t = 0; t < kRecWords; ++t) out[t] = rd.peek(t);
@@ -546,14 +547,13 @@ bool BtSim::deliver_transpose(ProcId first, std::uint64_t csize, std::uint64_t g
     const Addr ay = ax + csize;
     {
         const std::uint64_t chunk = stream_chunk(ay + csize, pad_ / 3, 1);
-        bt::StagedReader rd(machine_, slot_addr(0), csize * mu_, /*stage=*/0, chunk, 1,
-                            /*lane=*/0, /*lanes=*/3);
-        bt::StagedWriter wx(machine_, ax, csize, /*stage=*/0, chunk, 1,
-                            /*lane=*/1, /*lanes=*/3);
-        bt::StagedWriter wy(machine_, ay, csize, /*stage=*/0, chunk, 1,
-                            /*lane=*/2, /*lanes=*/3);
+        const bt::StageTower tower(machine_, /*stage=*/0, chunk, /*align=*/1, /*lanes=*/3);
+        bt::StagedReader rd(machine_, tower, /*lane=*/0, slot_addr(0), csize * mu_);
+        bt::StagedWriter wx(machine_, tower, /*lane=*/1, ax, csize);
+        bt::StagedWriter wy(machine_, tower, /*lane=*/2, ay, csize);
+        ParsedContext ctx;
         for (ProcId p = first; p < first + csize; ++p) {
-            const ParsedContext ctx = parse_context(rd);
+            parse_context(rd, ctx);
             // The kTranspose promise: exactly one message, to the transposed
             // grid position.
             DBSP_REQUIRE(ctx.outgoing.size() == 1);
@@ -576,10 +576,10 @@ bool BtSim::deliver_transpose(ProcId first, std::uint64_t csize, std::uint64_t g
         const std::uint64_t ctx_per_chunk = std::max<std::uint64_t>(1, (pad_ / 2) / mu_);
         const std::uint64_t stage_xy = ctx_per_chunk * mu_;
         const std::uint64_t cx = stream_chunk(ay + csize, pad_ / 5, 1);
-        bt::StagedReader rx(machine_, ax, csize, /*stage=*/stage_xy, cx, 1,
-                            /*lane=*/0, /*lanes=*/2);
-        bt::StagedReader ry(machine_, ay, csize, /*stage=*/stage_xy, cx, 1,
-                            /*lane=*/1, /*lanes=*/2);
+        const bt::StageTower tower(machine_, /*stage=*/stage_xy, cx, /*align=*/1,
+                                   /*lanes=*/2);
+        bt::StagedReader rx(machine_, tower, /*lane=*/0, ax, csize);
+        bt::StagedReader ry(machine_, tower, /*lane=*/1, ay, csize);
         for (std::uint64_t q0 = 0; q0 < csize; q0 += ctx_per_chunk) {
             const std::uint64_t nctx = std::min(ctx_per_chunk, csize - q0);
             const Addr chunk_addr = slot_addr(q0);

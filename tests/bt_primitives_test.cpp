@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include <algorithm>
+#include <string>
 
 #include "bt/primitives.hpp"
 #include "bt/sort.hpp"
@@ -56,7 +58,8 @@ TEST(BtPrimitives, TouchBeatsHmmScanForPolynomialF) {
 TEST(BtPrimitives, StagedReaderStreamsInOrder) {
     Machine m(AccessFunction::logarithmic(), 4096);
     for (int i = 0; i < 100; ++i) m.raw()[1000 + i] = 5 * i;
-    StagedReader rd(m, 1000, 100, /*stage=*/0, /*chunk=*/16);
+    const StageTower tower(m, /*stage=*/0, /*chunk=*/16, /*align=*/1);
+    StagedReader rd(m, tower, /*lane=*/0, 1000, 100);
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(rd.peek(), static_cast<Word>(5 * i));
         rd.advance(1);
@@ -67,7 +70,8 @@ TEST(BtPrimitives, StagedReaderStreamsInOrder) {
 TEST(BtPrimitives, StagedReaderPeeksWithinRecord) {
     Machine m(AccessFunction::logarithmic(), 4096);
     for (int i = 0; i < 40; ++i) m.raw()[512 + i] = i;
-    StagedReader rd(m, 512, 40, 0, /*chunk=*/8);  // records of 4, chunk 8
+    const StageTower tower(m, 0, /*chunk=*/8, /*align=*/1);  // records of 4, chunk 8
+    StagedReader rd(m, tower, 0, 512, 40);
     for (int r = 0; r < 10; ++r) {
         for (int t = 0; t < 4; ++t) {
             EXPECT_EQ(rd.peek(t), static_cast<Word>(4 * r + t));
@@ -79,7 +83,8 @@ TEST(BtPrimitives, StagedReaderPeeksWithinRecord) {
 TEST(BtPrimitives, StagedWriterFlushesAll) {
     Machine m(AccessFunction::logarithmic(), 4096);
     {
-        StagedWriter wr(m, 2000, 77, /*stage=*/0, /*chunk=*/16);
+        const StageTower tower(m, /*stage=*/0, /*chunk=*/16, /*align=*/1);
+        StagedWriter wr(m, tower, /*lane=*/0, 2000, 77);
         for (int i = 0; i < 77; ++i) wr.push(i * 3);
     }  // destructor flushes
     for (int i = 0; i < 77; ++i) EXPECT_EQ(m.raw()[2000 + i], static_cast<Word>(i * 3));
@@ -139,6 +144,78 @@ TEST(BtSort, CostIsNearNLogN) {
     // Near-constant ratio across an order of magnitude (allowing the
     // doubly-log staged-access drift documented in DESIGN.md §5).
     EXPECT_LT(ratios.back() / ratios.front(), 2.0);
+}
+
+std::string hex(double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", x);
+    return buf;
+}
+
+/// Pins the merge sort's charges: every expected value is the exact double
+/// (%a), count or output a run produced. Moving, adding or dropping one
+/// charged word access, block transfer or comparison changes them.
+TEST(BtSort, ChargesMatchPinnedBits) {
+    struct Pin {
+        std::uint64_t n;            ///< records of 5 words
+        std::uint64_t stage_words;
+        Word key_range;             ///< key0 and key1 drawn below this
+        std::size_t tower_levels;   ///< levels of the merge tower the case reaches
+        const char* cost;
+        const char* latency;
+        const char* volume;
+        const char* word_access;
+        const char* unit_ops;
+        std::uint64_t block_transfers;
+    };
+    const Pin pins[] = {
+        // (a) one-level merge towers.
+        {64, 512, 1u << 20, 1, "0x1.b55005a4a70c6p+15", "0x1.b38e49bd911bp+13", "0x1.ep+11",
+         "0x1.2814733542c46p+15", "0x1.2cp+8", 210},
+        // (b) two-level merge towers.
+        {2048, 2048, 1u << 20, 2, "0x1.55c2b5eb43af4p+21", "0x1.0b7707df8e8fcp+20",
+         "0x1.c2p+18", "0x1.2aad53f6f7e53p+20", "0x1.3844p+14", 25754},
+        // (c) n not a power of two (odd-tail copies at width 4) and nine
+        // distinct keys, so most comparisons take the key1/stability branch.
+        {1500, 2048, 3, 2, "0x1.eddd6813bbdf3p+20", "0x1.6638484cd4ce7p+19", "0x1.4226p+18",
+         "0x1.c889c7da9f56dp+19", "0x1.7cb8p+14", 18464},
+    };
+    const auto f = AccessFunction::polynomial(0.5);
+    const std::uint64_t r = 5;
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(pin.n);
+        const model::Addr base = 4096, scratch = base + pin.n * r;
+        Machine m(f, scratch + pin.n * r);
+        SplitMix64 rng(pin.n);
+        std::vector<std::array<Word, 5>> ref(pin.n);
+        for (std::uint64_t i = 0; i < pin.n; ++i) {
+            ref[i] = {rng.next_below(pin.key_range), rng.next_below(pin.key_range), i,
+                      rng.next(), rng.next()};
+            for (std::uint64_t t = 0; t < r; ++t) m.raw()[base + i * r + t] = ref[i][t];
+        }
+        // The tower merge_sort_records stages its merges through (same chunk
+        // rule); the pinned level count keeps each case on its tower shape.
+        std::uint64_t chunk = chunk_words(m, scratch + pin.n * r - 1, pin.stage_words / 3);
+        chunk -= chunk % r;
+        EXPECT_EQ(StageTower(m, 0, chunk, r, /*lanes=*/3).levels.size(), pin.tower_levels);
+
+        merge_sort_records(m, base, pin.n, r, scratch, /*stage=*/0, pin.stage_words);
+        EXPECT_EQ(hex(m.cost()), pin.cost);
+        EXPECT_EQ(hex(m.transfer_latency_cost()), pin.latency);
+        EXPECT_EQ(hex(m.transfer_volume_cost()), pin.volume);
+        EXPECT_EQ(hex(m.word_access_cost()), pin.word_access);
+        EXPECT_EQ(hex(m.unit_op_cost()), pin.unit_ops);
+        EXPECT_EQ(m.block_transfers(), pin.block_transfers);
+
+        std::stable_sort(ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+            return a[0] != b[0] ? a[0] < b[0] : a[1] < b[1];
+        });
+        for (std::uint64_t i = 0; i < pin.n; ++i) {
+            for (std::uint64_t t = 0; t < r; ++t) {
+                ASSERT_EQ(m.raw()[base + i * r + t], ref[i][t]) << "i=" << i << " t=" << t;
+            }
+        }
+    }
 }
 
 TEST(BtTranspose, TransposesSmallDirect) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "bt/primitives.hpp"
@@ -13,7 +14,7 @@ using model::Word;
 
 TEST(StageTower, SingleLevelForSmallChunks) {
     Machine m(AccessFunction::logarithmic(), 4096);
-    StageTower t(m, 0, 16, 1, 0, 1);
+    StageTower t(m, 0, 16, 1);
     EXPECT_EQ(t.levels.size(), 1u);
     EXPECT_EQ(t.levels[0].addr, 0u);
     EXPECT_EQ(t.levels[0].capacity, 16u);
@@ -21,7 +22,7 @@ TEST(StageTower, SingleLevelForSmallChunks) {
 
 TEST(StageTower, BuildsMultipleLevelsForDeepChunks) {
     Machine m(AccessFunction::polynomial(0.5), 1 << 20);
-    StageTower t(m, 0, 4096, 1, 0, 1);
+    StageTower t(m, 0, 4096, 1);
     ASSERT_GE(t.levels.size(), 2u);
     // Inner levels shrink and sit shallower than outer ones.
     for (std::size_t k = 1; k < t.levels.size(); ++k) {
@@ -38,36 +39,37 @@ TEST(StageTower, BuildsMultipleLevelsForDeepChunks) {
 
 TEST(StageTower, CapacitiesRespectAlignment) {
     Machine m(AccessFunction::polynomial(0.5), 1 << 20);
-    StageTower t(m, 0, 4095, 5, 0, 1);  // chunk multiple of 5
+    StageTower t(m, 0, 4095, 5);  // chunk multiple of 5
     for (const auto& level : t.levels) EXPECT_EQ(level.capacity % 5, 0u);
 }
 
 TEST(StageTower, LanesInterleaveDepthwise) {
     Machine m(AccessFunction::polynomial(0.5), 1 << 20);
-    StageTower a(m, 0, 1024, 1, 0, 3);
-    StageTower b(m, 0, 1024, 1, 1, 3);
-    StageTower c(m, 0, 1024, 1, 2, 3);
-    ASSERT_EQ(a.levels.size(), b.levels.size());
-    ASSERT_EQ(a.levels.size(), c.levels.size());
-    for (std::size_t k = 0; k < a.levels.size(); ++k) {
-        // Same capacities, adjacent addresses per level.
-        EXPECT_EQ(a.levels[k].capacity, b.levels[k].capacity);
-        EXPECT_EQ(b.levels[k].addr, a.levels[k].addr + a.levels[k].capacity);
-        EXPECT_EQ(c.levels[k].addr, b.levels[k].addr + b.levels[k].capacity);
+    StageTower t(m, 0, 1024, 1, 3);
+    ASSERT_GE(t.levels.size(), 2u);
+    for (std::size_t k = 0; k < t.levels.size(); ++k) {
+        // Adjacent lane buffers per level, lane 0 first.
+        EXPECT_EQ(t.addr(k, 0), t.levels[k].addr);
+        EXPECT_EQ(t.addr(k, 1), t.addr(k, 0) + t.levels[k].capacity);
+        EXPECT_EQ(t.addr(k, 2), t.addr(k, 1) + t.levels[k].capacity);
     }
     // All three innermost buffers sit in front of any outer buffer.
-    EXPECT_LT(c.levels.back().addr + c.levels.back().capacity,
-              a.levels.front().addr + 1);
+    const std::size_t inner = t.levels.size() - 1;
+    EXPECT_LT(t.addr(inner, 2) + t.levels[inner].capacity, t.addr(0, 0) + 1);
+    // The window is exactly three chunks.
+    EXPECT_EQ(t.end - t.stage, 3u * 1024u);
 }
 
 TEST(StagedStream, RoundTripLargeRegion) {
     const std::uint64_t n = 100000;
     Machine m(AccessFunction::polynomial(0.5), 3 * n + 8192);
     {
-        StagedWriter wr(m, 8192, n, 0, 512);
+        const StageTower tower(m, 0, 512, 1);
+        StagedWriter wr(m, tower, 0, 8192, n);
         for (std::uint64_t i = 0; i < n; ++i) wr.push(i * 7 + 1);
     }
-    StagedReader rd(m, 8192, n, 0, 512);
+    const StageTower tower(m, 0, 512, 1);
+    StagedReader rd(m, tower, 0, 8192, n);
     for (std::uint64_t i = 0; i < n; ++i) {
         ASSERT_EQ(rd.peek(), i * 7 + 1) << i;
         rd.advance(1);
@@ -83,7 +85,8 @@ TEST(StagedStream, AmortizedCostPerWordIsSmall) {
     Machine m(f, 2 * n + 8192);
     m.reset_cost();
     const std::uint64_t chunk = chunk_words(m, 8192 + n, 2048);
-    StagedReader rd(m, 8192, n, 0, chunk);
+    const StageTower tower(m, 0, chunk, 1);
+    StagedReader rd(m, tower, 0, 8192, n);
     Word acc = 0;
     while (!rd.done()) {
         acc ^= rd.peek();
@@ -106,9 +109,10 @@ TEST(StagedStream, ThreeLaneMergePattern) {
         raw[4096 + n + i] = 2 * i + 1;  // odds
     }
     const std::uint64_t chunk = 120;
-    StagedReader ra(m, 4096, n, 0, chunk, 1, 0, 3);
-    StagedReader rb(m, 4096 + n, n, 0, chunk, 1, 1, 3);
-    StagedWriter out(m, 4096 + 2 * n, 2 * n, 0, chunk, 1, 2, 3);
+    const StageTower tower(m, 0, chunk, 1, 3);
+    StagedReader ra(m, tower, 0, 4096, n);
+    StagedReader rb(m, tower, 1, 4096 + n, n);
+    StagedWriter out(m, tower, 2, 4096 + 2 * n, 2 * n);
     while (!ra.done() || !rb.done()) {
         if (!ra.done() && (rb.done() || ra.peek() <= rb.peek())) {
             out.push(ra.peek());
@@ -127,7 +131,8 @@ TEST(StagedStream, ThreeLaneMergePattern) {
 TEST(StagedStream, WriterDestructorFlushesPartial) {
     Machine m(AccessFunction::logarithmic(), 4096);
     {
-        StagedWriter wr(m, 2048, 33, 0, 64);
+        const StageTower tower(m, 0, 64, 1);
+        StagedWriter wr(m, tower, 0, 2048, 33);
         for (int i = 0; i < 33; ++i) wr.push(i);
     }
     for (int i = 0; i < 33; ++i) EXPECT_EQ(m.raw()[2048 + i], static_cast<Word>(i));
@@ -139,13 +144,67 @@ TEST(StagedStream, RecordPeeksNeverStraddle) {
     Machine m(AccessFunction::polynomial(0.5), 2 * recs * rw + 4096);
     auto raw = m.raw();
     for (std::uint64_t i = 0; i < recs * rw; ++i) raw[4096 + i] = i;
-    StagedReader rd(m, 4096, recs * rw, 0, 125, rw);
+    const StageTower tower(m, 0, 125, rw);
+    StagedReader rd(m, tower, 0, 4096, recs * rw);
     for (std::uint64_t r = 0; r < recs; ++r) {
         for (std::uint64_t t = 0; t < rw; ++t) {
             ASSERT_EQ(rd.peek(t), r * rw + t);
         }
         rd.advance(rw);
     }
+}
+
+TEST(StagedStream, ResetMatchesFreshStreams) {
+    // A reader and a writer re-aimed over two regions must move the same data
+    // and charge the same bits as fresh streams on each region.
+    const auto f = AccessFunction::polynomial(0.5);
+    const std::uint64_t rw = 5, n1 = 700, n2 = 455;  // words, multiples of rw
+    auto fill = [&](Machine& m) {
+        SplitMix64 rng(11);
+        for (std::uint64_t i = 0; i < n1 + n2; ++i) m.raw()[8192 + i] = rng.next();
+    };
+    // Copy [8192, +n1) to [16384, +n1), then [8192+n1, +n2) to [20480, +n2).
+    auto copy = [&](StagedReader& rd, StagedWriter& wr) {
+        while (!rd.done()) {
+            for (std::uint64_t t = 0; t < rw; ++t) wr.push(rd.peek(t));
+            rd.advance(rw);
+        }
+        wr.flush();
+    };
+    Machine fresh(f, 1 << 15), reused(f, 1 << 15);
+    fill(fresh);
+    fill(reused);
+    const StageTower tf(fresh, 0, 250, rw, 2), tr(reused, 0, 250, rw, 2);
+    ASSERT_GE(tf.levels.size(), 2u);
+    {
+        StagedReader rd(fresh, tf, 0, 8192, n1);
+        StagedWriter wr(fresh, tf, 1, 16384, n1);
+        copy(rd, wr);
+    }
+    {
+        StagedReader rd(fresh, tf, 0, 8192 + n1, n2);
+        StagedWriter wr(fresh, tf, 1, 20480, n2);
+        copy(rd, wr);
+    }
+    StagedReader rd(reused, tr, 0, 8192, n1);
+    StagedWriter wr(reused, tr, 1, 16384, n1);
+    copy(rd, wr);
+    rd.reset(8192 + n1, n2);
+    wr.reset(20480, n2);
+    copy(rd, wr);
+
+    for (std::uint64_t i = 0; i < reused.capacity(); ++i) {
+        ASSERT_EQ(reused.raw()[i], fresh.raw()[i]) << i;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.cost()),
+              std::bit_cast<std::uint64_t>(fresh.cost()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.transfer_latency_cost()),
+              std::bit_cast<std::uint64_t>(fresh.transfer_latency_cost()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.transfer_volume_cost()),
+              std::bit_cast<std::uint64_t>(fresh.transfer_volume_cost()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.word_access_cost()),
+              std::bit_cast<std::uint64_t>(fresh.word_access_cost()));
+    EXPECT_EQ(reused.block_transfers(), fresh.block_transfers());
 }
 
 }  // namespace

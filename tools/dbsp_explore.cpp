@@ -364,6 +364,14 @@ int main(int argc, char** argv) {
         return 0;
     }
 
+    // Program-specific sizes; each rule is the program class's own.
+    if (program_name == "matmul" && !algo::MatMulProgram::valid_size(v)) {
+        bad_arg("--v", std::to_string(v).c_str(), "a power of 4 for --program matmul");
+    }
+    if (program_name == "fft-rec" && !algo::FftRecursiveProgram::valid_size(v)) {
+        bad_arg("--v", std::to_string(v).c_str(),
+                "2^(2^k) or at most 4 for --program fft-rec");
+    }
     auto program = make_program(program_name, v, seed);
     if (!program) usage(argv[0]);
     const std::size_t mu = program->context_words();
