@@ -9,8 +9,11 @@ namespace dbsp::algo {
 
 OddEvenTranspositionSortProgram::OddEvenTranspositionSortProgram(std::vector<Word> keys)
     : keys_(std::move(keys)), log_v_(ilog2(keys_.size())) {
-    DBSP_REQUIRE(is_pow2(keys_.size()));
-    DBSP_REQUIRE(keys_.size() >= 2);  // a 1-key network has no exchanges
+    DBSP_REQUIRE(valid_size(keys_.size()));
+}
+
+bool OddEvenTranspositionSortProgram::valid_size(std::uint64_t n) {
+    return is_pow2(n) && n >= 2;
 }
 
 ProcId OddEvenTranspositionSortProgram::partner(StepIndex round, ProcId p) const {

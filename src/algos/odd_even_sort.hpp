@@ -27,8 +27,12 @@ using model::Word;
 
 class OddEvenTranspositionSortProgram final : public Program {
 public:
-    /// \p keys: one per processor (size a power of two).
+    /// \p keys: one per processor, with valid_size(keys.size()).
     explicit OddEvenTranspositionSortProgram(std::vector<Word> keys);
+
+    /// True iff the network can sort \p n keys: a power of two, at least 2
+    /// (a 1-key network has no exchanges).
+    static bool valid_size(std::uint64_t n);
 
     std::string name() const override { return "odd-even-transposition-sort"; }
     std::uint64_t num_processors() const override { return keys_.size(); }

@@ -11,17 +11,17 @@ namespace dbsp::algo {
 namespace {
 
 /// A uniformly random permutation of the processors that fixes every
-/// l-cluster setwise (Fisher-Yates within each cluster).
+/// l-cluster setwise (Fisher-Yates within each cluster, on the cluster's
+/// slice of the identity in place).
 std::vector<ProcId> cluster_permutation(std::uint64_t v, unsigned l, SplitMix64& rng) {
     const std::uint64_t csize = v >> l;
     std::vector<ProcId> out(v);
+    std::iota(out.begin(), out.end(), ProcId{0});
     for (std::uint64_t first = 0; first < v; first += csize) {
-        std::vector<ProcId> perm(csize);
-        std::iota(perm.begin(), perm.end(), first);
+        ProcId* const perm = out.data() + first;
         for (std::uint64_t i = csize; i > 1; --i) {
             std::swap(perm[i - 1], perm[rng.next_below(i)]);
         }
-        for (std::uint64_t i = 0; i < csize; ++i) out[first + i] = perm[i];
     }
     return out;
 }

@@ -54,10 +54,12 @@ StageTower::StageTower(const Machine& m, Addr stage, std::uint64_t chunk,
     DBSP_REQUIRE(lanes >= 1);
     DBSP_REQUIRE(end <= m.capacity());
     // Raw level sizes: s_{k+1} ~ f(s_k), aligned, until levels stop paying
-    // for themselves.
+    // for themselves. Below 32 words a next level would hold under 8 words,
+    // which the loop rejects anyway, and its cap prev / 4 could be 0.
     levels.push_back(Level{0, chunk});
     while (true) {
         const std::uint64_t prev = levels.back().capacity;
+        if (prev < 32) break;
         std::uint64_t nxt = chunk_words(m, stage + lanes * prev, prev / 4);
         nxt -= nxt % align;
         if (nxt < align || nxt < 8 || 4 * nxt > prev) break;

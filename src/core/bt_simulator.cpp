@@ -17,7 +17,6 @@ namespace {
 
 using model::Addr;
 using model::ClusterTree;
-using model::ContextAccessor;
 using model::ContextLayout;
 using model::ProcId;
 using model::StepIndex;
@@ -44,86 +43,24 @@ Word msg_key1(Word prio, Word src, Word seq) {
 
 constexpr std::int64_t kEmptySlot = -1;
 
-/// Context accessor for COMPUTE's base case, charging into a shard account
-/// (and trace sink when Traced) with exactly bt::Machine's accounting —
-/// including the independent cost/word_access decomposition of read_range —
-/// at the *virtual* address (0: the top of memory, where the schedule
-/// executes the context) while the data stays in place at the *physical*
-/// base (the context's entry slot). The BT counterpart of HmmShardAccessor.
+/// Prices a step's touch log for COMPUTE's base case into a shard account
+/// (and trace sink when Traced) with exactly bt::Machine's per-word
+/// accounting — cost and word_access fold independently, entry by entry in
+/// log order — at the *virtual* address vbase + i (vbase 0: the top of
+/// memory, where the schedule executes the context) while the data stays in
+/// place at the context's entry slot.
 template <bool Traced>
-class BtShardAccessor final : public ContextAccessor {
-public:
-    BtShardAccessor(bt::Machine& m, bt::ShardAccount& account, trace::Sink* sink,
-                    Addr vbase, Addr pbase, std::size_t mu)
-        : m_(m), account_(account), sink_(sink), vbase_(vbase), pbase_(pbase),
-          mu_(mu) {}
-
-    Word get(std::size_t index) const override {
-        DBSP_REQUIRE(index < mu_);
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
-        const double delta = m_.table().cost(vx);
-        account_.cost += delta;
-        account_.word_access += delta;
-        if constexpr (Traced) sink_->access(vx, delta);
-        return m_.raw()[pbase_ + index];
+void price_touches(const bt::Machine& m, trace::Sink* sink, const model::TouchLog& touches,
+                   Addr vbase, std::size_t mu, bt::ShardAccount& account) {
+    const model::CostTable& table = m.table();
+    for (const std::uint32_t i : touches) {
+        DBSP_REQUIRE(i < mu);
+        const double delta = table.cost(vbase + i);
+        account.cost += delta;
+        account.word_access += delta;
+        if constexpr (Traced) sink->access(vbase + i, delta);
     }
-
-    void set(std::size_t index, Word value) override {
-        DBSP_REQUIRE(index < mu_);
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
-        const double delta = m_.table().cost(vx);
-        account_.cost += delta;
-        account_.word_access += delta;
-        if constexpr (Traced) sink_->access(vx, delta);
-        m_.raw()[pbase_ + index] = value;
-    }
-
-    void get_range(std::size_t index, std::span<Word> out) const override {
-        DBSP_REQUIRE(index + out.size() <= mu_);
-        if (out.empty()) return;
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx + out.size() <= m_.capacity() &&
-                     pbase_ + index + out.size() <= m_.capacity());
-        account_.cost = m_.table().accumulate(vx, vx + out.size(), account_.cost);
-        account_.word_access =
-            m_.table().accumulate(vx, vx + out.size(), account_.word_access);
-        ++account_.range_ops;
-        account_.range_words += out.size();
-        if constexpr (Traced) sink_->access_range(m_.table().prefix(), vx, vx + out.size());
-        const auto raw = m_.raw();
-        std::copy_n(raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index), out.size(),
-                    out.begin());
-    }
-
-    void set_range(std::size_t index, std::span<const Word> values) override {
-        DBSP_REQUIRE(index + values.size() <= mu_);
-        if (values.empty()) return;
-        const Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx + values.size() <= m_.capacity() &&
-                     pbase_ + index + values.size() <= m_.capacity());
-        account_.cost = m_.table().accumulate(vx, vx + values.size(), account_.cost);
-        account_.word_access =
-            m_.table().accumulate(vx, vx + values.size(), account_.word_access);
-        ++account_.range_ops;
-        account_.range_words += values.size();
-        if constexpr (Traced) {
-            sink_->access_range(m_.table().prefix(), vx, vx + values.size());
-        }
-        const auto raw = m_.raw();
-        std::copy_n(values.begin(), values.size(),
-                    raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index));
-    }
-
-private:
-    bt::Machine& m_;
-    bt::ShardAccount& account_;
-    trace::Sink* sink_;  ///< non-null iff Traced
-    Addr vbase_;         ///< charged addresses
-    Addr pbase_;         ///< data addresses
-    std::size_t mu_;
-};
+}
 
 /// A parsed processor context (executor bookkeeping; all words it carries
 /// were charged when read from the machine). One instance serves a whole
@@ -148,6 +85,7 @@ public:
           machine_(f, pad_ + total_slots_ * mu_ + 64),
           proc_of_slot_(total_slots_, kEmptySlot), slot_of_proc_(v_), sigma_(v_, 0) {
         machine_.set_trace(options_.trace);
+        touches_.reserve(2 * mu_);
     }
 
     BtSimResult run();
@@ -211,6 +149,7 @@ private:
     /// runs in place at the slot it held when COMPUTE began.
     std::vector<std::uint64_t> entry_slot_;  ///< slot_of_proc_ at COMPUTE entry
     bt::ShardAccount account_;               ///< one context execution's fold
+    model::TouchLog touches_;                ///< the executing context's touch log
     bool walking_ = false;  ///< move_slot_run charges without copying
 };
 
@@ -306,14 +245,16 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
         const Addr pbase = slot_addr(entry_slot_[proc]);
         trace::Sink* const sink = machine_.trace();
         machine_.charge_transfer(slot_addr(0), 0, mu_);
-        model::StepOutcome out;
+        // Both images of the context lie in memory, so with i < mu every
+        // priced address and every word the step touches does too.
+        DBSP_REQUIRE(mu_ <= machine_.capacity() && pbase + mu_ <= machine_.capacity());
+        const model::StepOutcome out = model::run_processor_step(
+            program_, layout_, tree_, s, proc, machine_.raw().subspan(pbase, mu_), touches_);
         if (sink != nullptr) {
-            BtShardAccessor<true> acc(machine_, account_, sink, 0, pbase, mu_);
-            out = model::run_processor_step(program_, layout_, tree_, s, proc, acc);
+            price_touches<true>(machine_, sink, touches_, 0, mu_, account_);
             sink->charge(static_cast<double>(out.ops));
         } else {
-            BtShardAccessor<false> acc(machine_, account_, nullptr, 0, pbase, mu_);
-            out = model::run_processor_step(program_, layout_, tree_, s, proc, acc);
+            price_touches<false>(machine_, nullptr, touches_, 0, mu_, account_);
         }
         account_.charge(static_cast<double>(out.ops));
         machine_.merge_shard(account_);

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file hmm_shard.hpp
-/// Context accessors over hmm::Machine memory that fold their charges into
-/// an hmm::ShardAccount, shared by the HMM simulators' step execution and
-/// message delivery.
+/// Step execution and message delivery over hmm::Machine memory that fold
+/// their charges into an hmm::ShardAccount, shared by the HMM simulators.
 ///
 /// Each step execution, and each delivery group, is folded from zero into a
 /// ShardAccount and then added to the machine once (Machine::merge_shard).
@@ -18,8 +17,12 @@
 /// swap-back is a net identity on memory, so a simulation round executes
 /// each context in place and charges the moves without performing them
 /// (Machine::charge_swap_blocks).
+///
+/// Traced or untraced is a template parameter: a simulator instantiates its
+/// round loop once per mode, so the untraced loop carries no sink test.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "hmm/machine.hpp"
@@ -29,18 +32,68 @@
 
 namespace dbsp::core {
 
-/// Context accessor charging into a shard account (and trace sink when
+/// Runs processors' steps in place on hmm::Machine memory. A step reads and
+/// writes its context as a plain span; afterwards its touch log is priced in
+/// log order into the caller's account — f(vbase + i) per entry, the fold
+/// HmmShardAccessor::get/set apply — followed by the unit-op charge. When
+/// Traced, the sink sees each entry's access event and then the op charge.
+/// Nothing else can charge or emit an event while a step runs, so the
+/// events arrive in the order the step touched its words.
+template <bool Traced>
+class HmmStepRunner {
+public:
+    HmmStepRunner(hmm::Machine& m, model::Program& program, const model::ClusterTree& tree)
+        : m_(m), program_(program), tree_(tree), layout_(program.layout()),
+          mu_(layout_.context_words()), sink_(Traced ? m.trace() : nullptr) {
+        DBSP_REQUIRE(!Traced || sink_ != nullptr);
+        touches_.reserve(2 * mu_);
+    }
+
+    /// Run superstep \p s of processor \p p, whose context sits at \p pbase,
+    /// charging it as if it sat at \p vbase.
+    model::StepOutcome run(hmm::ShardAccount& account, model::StepIndex s, model::ProcId p,
+                           model::Addr vbase, model::Addr pbase) {
+        // Both images of the context lie in memory, so with i < mu every
+        // priced address and every word the step touches does too.
+        DBSP_REQUIRE(vbase + mu_ <= m_.capacity() && pbase + mu_ <= m_.capacity());
+        const model::StepOutcome out = model::run_processor_step(
+            program_, layout_, tree_, s, p, m_.raw().subspan(pbase, mu_), touches_);
+        const model::CostTable& table = m_.table();
+        for (const std::uint32_t i : touches_) {
+            DBSP_REQUIRE(i < mu_);
+            const double delta = table.cost(vbase + i);
+            account.cost += delta;
+            if constexpr (Traced) sink_->access(vbase + i, delta);
+        }
+        account.words_touched += touches_.size();
+        const auto ops = static_cast<double>(out.ops);
+        if constexpr (Traced) sink_->charge(ops);
+        account.cost += ops;  // unit op costs
+        return out;
+    }
+
+private:
+    hmm::Machine& m_;
+    model::Program& program_;
+    const model::ClusterTree& tree_;
+    const model::ContextLayout layout_;
+    const std::size_t mu_;
+    trace::Sink* const sink_;  ///< non-null iff Traced
+    model::TouchLog touches_;  ///< reused by every step of the run
+};
+
+/// Delivery accessor charging into a shard account (and trace sink when
 /// Traced) instead of the machine. Mirrors hmm::Machine's read/write/
 /// read_range/write_range accounting bit for bit, at the virtual address.
 template <bool Traced>
-class HmmShardAccessor final : public model::ContextAccessor {
+class HmmShardAccessor {
 public:
     HmmShardAccessor(hmm::Machine& m, hmm::ShardAccount& account, trace::Sink* sink,
                      model::Addr vbase, model::Addr pbase, std::size_t mu)
         : m_(m), account_(account), sink_(sink), vbase_(vbase), pbase_(pbase),
           mu_(mu) {}
 
-    model::Word get(std::size_t index) const override {
+    model::Word get(std::size_t index) const {
         DBSP_REQUIRE(index < mu_);
         const model::Addr vx = vbase_ + index;
         DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
@@ -51,7 +104,7 @@ public:
         return m_.raw()[pbase_ + index];
     }
 
-    void set(std::size_t index, model::Word value) override {
+    void set(std::size_t index, model::Word value) {
         DBSP_REQUIRE(index < mu_);
         const model::Addr vx = vbase_ + index;
         DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
@@ -62,7 +115,7 @@ public:
         m_.raw()[pbase_ + index] = value;
     }
 
-    void get_range(std::size_t index, std::span<model::Word> out) const override {
+    void get_range(std::size_t index, std::span<model::Word> out) const {
         DBSP_REQUIRE(index + out.size() <= mu_);
         if (out.empty()) return;
         const model::Addr vx = vbase_ + index;
@@ -77,7 +130,7 @@ public:
                     out.begin());
     }
 
-    void set_range(std::size_t index, std::span<const model::Word> values) override {
+    void set_range(std::size_t index, std::span<const model::Word> values) {
         DBSP_REQUIRE(index + values.size() <= mu_);
         if (values.empty()) return;
         const model::Addr vx = vbase_ + index;
@@ -108,27 +161,27 @@ private:
     std::size_t mu_;
 };
 
-/// Accessor source over HMM memory for the delivery protocol. Processor p's
+/// Context source over HMM memory for model::deliver_messages. Processor p's
 /// context lives at block_of_proc[p] * mu (or identity blocks when
 /// \p block_of_proc is nullptr — the pinned naive layout); delivery traffic
 /// charges at the physical address, so vbase == pbase here. Each delivery
 /// group folds into one account and is added to the machine at group_end.
 template <bool Traced>
-class HmmShardSource final : public model::AccessorSource {
+class HmmShardSource {
 public:
     HmmShardSource(hmm::Machine& m, std::size_t mu,
                    const std::vector<std::uint64_t>* block_of_proc)
         : m_(m), mu_(mu), block_of_proc_(block_of_proc),
           acc_(m, account_, Traced ? m.trace() : nullptr, 0, 0, mu) {}
 
-    model::ContextAccessor& at(model::ProcId p) override {
+    HmmShardAccessor<Traced>& at(model::ProcId p) {
         const model::Addr base =
             (block_of_proc_ != nullptr ? (*block_of_proc_)[p] : p) * mu_;
         acc_.rebind(base, base);
         return acc_;
     }
 
-    void group_end() override {
+    void group_end() {
         m_.merge_shard(account_);
         account_.clear();
     }

@@ -13,7 +13,6 @@ namespace {
 
 using model::Addr;
 using model::ClusterTree;
-using model::ContextAccessor;
 using model::ContextLayout;
 using model::ProcId;
 using model::StepIndex;
@@ -49,64 +48,31 @@ struct SimState {
     }
 };
 
-}  // namespace
 
-std::vector<Word> HmmSimResult::data_of(ProcId p) const {
-    DBSP_REQUIRE(p < contexts.size());
-    const auto& ctx = contexts[p];
-    return std::vector<Word>(ctx.begin(),
-                             ctx.begin() + static_cast<std::ptrdiff_t>(data_words));
-}
-
-HmmSimResult HmmSimulator::simulate(model::Program& program) const {
-    return simulate_with(program, model::DbspMachine::initial_contexts(program));
-}
-
-HmmSimResult HmmSimulator::simulate_with(
-    model::Program& program, const std::vector<std::vector<Word>>& initial) const {
-    const std::uint64_t v = program.num_processors();
-    const ClusterTree tree(v);
+/// The rounds of Figure 1 from the initial layout to Step 3, instantiated
+/// once per trace mode: the untraced loop has no sink to test, and a traced
+/// one attributes every charge to a phase. Returns the number of rounds.
+template <bool Traced>
+std::uint64_t run_rounds(SimState& st, model::Program& program, const ClusterTree& tree,
+                         bool check_invariants) {
+    trace::Sink* const sink = Traced ? st.machine.trace() : nullptr;
     const ContextLayout layout = program.layout();
-    const std::size_t mu = layout.context_words();
+    const std::size_t mu = st.mu;
     const StepIndex steps = program.num_supersteps();
-    DBSP_REQUIRE(steps > 0);
-    DBSP_REQUIRE(program.label(steps - 1) == 0);
-
-    SimState st(f_, v, mu);
-    trace::Sink* const sink = options_.trace;
-    st.machine.set_trace(sink);
-
-    // Load the initial contexts (the input configuration; uncharged, as the
-    // simulated machine is assumed to start from this memory image).
-    DBSP_REQUIRE(initial.size() == v);
-    {
-        auto raw = st.machine.raw();
-        for (ProcId p = 0; p < v; ++p) {
-            DBSP_REQUIRE(initial[p].size() == mu);
-            std::copy(initial[p].begin(), initial[p].end(),
-                      raw.begin() + static_cast<std::ptrdiff_t>(p * mu));
-        }
-    }
+    const std::uint64_t v = tree.processors();
 
     // sigma[p]: next superstep to simulate for processor p.
     std::vector<StepIndex> sigma(v, 0);
 
-    HmmShardSource<false> contexts_plain(st.machine, mu, &st.block_of_proc);
-    HmmShardSource<true> contexts_traced(st.machine, mu, &st.block_of_proc);
-    model::AccessorSource& contexts =
-        sink != nullptr ? static_cast<model::AccessorSource&>(contexts_traced)
-                        : static_cast<model::AccessorSource&>(contexts_plain);
+    HmmStepRunner<Traced> runner(st.machine, program, tree);
+    HmmShardSource<Traced> contexts(st.machine, mu, &st.block_of_proc);
     model::DeliveryScratch scratch;
 
     // Step 2a fold: each step execution charges into this account from zero.
     hmm::ShardAccount account;
 
-    HmmSimResult result;
-    result.data_words = program.data_words();
-
-    static auto& metric_runs = report::metric_counter("sim.hmm.runs");
     static auto& metric_rounds = report::metric_counter("sim.hmm.rounds");
-    metric_runs.add();
+    std::uint64_t rounds = 0;
 
     while (true) {
         // Step 1: pick the processor whose context is on top of memory.
@@ -116,16 +82,16 @@ HmmSimResult HmmSimulator::simulate_with(
         const unsigned label = program.label(s);
         const std::uint64_t csize = tree.cluster_size(label);
         const ProcId first = tree.cluster_first(tree.cluster_of(top_proc, label), label);
-        ++result.rounds;
+        ++rounds;
         metric_rounds.add();
         // Rounds executing a smoothing-inserted dummy superstep attribute all
         // their charges (swaps included) to the dummy-superstep phase.
-        const bool dummy_round = sink != nullptr && program.is_dummy_step(s);
+        const bool dummy_round = Traced && program.is_dummy_step(s);
         const auto ph = [dummy_round](trace::Phase p) {
             return dummy_round ? trace::Phase::kDummyStep : p;
         };
 
-        if (options_.check_invariants) {
+        if (check_invariants) {
             // Invariant 1: C is s-ready.
             for (ProcId p = first; p < first + csize; ++p) DBSP_ASSERT(sigma[p] == s);
             // Invariant 2 (top part): C's contexts occupy the topmost |C|
@@ -169,19 +135,7 @@ HmmSimResult HmmSimulator::simulate_with(
             }
             {
                 trace::PhaseScope exec(sink, ph(trace::Phase::kStepExec), label);
-                const ProcId p = first + idx;
-                model::StepOutcome out;
-                if (sink != nullptr) {
-                    HmmShardAccessor<true> acc(st.machine, account, sink, st.block_addr(0),
-                                               st.block_addr(idx), mu);
-                    out = model::run_processor_step(program, layout, tree, s, p, acc);
-                    sink->charge(static_cast<double>(out.ops));
-                } else {
-                    HmmShardAccessor<false> acc(st.machine, account, nullptr,
-                                                st.block_addr(0), st.block_addr(idx), mu);
-                    out = model::run_processor_step(program, layout, tree, s, p, acc);
-                }
-                account.cost += static_cast<double>(out.ops);  // unit op costs
+                runner.run(account, s, first + idx, st.block_addr(0), st.block_addr(idx));
                 st.machine.merge_shard(account);
                 account.clear();
             }
@@ -198,7 +152,7 @@ HmmSimResult HmmSimulator::simulate_with(
             trace::PhaseScope deliver(sink, ph(trace::Phase::kDeliver), label);
             model::deliver_messages(layout, first, csize, contexts, program.proc_id_base(),
                                     &scratch);
-            if (sink != nullptr) sink->messages(scratch.pending.size());
+            if constexpr (Traced) sink->messages(scratch.pending.size());
         }
 
         for (ProcId p = first; p < first + csize; ++p) sigma[p] = s + 1;
@@ -225,6 +179,55 @@ HmmSimResult HmmSimulator::simulate_with(
             }
         }
     }
+    return rounds;
+}
+
+}  // namespace
+
+std::vector<Word> HmmSimResult::data_of(ProcId p) const {
+    DBSP_REQUIRE(p < contexts.size());
+    const auto& ctx = contexts[p];
+    return std::vector<Word>(ctx.begin(),
+                             ctx.begin() + static_cast<std::ptrdiff_t>(data_words));
+}
+
+HmmSimResult HmmSimulator::simulate(model::Program& program) const {
+    return simulate_with(program, model::DbspMachine::initial_contexts(program));
+}
+
+HmmSimResult HmmSimulator::simulate_with(
+    model::Program& program, const std::vector<std::vector<Word>>& initial) const {
+    const std::uint64_t v = program.num_processors();
+    const ClusterTree tree(v);
+    const std::size_t mu = program.context_words();
+    const StepIndex steps = program.num_supersteps();
+    DBSP_REQUIRE(steps > 0);
+    DBSP_REQUIRE(program.label(steps - 1) == 0);
+
+    SimState st(f_, v, mu);
+    trace::Sink* const sink = options_.trace;
+    st.machine.set_trace(sink);
+
+    // Load the initial contexts (the input configuration; uncharged, as the
+    // simulated machine is assumed to start from this memory image).
+    DBSP_REQUIRE(initial.size() == v);
+    {
+        auto raw = st.machine.raw();
+        for (ProcId p = 0; p < v; ++p) {
+            DBSP_REQUIRE(initial[p].size() == mu);
+            std::copy(initial[p].begin(), initial[p].end(),
+                      raw.begin() + static_cast<std::ptrdiff_t>(p * mu));
+        }
+    }
+
+    HmmSimResult result;
+    result.data_words = program.data_words();
+
+    static auto& metric_runs = report::metric_counter("sim.hmm.runs");
+    metric_runs.add();
+    result.rounds = sink != nullptr
+                        ? run_rounds<true>(st, program, tree, options_.check_invariants)
+                        : run_rounds<false>(st, program, tree, options_.check_invariants);
 
     result.hmm_cost = st.machine.cost();
     result.words_touched = st.machine.words_touched();

@@ -11,36 +11,9 @@ namespace dbsp::core {
 namespace {
 
 using model::Addr;
-using model::ContextAccessor;
 using model::Message;
 using model::ProcId;
 using model::Word;
-
-class BtPinnedAccessor final : public ContextAccessor {
-public:
-    BtPinnedAccessor(bt::Machine& m, Addr base, std::size_t mu) : m_(m), base_(base), mu_(mu) {}
-    Word get(std::size_t i) const override {
-        DBSP_REQUIRE(i < mu_);
-        return m_.read(base_ + i);
-    }
-    void set(std::size_t i, Word value) override {
-        DBSP_REQUIRE(i < mu_);
-        m_.write(base_ + i, value);
-    }
-    void get_range(std::size_t i, std::span<Word> out) const override {
-        DBSP_REQUIRE(i + out.size() <= mu_);
-        m_.read_range(base_ + i, out);
-    }
-    void set_range(std::size_t i, std::span<const Word> values) override {
-        DBSP_REQUIRE(i + values.size() <= mu_);
-        m_.write_range(base_ + i, values);
-    }
-
-private:
-    bt::Machine& m_;
-    Addr base_;
-    std::size_t mu_;
-};
 
 }  // namespace
 
@@ -79,6 +52,8 @@ BtSimResult NaiveBtSimulator::simulate(model::Program& program) const {
     const bool bulk = model::bulk_access_enabled();
     std::vector<Message> pending;
     std::vector<Word> words;
+    model::TouchLog touches;
+    touches.reserve(2 * mu);
     for (model::StepIndex s = 0; s < steps; ++s) {
         ++result.rounds;
         pending.clear();
@@ -86,8 +61,16 @@ BtSimResult NaiveBtSimulator::simulate(model::Program& program) const {
         // context, paying the access function at its resident depth.
         for (ProcId p = 0; p < v; ++p) {
             const Addr base = ctx0 + p * mu;
-            BtPinnedAccessor acc(machine, base, mu);
-            const auto out = model::run_processor_step(program, layout, tree, s, p, acc);
+            DBSP_REQUIRE(base + mu <= machine.capacity());
+            const auto out = model::run_processor_step(
+                program, layout, tree, s, p, machine.raw().subspan(base, mu), touches);
+            // The step ran in place; charge its touches at their resident
+            // addresses, in order. A read and a write charge the same f(x),
+            // so a read prices either.
+            for (const std::uint32_t i : touches) {
+                DBSP_REQUIRE(i < mu);
+                (void)machine.read(base + i);
+            }
             machine.charge(static_cast<double>(out.ops));
             const auto cnt =
                 static_cast<std::size_t>(machine.read(base + layout.out_count_offset()));

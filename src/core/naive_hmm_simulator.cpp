@@ -12,17 +12,47 @@ namespace {
 
 using model::Addr;
 using model::ProcId;
-using model::Word;
+
+/// Every superstep on every processor, then delivery, instantiated once per
+/// trace mode. Returns the number of supersteps run.
+template <bool Traced>
+std::uint64_t run_supersteps(hmm::Machine& machine, model::Program& program, std::size_t mu) {
+    const std::uint64_t v = program.num_processors();
+    const model::ClusterTree tree(v);
+    const model::ContextLayout layout = program.layout();
+    const model::StepIndex steps = program.num_supersteps();
+
+    // Pinned layout: processor p lives at block p forever, so delivery and
+    // step execution both charge at the physical address (vbase == pbase).
+    HmmStepRunner<Traced> runner(machine, program, tree);
+    HmmShardSource<Traced> contexts(machine, mu, nullptr);
+    model::DeliveryScratch scratch;
+
+    // The step loop folds the same fixed-width processor groups as delivery:
+    // each group's charges accumulate from zero and reach the machine once.
+    hmm::ShardAccount account;
+
+    for (model::StepIndex s = 0; s < steps; ++s) {
+        for (ProcId lo = 0; lo < v; lo += model::kDeliveryGroupProcs) {
+            const ProcId hi = std::min<ProcId>(v, lo + model::kDeliveryGroupProcs);
+            for (ProcId p = lo; p < hi; ++p) {
+                const Addr base = p * mu;
+                runner.run(account, s, p, base, base);
+            }
+            machine.merge_shard(account);
+            account.clear();
+        }
+        model::deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
+    }
+    return steps;
+}
 
 }  // namespace
 
 HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
     const std::uint64_t v = program.num_processors();
-    const model::ClusterTree tree(v);
-    const model::ContextLayout layout = program.layout();
-    const std::size_t mu = layout.context_words();
-    const model::StepIndex steps = program.num_supersteps();
-    DBSP_REQUIRE(steps > 0);
+    const std::size_t mu = program.context_words();
+    DBSP_REQUIRE(program.num_supersteps() > 0);
 
     hmm::Machine machine(f_, static_cast<std::uint64_t>(mu) * v);
     trace::Sink* const sink = options_.trace;
@@ -36,43 +66,10 @@ HmmSimResult NaiveHmmSimulator::simulate(model::Program& program) const {
         }
     }
 
-    // Pinned layout: processor p lives at block p forever, so delivery and
-    // step execution both charge at the physical address (vbase == pbase).
-    HmmShardSource<false> contexts_plain(machine, mu, nullptr);
-    HmmShardSource<true> contexts_traced(machine, mu, nullptr);
-    model::AccessorSource& contexts =
-        sink != nullptr ? static_cast<model::AccessorSource&>(contexts_traced)
-                        : static_cast<model::AccessorSource&>(contexts_plain);
-    model::DeliveryScratch scratch;
-
-    // The step loop folds the same fixed-width processor groups as delivery:
-    // each group's charges accumulate from zero and reach the machine once.
-    hmm::ShardAccount account;
-
     HmmSimResult result;
     result.data_words = program.data_words();
-    for (model::StepIndex s = 0; s < steps; ++s) {
-        ++result.rounds;
-        for (ProcId lo = 0; lo < v; lo += model::kDeliveryGroupProcs) {
-            const ProcId hi = std::min<ProcId>(v, lo + model::kDeliveryGroupProcs);
-            for (ProcId p = lo; p < hi; ++p) {
-                const Addr base = p * mu;
-                model::StepOutcome out;
-                if (sink != nullptr) {
-                    HmmShardAccessor<true> acc(machine, account, sink, base, base, mu);
-                    out = model::run_processor_step(program, layout, tree, s, p, acc);
-                    sink->charge(static_cast<double>(out.ops));
-                } else {
-                    HmmShardAccessor<false> acc(machine, account, nullptr, base, base, mu);
-                    out = model::run_processor_step(program, layout, tree, s, p, acc);
-                }
-                account.cost += static_cast<double>(out.ops);  // unit op costs
-            }
-            machine.merge_shard(account);
-            account.clear();
-        }
-        model::deliver_messages(layout, 0, v, contexts, program.proc_id_base(), &scratch);
-    }
+    result.rounds = sink != nullptr ? run_supersteps<true>(machine, program, mu)
+                                    : run_supersteps<false>(machine, program, mu);
 
     result.hmm_cost = machine.cost();
     result.words_touched = machine.words_touched();

@@ -17,7 +17,6 @@ namespace {
 
 using model::Addr;
 using model::ClusterTree;
-using model::ContextAccessor;
 using model::ContextLayout;
 using model::Message;
 using model::ProcId;
@@ -121,6 +120,8 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
     const bool bulk = model::bulk_access_enabled();
     trace::Sink* const sink = trace_;
     std::vector<Word> scan;  // reused out-buffer staging for the bulk path
+    model::TouchLog touches;
+    touches.reserve(2 * mu);
 
     StepIndex s = 0;
     while (s < steps) {
@@ -177,33 +178,15 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
             for (std::uint64_t k = 0; k < w; ++k) {
                 // Cycle each guest context through the top of the local HMM.
                 if (k > 0) mem.swap_blocks(0, k * mu, mu);
-                hmm::Machine& m = mem;
-                class TopAccessor final : public ContextAccessor {
-                public:
-                    TopAccessor(hmm::Machine& m, std::size_t mu) : m_(m), mu_(mu) {}
-                    Word get(std::size_t i) const override {
-                        DBSP_REQUIRE(i < mu_);
-                        return m_.read(i);
-                    }
-                    void set(std::size_t i, Word value) override {
-                        DBSP_REQUIRE(i < mu_);
-                        m_.write(i, value);
-                    }
-                    void get_range(std::size_t i, std::span<Word> out) const override {
-                        DBSP_REQUIRE(i + out.size() <= mu_);
-                        m_.read_range(i, out);
-                    }
-                    void set_range(std::size_t i, std::span<const Word> values) override {
-                        DBSP_REQUIRE(i + values.size() <= mu_);
-                        m_.write_range(i, values);
-                    }
-
-                private:
-                    hmm::Machine& m_;
-                    std::size_t mu_;
-                } acc(m, mu);
-                const auto out =
-                    model::run_processor_step(program, layout, tree, s, j * w + k, acc);
+                const auto out = model::run_processor_step(
+                    program, layout, tree, s, j * w + k, mem.raw().subspan(0, mu), touches);
+                // The step ran on the top block in place; charge its touches
+                // there, in order. A read and a write charge the same f(x),
+                // so a read prices either.
+                for (const std::uint32_t i : touches) {
+                    DBSP_REQUIRE(i < mu);
+                    (void)mem.read(i);
+                }
                 mem.charge(static_cast<double>(out.ops));
                 if (k > 0) mem.swap_blocks(0, k * mu, mu);
             }

@@ -128,7 +128,8 @@ public:
     void charge_swap_blocks(Addr a, Addr b, std::uint64_t len);
 
     /// Fold one account into the machine: the cost fold is the single
-    /// `cost_ += account.cost`.
+    /// `cost_ += account.cost`. The 65 level buckets are added only when the
+    /// account holds a bulk op.
     void merge_shard(const ShardAccount& account);
 
     /// --- accounting --------------------------------------------------------

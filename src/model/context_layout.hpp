@@ -19,11 +19,6 @@
 /// simulators operate on this exact layout, which is what makes bit-for-bit
 /// functional equivalence between them testable.
 
-#include <algorithm>
-#include <span>
-
-#include "util/contracts.hpp"
-
 #include "model/types.hpp"
 
 namespace dbsp::model {
@@ -54,62 +49,6 @@ struct ContextLayout {
     constexpr std::size_t in_record_offset(std::size_t k) const {
         return in_records_offset() + kRecordWords * k;
     }
-};
-
-/// Abstract, cost-instrumented word storage for one processor context.
-/// The direct machine backs it with a plain array; the HMM/BT simulators back
-/// it with machine memory so every access is charged the model's cost.
-class ContextAccessor {
-public:
-    virtual ~ContextAccessor() = default;
-    virtual Word get(std::size_t index) const = 0;
-    virtual void set(std::size_t index, Word value) = 0;
-
-    /// Bulk read of the contiguous index range [index, index + out.size())
-    /// into \p out. The default walks get() word by word; charged accessors
-    /// override it to pay one virtual call and a fused per-cell charge loop
-    /// for the whole range (bit-identical cost, memcpy-able data movement).
-    virtual void get_range(std::size_t index, std::span<Word> out) const {
-        for (std::size_t i = 0; i < out.size(); ++i) out[i] = get(index + i);
-    }
-
-    /// Bulk write of \p values onto [index, index + values.size()).
-    virtual void set_range(std::size_t index, std::span<const Word> values) {
-        for (std::size_t i = 0; i < values.size(); ++i) set(index + i, values[i]);
-    }
-};
-
-/// Plain in-memory accessor over a caller-owned span of mu words.
-class FlatContextAccessor final : public ContextAccessor {
-public:
-    FlatContextAccessor(Word* base, std::size_t size) : base_(base), size_(size) {}
-    Word get(std::size_t index) const override {
-        DBSP_REQUIRE(index < size_);
-        return base_[index];
-    }
-    void set(std::size_t index, Word value) override {
-        DBSP_REQUIRE(index < size_);
-        base_[index] = value;
-    }
-    void get_range(std::size_t index, std::span<Word> out) const override {
-        DBSP_REQUIRE(index + out.size() <= size_);
-        std::copy_n(base_ + index, out.size(), out.begin());
-    }
-    void set_range(std::size_t index, std::span<const Word> values) override {
-        DBSP_REQUIRE(index + values.size() <= size_);
-        std::copy_n(values.begin(), values.size(), base_ + index);
-    }
-
-    /// Repoint this accessor at another context (accessor sources reuse one
-    /// object across processors instead of constructing per call).
-    void rebind(Word* base, std::size_t size) {
-        base_ = base;
-        size_ = size;
-    }
-
-private:
-    Word* base_;
-    std::size_t size_;
 };
 
 }  // namespace dbsp::model

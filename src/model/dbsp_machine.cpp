@@ -53,6 +53,7 @@ DbspResult DbspMachine::run(Program& program) const {
 
     VectorAccessorSource contexts(result.contexts, mu);
     DeliveryScratch scratch;
+    TouchLog touches;  // steps run on flat contexts and cost nothing per word
 
     for (StepIndex s = 0; s < steps; ++s) {
         const unsigned label = program.label(s);
@@ -64,7 +65,7 @@ DbspResult DbspMachine::run(Program& program) const {
         std::size_t max_sent = 0;
         for (ProcId p = 0; p < v; ++p) {
             const StepOutcome out =
-                run_processor_step(program, layout, tree, s, p, contexts.at(p));
+                run_processor_step(program, layout, tree, s, p, result.contexts[p], touches);
             stats.tau = std::max(stats.tau, out.ops);
             max_sent = std::max(max_sent, out.sent);
         }

@@ -1,75 +1,8 @@
 #include "model/program.hpp"
 
-#include <bit>
-
 #include "util/contracts.hpp"
 
 namespace dbsp::model {
-
-StepContext::StepContext(ContextAccessor& ctx, const ContextLayout& layout,
-                         const ClusterTree& tree, StepIndex superstep, unsigned label,
-                         ProcId proc, ProcId proc_base)
-    : ctx_(ctx), layout_(layout), tree_(tree), superstep_(superstep), label_(label),
-      proc_(proc), proc_base_(proc_base) {}
-
-Word StepContext::load(std::size_t i) {
-    DBSP_REQUIRE(i < layout_.data_words);
-    ++ops_;
-    return ctx_.get(i);
-}
-
-void StepContext::store(std::size_t i, Word value) {
-    DBSP_REQUIRE(i < layout_.data_words);
-    ++ops_;
-    ctx_.set(i, value);
-}
-
-double StepContext::load_double(std::size_t i) {
-    return std::bit_cast<double>(load(i));
-}
-
-void StepContext::store_double(std::size_t i, double value) {
-    store(i, std::bit_cast<Word>(value));
-}
-
-std::size_t StepContext::inbox_size() {
-    ++ops_;
-    read_inbox_ = true;
-    return static_cast<std::size_t>(ctx_.get(layout_.in_count_offset()));
-}
-
-Message StepContext::inbox(std::size_t k) {
-    DBSP_REQUIRE(k < layout_.max_messages);
-    read_inbox_ = true;
-    const std::size_t off = layout_.in_record_offset(k);
-    ++ops_;
-    Message m;
-    m.src = ctx_.get(off);  // sources are stored as global ids by delivery
-    m.payload0 = ctx_.get(off + 1);
-    m.payload1 = ctx_.get(off + 2);
-    m.dest = proc();
-    return m;
-}
-
-void StepContext::send(ProcId dest, Word payload0, Word payload1) {
-    DBSP_REQUIRE(dest >= proc_base_);
-    const ProcId local_dest = dest - proc_base_;
-    DBSP_REQUIRE(local_dest < tree_.processors());
-    // Communication discipline of an i-superstep: messages may not leave the
-    // sender's i-cluster (Section 2).
-    DBSP_REQUIRE(tree_.same_cluster(proc_, local_dest, label_));
-    DBSP_REQUIRE(sent_ < layout_.max_messages);
-    const std::size_t off = layout_.out_record_offset(sent_);
-    ctx_.set(off, local_dest);
-    ctx_.set(off + 1, payload0);
-    ctx_.set(off + 2, payload1);
-    ++sent_;
-    ++ops_;
-}
-
-void StepContext::send_double(ProcId dest, double payload0, double payload1) {
-    send(dest, std::bit_cast<Word>(payload0), std::bit_cast<Word>(payload1));
-}
 
 RelabeledProgram::RelabeledProgram(Program& base, std::vector<StepIndex> step_map,
                                    std::vector<unsigned> labels)

@@ -13,7 +13,9 @@
 /// out of order (that is the whole point of the paper), so any hidden global
 /// mutable state in a program would break functional equivalence.
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,38 +23,103 @@
 #include "model/cluster_tree.hpp"
 #include "model/context_layout.hpp"
 #include "model/types.hpp"
+#include "util/contracts.hpp"
 
 namespace dbsp::model {
 
-/// Execution-facing view of one processor during one superstep. Wraps the
-/// context storage, enforces the message discipline, and counts local
-/// operations so executors can compute tau_s = max per-processor work.
+class Program;
+struct StepOutcome;
+
+/// The word indices a step touched in its context, in order: the executor
+/// owns one log per run, and after each step prices it with its own fold.
+using TouchLog = std::vector<std::uint32_t>;
+
+/// Runs one processor's step; see superstep_exec.hpp.
+inline StepOutcome run_processor_step(Program& program, const ContextLayout& layout,
+                                      const ClusterTree& tree, StepIndex s, ProcId p,
+                                      std::span<Word> context, TouchLog& touches);
+
+/// Execution-facing view of one processor during one superstep. The step
+/// reads and writes the processor's mu-word context in place, as a plain
+/// span, and appends the index of every context word it touches to a touch
+/// log. No step makes a call per word into a machine: after the step the
+/// executor prices the log in order (the simulators, at the addresses their
+/// schedule charges) or clears it (the direct machine). The view also
+/// enforces the message discipline and counts local operations so executors
+/// can compute tau_s = max per-processor work.
 class StepContext {
 public:
-    /// \p proc is the processor's *local* index within \p tree; \p proc_base
-    /// is added to it for everything the program observes (proc(), message
-    /// sources and destinations). The base is nonzero only when a sub-machine
-    /// window of a larger program is executed (Section 4 self-simulation).
-    StepContext(ContextAccessor& ctx, const ContextLayout& layout, const ClusterTree& tree,
-                StepIndex superstep, unsigned label, ProcId proc, ProcId proc_base = 0);
+    /// \p context is the processor's whole context (layout.context_words()
+    /// words). \p proc is the processor's *local* index within \p tree;
+    /// \p proc_base is added to it for everything the program observes
+    /// (proc(), message sources and destinations). The base is nonzero only
+    /// when a sub-machine window of a larger program is executed (Section 4
+    /// self-simulation).
+    StepContext(std::span<Word> context, TouchLog& touches, const ContextLayout& layout,
+                const ClusterTree& tree, StepIndex superstep, unsigned label, ProcId proc,
+                ProcId proc_base = 0)
+        : context_(context), touches_(touches), layout_(layout), tree_(tree),
+          superstep_(superstep), label_(label), proc_(proc), proc_base_(proc_base) {
+        DBSP_REQUIRE(context.size() == layout.context_words());
+        DBSP_REQUIRE(context.size() <= std::numeric_limits<std::uint32_t>::max());
+    }
 
     /// --- user data ---------------------------------------------------------
-    Word load(std::size_t i);
-    void store(std::size_t i, Word value);
+    Word load(std::size_t i) {
+        DBSP_REQUIRE(i < layout_.data_words);
+        ++ops_;
+        return get(i);
+    }
+    void store(std::size_t i, Word value) {
+        DBSP_REQUIRE(i < layout_.data_words);
+        ++ops_;
+        set(i, value);
+    }
 
     /// Convenience for floating-point payloads.
-    double load_double(std::size_t i);
-    void store_double(std::size_t i, double value);
+    double load_double(std::size_t i) { return std::bit_cast<double>(load(i)); }
+    void store_double(std::size_t i, double value) { store(i, std::bit_cast<Word>(value)); }
 
     /// --- messaging ---------------------------------------------------------
     /// Number of messages delivered at the start of this superstep.
-    std::size_t inbox_size();
+    std::size_t inbox_size() {
+        ++ops_;
+        read_inbox_ = true;
+        return static_cast<std::size_t>(get(layout_.in_count_offset()));
+    }
     /// k-th received message (src, payload0, payload1).
-    Message inbox(std::size_t k);
+    Message inbox(std::size_t k) {
+        DBSP_REQUIRE(k < layout_.max_messages);
+        read_inbox_ = true;
+        const std::size_t off = layout_.in_record_offset(k);
+        ++ops_;
+        Message m;
+        m.src = get(off);  // sources are stored as global ids by delivery
+        m.payload0 = get(off + 1);
+        m.payload1 = get(off + 2);
+        m.dest = proc();
+        return m;
+    }
     /// Send a message to \p dest, which must lie in this processor's
     /// label-cluster; at most max_messages sends per superstep.
-    void send(ProcId dest, Word payload0, Word payload1 = 0);
-    void send_double(ProcId dest, double payload0, double payload1 = 0.0);
+    void send(ProcId dest, Word payload0, Word payload1 = 0) {
+        DBSP_REQUIRE(dest >= proc_base_);
+        const ProcId local_dest = dest - proc_base_;
+        DBSP_REQUIRE(local_dest < tree_.processors());
+        // Communication discipline of an i-superstep: messages may not leave
+        // the sender's i-cluster (Section 2).
+        DBSP_REQUIRE(tree_.same_cluster(proc_, local_dest, label_));
+        DBSP_REQUIRE(sent_ < layout_.max_messages);
+        const std::size_t off = layout_.out_record_offset(sent_);
+        set(off, local_dest);
+        set(off + 1, payload0);
+        set(off + 2, payload1);
+        ++sent_;
+        ++ops_;
+    }
+    void send_double(ProcId dest, double payload0, double payload1 = 0.0) {
+        send(dest, std::bit_cast<Word>(payload0), std::bit_cast<Word>(payload1));
+    }
 
     /// --- accounting --------------------------------------------------------
     /// Charge additional pure-compute work (loads/stores/sends already charge
@@ -77,7 +144,23 @@ public:
     unsigned label() const { return label_; }
 
 private:
-    ContextAccessor& ctx_;
+    /// The count words are committed through these too, so their touches
+    /// land in the log.
+    friend StepOutcome run_processor_step(Program& program, const ContextLayout& layout,
+                                          const ClusterTree& tree, StepIndex s, ProcId p,
+                                          std::span<Word> context, TouchLog& touches);
+
+    Word get(std::size_t i) {
+        touches_.push_back(static_cast<std::uint32_t>(i));
+        return context_[i];
+    }
+    void set(std::size_t i, Word value) {
+        touches_.push_back(static_cast<std::uint32_t>(i));
+        context_[i] = value;
+    }
+
+    std::span<Word> context_;
+    TouchLog& touches_;
     const ContextLayout& layout_;
     const ClusterTree& tree_;
     StepIndex superstep_;

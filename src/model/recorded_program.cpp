@@ -41,22 +41,19 @@ Trace record(Program& program) {
     auto contexts = DbspMachine::initial_contexts(program);
     VectorAccessorSource source(contexts, mu);
     DeliveryScratch scratch;
+    TouchLog touches;  // recording charges nothing per word
 
     for (StepIndex s = 0; s < steps; ++s) {
         trace.labels.push_back(program.label(s));
         trace.events[s].resize(v);
         for (ProcId p = 0; p < v; ++p) {
-            FlatContextAccessor acc(contexts[p].data(), mu);
-            StepContext ctx(acc, layout, tree, s, program.label(s), p,
-                            program.proc_id_base());
-            program.step(s, p, ctx);
-            acc.set(layout.out_count_offset(), ctx.sent());
+            const StepOutcome out =
+                run_processor_step(program, layout, tree, s, p, contexts[p], touches);
             Trace::Event& ev = trace.events[s][p];
-            ev.ops = ctx.ops();
-            ev.read_inbox = ctx.read_inbox();
-            if (ev.read_inbox) acc.set(layout.in_count_offset(), 0);
+            ev.ops = out.ops;
+            ev.read_inbox = out.read_inbox;
             // Capture the emitted messages from the outgoing buffer.
-            for (std::size_t k = 0; k < ctx.sent(); ++k) {
+            for (std::size_t k = 0; k < out.sent; ++k) {
                 const std::size_t off = layout.out_record_offset(k);
                 Message m;
                 m.src = p;

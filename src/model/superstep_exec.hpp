@@ -13,10 +13,13 @@
 ///    destination inboxes, then resets the sender's outgoing count, giving a
 ///    canonical (src, send-order) inbox ordering.
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "model/context_layout.hpp"
 #include "model/program.hpp"
+#include "util/contracts.hpp"
 
 namespace dbsp::model {
 
@@ -24,53 +27,76 @@ namespace dbsp::model {
 struct StepOutcome {
     std::uint64_t ops = 0;     ///< local-computation operations performed
     std::size_t sent = 0;      ///< messages emitted
+    bool read_inbox = false;   ///< the step read its inbox (which is now consumed)
 };
 
-/// Run program superstep \p s for processor \p p against \p acc, then commit
-/// the outgoing count and apply the inbox-consumption rule.
+/// Run program superstep \p s for processor \p p on its \p context in
+/// place, then commit the outgoing count and apply the inbox-consumption rule
+/// through the same StepContext. On return \p touches holds the index of
+/// every context word the step touched, the count words included, in the
+/// order it touched them; a charged executor prices the log with its
+/// machine's per-word fold.
 inline StepOutcome run_processor_step(Program& program, const ContextLayout& layout,
                                       const ClusterTree& tree, StepIndex s, ProcId p,
-                                      ContextAccessor& acc) {
-    StepContext ctx(acc, layout, tree, s, program.label(s), p, program.proc_id_base());
+                                      std::span<Word> context, TouchLog& touches) {
+    touches.clear();
+    StepContext ctx(context, touches, layout, tree, s, program.label(s), p,
+                    program.proc_id_base());
     program.step(s, p, ctx);
-    acc.set(layout.out_count_offset(), ctx.sent());
-    if (ctx.read_inbox()) {
-        acc.set(layout.in_count_offset(), 0);
-    }
-    return StepOutcome{ctx.ops(), ctx.sent()};
+    ctx.set(layout.out_count_offset(), ctx.sent());
+    if (ctx.read_inbox()) ctx.set(layout.in_count_offset(), 0);
+    return StepOutcome{ctx.ops(), ctx.sent(), ctx.read_inbox()};
 }
 
-/// Accessor source: maps a processor id to an accessor for its context
-/// storage. Replaces the former std::function-of-std::function AccessorFn —
-/// one devirtualizable call per processor, no type-erasure allocations on the
-/// delivery hot path. The returned reference stays valid until the next at()
-/// call (sources typically rebind a single accessor object).
-class AccessorSource {
+/// Context source over per-processor flat word vectors — the direct
+/// machine's storage shape, shared by trace recording and the unit tests. Its
+/// accessor moves words and charges nothing.
+///
+/// A context source is what deliver_messages runs on: `at(p)` returns an
+/// accessor for processor p's context, valid until the next at() call, with
+/// get/set/get_range/set_range on context word indices; `group_end()` closes
+/// one delivery group (see kDeliveryGroupProcs).
+class VectorAccessorSource {
 public:
-    virtual ~AccessorSource() = default;
-    virtual ContextAccessor& at(ProcId p) = 0;
+    class Accessor {
+    public:
+        Word get(std::size_t i) const {
+            DBSP_REQUIRE(i < words_.size());
+            return words_[i];
+        }
+        void set(std::size_t i, Word value) {
+            DBSP_REQUIRE(i < words_.size());
+            words_[i] = value;
+        }
+        void get_range(std::size_t i, std::span<Word> out) const {
+            DBSP_REQUIRE(i + out.size() <= words_.size());
+            std::copy_n(words_.begin() + static_cast<std::ptrdiff_t>(i), out.size(),
+                        out.begin());
+        }
+        void set_range(std::size_t i, std::span<const Word> values) {
+            DBSP_REQUIRE(i + values.size() <= words_.size());
+            std::copy_n(values.begin(), values.size(),
+                        words_.begin() + static_cast<std::ptrdiff_t>(i));
+        }
 
-    /// Close one delivery group (see kDeliveryGroupProcs): a charged source
-    /// folds the group's charges from zero and adds the subtotal to its
-    /// machine once, here. No-op for uncharged sources.
-    virtual void group_end() {}
-};
+    private:
+        friend class VectorAccessorSource;
+        std::span<Word> words_;
+    };
 
-/// AccessorSource over per-processor flat word vectors — the direct machine's
-/// storage shape, shared by trace recording and the unit tests.
-class VectorAccessorSource final : public AccessorSource {
-public:
     VectorAccessorSource(std::vector<std::vector<Word>>& contexts, std::size_t mu)
         : contexts_(contexts), mu_(mu) {}
-    ContextAccessor& at(ProcId p) override {
-        acc_.rebind(contexts_[p].data(), mu_);
+
+    Accessor& at(ProcId p) {
+        acc_.words_ = std::span<Word>(contexts_[p].data(), mu_);
         return acc_;
     }
+    void group_end() {}
 
 private:
     std::vector<std::vector<Word>>& contexts_;
     std::size_t mu_;
-    FlatContextAccessor acc_{nullptr, 0};
+    Accessor acc_;
 };
 
 /// Group width of the delivery protocol: senders (phase 1) and destination
@@ -112,13 +138,19 @@ private:
     bool previous_;
 };
 
+/// Batch-granularity delivery telemetry: one registry update per
+/// deliver_messages call, independent of how many messages moved.
+void note_delivery(std::size_t messages);
+
 /// Deliver all pending outgoing messages of processors [first, first + count)
 /// into their destination inboxes (destinations must lie in the same range for
 /// a well-formed i-superstep; callers validate cluster membership at send
 /// time). Processor ids here are tree-local; \p id_base (the program's
 /// proc_id_base) is added to the stored message source so inboxes always
 /// carry global ids. Returns the maximum number of messages received by any
-/// processor. \p contexts provides context access for the local range;
+/// processor. \p contexts is a context source for the local range (see
+/// VectorAccessorSource); each executor instantiates this with its concrete
+/// source, so a charged source's per-word accounting compiles inline.
 /// \p scratch (optional) lets callers reuse buffers across supersteps.
 ///
 /// Phase 1 walks the senders in ascending order, one kDeliveryGroupProcs
@@ -126,8 +158,97 @@ private:
 /// sequence by destination group (stable, so every inbox still receives its
 /// messages in canonical order) and appends group by group. Each group ends
 /// with contexts.group_end().
+template <class Source>
 std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uint64_t count,
-                             AccessorSource& contexts, ProcId id_base = 0,
-                             DeliveryScratch* scratch = nullptr);
+                             Source& contexts, ProcId id_base = 0,
+                             DeliveryScratch* scratch = nullptr) {
+    DeliveryScratch local;
+    DeliveryScratch& sc = scratch ? *scratch : local;
+    const bool bulk = bulk_access_enabled();
+    const ProcId end = first + count;
+    const auto ngroups =
+        static_cast<std::size_t>((count + kDeliveryGroupProcs - 1) / kDeliveryGroupProcs);
+
+    // Phase 1: collect messages from the senders' outgoing buffers, in
+    // ascending sender order, and reset the outgoing counts. The intermediate
+    // vector is executor bookkeeping only; every word it carries has been
+    // charged on read and will be charged again on write, exactly as if the
+    // message moved directly between buffers.
+    std::vector<Message>& pending = sc.pending;
+    pending.clear();
+    for (ProcId lo = first; lo < end; lo += kDeliveryGroupProcs) {
+        const ProcId hi = std::min<ProcId>(end, lo + kDeliveryGroupProcs);
+        for (ProcId p = lo; p < hi; ++p) {
+            auto& acc = contexts.at(p);
+            const auto sent = static_cast<std::size_t>(acc.get(layout.out_count_offset()));
+            DBSP_ASSERT(sent <= layout.max_messages);
+            if (bulk) {
+                // One range read covers the whole outgoing record block: the
+                // records are contiguous, and the fused per-cell charge loop
+                // walks the same ascending addresses as the per-word path.
+                sc.words.resize(ContextLayout::kRecordWords * sent);
+                acc.get_range(layout.out_record_offset(0), sc.words);
+                for (std::size_t k = 0; k < sent; ++k) {
+                    const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
+                    Message m;
+                    m.src = id_base + p;  // inboxes carry global source ids
+                    m.dest = rec[0];
+                    m.payload0 = rec[1];
+                    m.payload1 = rec[2];
+                    DBSP_ASSERT(m.dest >= first && m.dest < end);
+                    pending.push_back(m);
+                }
+            } else {
+                for (std::size_t k = 0; k < sent; ++k) {
+                    const std::size_t off = layout.out_record_offset(k);
+                    Message m;
+                    m.src = id_base + p;
+                    m.dest = acc.get(off);
+                    m.payload0 = acc.get(off + 1);
+                    m.payload1 = acc.get(off + 2);
+                    DBSP_ASSERT(m.dest >= first && m.dest < end);
+                    pending.push_back(m);
+                }
+            }
+            if (sent > 0) {
+                acc.set(layout.out_count_offset(), 0);
+            }
+        }
+        contexts.group_end();
+    }
+    note_delivery(pending.size());
+
+    // Phase 2: append to destination inboxes, one destination group at a
+    // time. `pending` is sorted by (src, send order) and the bucketing is
+    // stable, so every inbox receives the canonical ordering that the
+    // sort-based BT delivery reproduces with tag keys.
+    if (sc.by_group.size() < ngroups) sc.by_group.resize(ngroups);
+    for (std::size_t g = 0; g < ngroups; ++g) sc.by_group[g].clear();
+    for (const Message& m : pending) {
+        sc.by_group[(m.dest - first) / kDeliveryGroupProcs].push_back(m);
+    }
+    std::size_t max_received = 0;
+    sc.received.assign(count, 0);
+    for (std::size_t g = 0; g < ngroups; ++g) {
+        for (const Message& m : sc.by_group[g]) {
+            auto& acc = contexts.at(m.dest);
+            auto in_count = static_cast<std::size_t>(acc.get(layout.in_count_offset()));
+            DBSP_REQUIRE(in_count < layout.max_messages);
+            const std::size_t off = layout.in_record_offset(in_count);
+            if (bulk) {
+                const Word rec[ContextLayout::kRecordWords] = {m.src, m.payload0, m.payload1};
+                acc.set_range(off, rec);
+            } else {
+                acc.set(off, m.src);
+                acc.set(off + 1, m.payload0);
+                acc.set(off + 2, m.payload1);
+            }
+            acc.set(layout.in_count_offset(), in_count + 1);
+            max_received = std::max(max_received, ++sc.received[m.dest - first]);
+        }
+        contexts.group_end();
+    }
+    return max_received;
+}
 
 }  // namespace dbsp::model

@@ -220,6 +220,8 @@ std::string CombinedReport::markdown(const CombinedReport* baseline) const {
            "  compiler: " + provenance.compiler + "\n";
     out += "- generated: " + provenance.timestamp + "  threads: " +
            std::to_string(provenance.threads) + "\n";
+    out += "- host: nproc " + std::to_string(provenance.nproc) + "  hardware counters: " +
+           (provenance.counters_available ? "available" : "unavailable") + "\n";
     if (baseline != nullptr) {
         out += "- baseline: `" + baseline->provenance.git_sha + "` (" +
                baseline->provenance.timestamp + ")\n";

@@ -1,7 +1,9 @@
 #include "report/provenance.hpp"
 
 #include <ctime>
+#include <thread>
 
+#include "perf/counters.hpp"
 #include "report/build_info.hpp"
 #include "util/parallel.hpp"
 
@@ -13,6 +15,8 @@ Provenance Provenance::collect() {
     p.build_type = DBSP_BUILD_TYPE;
     p.compiler = DBSP_BUILD_COMPILER;
     p.threads = util::default_threads();
+    p.nproc = std::thread::hardware_concurrency();
+    p.counters_available = perf::CounterGroup().available();
     std::time_t now = std::time(nullptr);
     std::tm utc{};
     gmtime_r(&now, &utc);
@@ -44,6 +48,8 @@ Json Provenance::to_json() const {
     j.set("build_type", build_type);
     j.set("compiler", compiler);
     j.set("threads", threads);
+    j.set("nproc", nproc);
+    j.set("counters_available", counters_available);
     j.set("timestamp", timestamp);
     if (!legs.empty()) {
         Json arr = Json::array();
@@ -59,6 +65,8 @@ Provenance Provenance::from_json(const Json& j) {
     p.build_type = j["build_type"].is_string() ? j["build_type"].as_string() : "unknown";
     p.compiler = j["compiler"].is_string() ? j["compiler"].as_string() : "unknown";
     p.threads = static_cast<std::uint64_t>(j["threads"].as_double(0.0));
+    p.nproc = static_cast<std::uint64_t>(j["nproc"].as_double(0.0));
+    p.counters_available = j["counters_available"].as_bool(false);
     p.timestamp = j["timestamp"].is_string() ? j["timestamp"].as_string() : "unknown";
     if (j["legs"].is_array()) {
         for (const Json& lj : j["legs"].items()) p.legs.push_back(ProvenanceLeg::from_json(lj));

@@ -3,8 +3,9 @@
 /// \file provenance.hpp
 /// The provenance envelope stamped onto every JSON artifact the repo emits
 /// (experiment results, BENCH_experiments.json, BENCH_micro.json): enough
-/// context to audit a committed baseline — which tree built it, how, and on
-/// how many threads it ran.
+/// context to audit a committed baseline — which tree built it, how, on how
+/// many threads it ran, and on what host (CPU count, and whether hardware
+/// counters opened).
 
 #include <string>
 #include <vector>
@@ -33,6 +34,10 @@ struct Provenance {
     std::string build_type;  ///< CMAKE_BUILD_TYPE
     std::string compiler;    ///< compiler id + version
     std::uint64_t threads = 1;  ///< harness worker count (util::default_threads)
+    std::uint64_t nproc = 0;    ///< online CPUs of the host (0 = not recorded)
+    /// Whether a perf::CounterGroup opened at least one hardware counter
+    /// (false when not recorded).
+    bool counters_available = false;
     std::string timestamp;   ///< UTC, ISO 8601
     /// Per-leg wall times (empty for binaries that don't record any).
     std::vector<ProvenanceLeg> legs;
@@ -43,7 +48,8 @@ struct Provenance {
     Json to_json() const;
 
     /// Parse from the "provenance" object of an artifact. Missing fields
-    /// default to "unknown"/0 — old artifacts without an envelope still load.
+    /// default to "unknown"/0/false — old artifacts without an envelope, or
+    /// without the host fields, still load.
     static Provenance from_json(const Json& j);
 };
 

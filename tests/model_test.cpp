@@ -74,9 +74,9 @@ private:
 TEST(StepContext, SendValidatesClusterDiscipline) {
     const ContextLayout layout{1, 1};
     std::vector<Word> mem(layout.context_words(), 0);
-    FlatContextAccessor acc(mem.data(), mem.size());
+    TouchLog touches;
     ClusterTree tree(8);
-    StepContext ctx(acc, layout, tree, 0, /*label=*/2, /*proc=*/0);
+    StepContext ctx(mem, touches, layout, tree, 0, /*label=*/2, /*proc=*/0);
     // Label 2 on 8 processors: clusters of 2; sending to processor 1 is
     // legal, anything farther would abort (tested via death below).
     ctx.send(1, 99);
@@ -89,18 +89,18 @@ TEST(StepContextDeathTest, SendOutsideClusterAborts) {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ContextLayout layout{1, 1};
     std::vector<Word> mem(layout.context_words(), 0);
-    FlatContextAccessor acc(mem.data(), mem.size());
+    TouchLog touches;
     ClusterTree tree(8);
-    StepContext ctx(acc, layout, tree, 0, /*label=*/2, /*proc=*/0);
+    StepContext ctx(mem, touches, layout, tree, 0, /*label=*/2, /*proc=*/0);
     EXPECT_DEATH(ctx.send(5, 1), "Precondition");
 }
 
 TEST(StepContext, OpsAccounting) {
     const ContextLayout layout{4, 2};
     std::vector<Word> mem(layout.context_words(), 0);
-    FlatContextAccessor acc(mem.data(), mem.size());
+    TouchLog touches;
     ClusterTree tree(4);
-    StepContext ctx(acc, layout, tree, 0, 0, 2);
+    StepContext ctx(mem, touches, layout, tree, 0, 0, 2);
     ctx.store(0, 7);
     (void)ctx.load(0);
     ctx.charge_ops(10);
@@ -114,12 +114,57 @@ TEST(StepContext, OpsAccounting) {
 TEST(StepContext, ProcBaseTranslation) {
     const ContextLayout layout{1, 1};
     std::vector<Word> mem(layout.context_words(), 0);
-    FlatContextAccessor acc(mem.data(), mem.size());
+    TouchLog touches;
     ClusterTree tree(4);  // a 4-processor window based at global id 8
-    StepContext ctx(acc, layout, tree, 0, 0, /*proc=*/1, /*base=*/8);
+    StepContext ctx(mem, touches, layout, tree, 0, 0, /*proc=*/1, /*base=*/8);
     EXPECT_EQ(ctx.proc(), 9u);
     ctx.send(10, 5);  // global dest 10 -> local 2
     EXPECT_EQ(mem[layout.out_record_offset(0)], 2u);
+}
+
+/// Touches a fixed sequence of words: a data store and load, the inbox
+/// count and one record, and one send.
+class TouchSequenceProgram final : public Program {
+public:
+    std::string name() const override { return "touch-sequence"; }
+    std::uint64_t num_processors() const override { return 2; }
+    std::size_t data_words() const override { return 2; }
+    std::size_t max_messages() const override { return 2; }
+    StepIndex num_supersteps() const override { return 1; }
+    unsigned label(StepIndex) const override { return 0; }
+    void step(StepIndex, ProcId p, StepContext& ctx) override {
+        ctx.store(1, 5);
+        (void)ctx.load(0);
+        (void)ctx.inbox_size();
+        (void)ctx.inbox(1);
+        ctx.send(p ^ 1, 7, 8);
+    }
+};
+
+TEST(StepContext, TouchLogRecordsEveryWordInOrder) {
+    TouchSequenceProgram program;
+    const ContextLayout layout = program.layout();
+    const ClusterTree tree(2);
+    std::vector<Word> mem(layout.context_words(), 0);
+    TouchLog touches{99};  // a stale entry: the run starts a fresh log
+    const StepOutcome out = run_processor_step(program, layout, tree, 0, 1, mem, touches);
+    EXPECT_EQ(out.sent, 1u);
+    EXPECT_TRUE(out.read_inbox);
+    EXPECT_EQ(out.ops, 5u);
+    const std::size_t in1 = layout.in_record_offset(1);
+    const std::size_t out0 = layout.out_record_offset(0);
+    // The step's own touches, then the committed out count and the consumed
+    // in count.
+    const std::vector<std::size_t> expected{
+        1,        0,        layout.in_count_offset(),  in1, in1 + 1, in1 + 2, out0,
+        out0 + 1, out0 + 2, layout.out_count_offset(), layout.in_count_offset()};
+    EXPECT_EQ(std::vector<std::size_t>(touches.begin(), touches.end()), expected);
+    // The step wrote the context in place.
+    EXPECT_EQ(mem[1], 5u);
+    EXPECT_EQ(mem[out0], 0u);
+    EXPECT_EQ(mem[out0 + 1], 7u);
+    EXPECT_EQ(mem[out0 + 2], 8u);
+    EXPECT_EQ(mem[layout.out_count_offset()], 1u);
 }
 
 TEST(DeliverMessages, CanonicalOrderAndCounts) {

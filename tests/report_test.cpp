@@ -8,6 +8,7 @@
 #include <cmath>
 #include <string>
 
+#include "perf/counters.hpp"
 #include "report/conformance.hpp"
 #include "report/experiment.hpp"
 #include "report/json.hpp"
@@ -233,6 +234,23 @@ TEST(Provenance, FromJsonDefaultsMissingFields) {
     EXPECT_EQ(round.timestamp, collected.timestamp);
 }
 
+TEST(Provenance, HostFieldsRoundTrip) {
+    const Provenance collected = Provenance::collect();
+    EXPECT_GE(collected.nproc, 1u);
+    EXPECT_EQ(collected.counters_available, perf::CounterGroup().available());
+    for (const bool counters : {false, true}) {
+        Provenance p = collected;
+        p.nproc = 12;
+        p.counters_available = counters;
+        const Json j = p.to_json();
+        EXPECT_DOUBLE_EQ(j["nproc"].as_double(), 12.0);
+        EXPECT_EQ(j["counters_available"].as_bool(!counters), counters);
+        const Provenance round = Provenance::from_json(*Json::parse(j.dump()));
+        EXPECT_EQ(round.nproc, 12u);
+        EXPECT_EQ(round.counters_available, counters);
+    }
+}
+
 // --- combined report + gate -------------------------------------------------
 
 /// A bench_micro document carrying every gated boolean.
@@ -261,6 +279,28 @@ CombinedReport sample_report() {
     auto micro = MicroData::from_json(micro_doc(1e6), &error);
     r.micro = std::move(*micro);
     return r;
+}
+
+TEST(Provenance, ArtifactWithoutHostFieldsLoads) {
+    // An envelope written before the host fields existed.
+    const auto old = Json::parse(
+        R"({"git_sha":"abc123","build_type":"Release","compiler":"GNU 13",)"
+        R"("threads":4,"timestamp":"2026-01-01T00:00:00Z"})");
+    ASSERT_TRUE(old.has_value());
+    const Provenance p = Provenance::from_json(*old);
+    EXPECT_EQ(p.git_sha, "abc123");
+    EXPECT_EQ(p.threads, 4u);
+    EXPECT_EQ(p.nproc, 0u);
+    EXPECT_FALSE(p.counters_available);
+
+    CombinedReport r = sample_report();
+    r.provenance = p;
+    const std::string md = r.markdown(nullptr);
+    EXPECT_NE(md.find("- host: nproc 0  hardware counters: unavailable\n"), std::string::npos);
+    r.provenance.nproc = 4;
+    r.provenance.counters_available = true;
+    EXPECT_NE(r.markdown(nullptr).find("- host: nproc 4  hardware counters: available\n"),
+              std::string::npos);
 }
 
 TEST(CombinedReport, JsonRoundTripAndPassFlag) {

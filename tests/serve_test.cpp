@@ -132,6 +132,35 @@ TEST(ServeServer, ReplyByteIdenticalOnMissAndHit) {
     EXPECT_EQ(stats.cache.hits, 1u);
 }
 
+TEST(ServeServer, NearlyFlatFunctionRunsOnTheBtAndKeepsServing) {
+    // With f = x^0.01 the BT simulator's staging streams get 1-3 word
+    // chunks; building their tower used to abort the whole daemon.
+    const std::string text =
+        "dbsp-spec v1\nv 4\nD 3\nB 2\nseed 7\nsteps 3\nlabels 1 1 0\n"
+        "event 0 0 2 0 1 1\nsend 1 11 12\nevent 0 2 1 0 1 1\nsend 3 21 22\n"
+        "event 1 1 1 1 1 1\nsend 0 31 32\nevent 2 3 1 1 1 0\nend\n";
+    check::ProgramSpec spec;
+    std::string error;
+    ASSERT_TRUE(check::parse_spec(text, &spec, &error)) << error;
+    serve::RunOptions options;
+    options.model = "bt";
+    const auto f = serve::parse_function("x^0.01", &error);
+    ASSERT_TRUE(f.has_value()) << error;
+    options.f = *f;
+    const std::string expected = serve::run_to_json(spec, options);
+
+    serve::Server server({});
+    report::Json req = report::Json::object();
+    req.set("op", "run");
+    req.set("spec", check::serialize_spec(spec));
+    req.set("f", "x^0.01");
+    req.set("model", "bt");
+    EXPECT_EQ(server.handle_line(req.dump_compact()),
+              serve::run_reply(expected, /*cached=*/false));
+    EXPECT_NE(server.handle_line("{\"op\":\"ping\"}").find("\"pong\":true"),
+              std::string::npos);
+}
+
 TEST(ServeServer, MalformedInputsGetStructuredErrors) {
     serve::Server server({});
     const std::string valid = check::serialize_spec(corpus_spec(1));

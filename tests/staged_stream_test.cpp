@@ -20,6 +20,17 @@ TEST(StageTower, SingleLevelForSmallChunks) {
     EXPECT_EQ(t.levels[0].capacity, 16u);
 }
 
+TEST(StageTower, TinyChunksBuildOneLevel) {
+    // A nearly flat f makes stream chunks of 1-3 words; a next level's cap,
+    // chunk / 4, would be 0 there.
+    Machine m(AccessFunction::polynomial(0.01), 4096);
+    for (std::uint64_t chunk = 1; chunk < 32; ++chunk) {
+        StageTower t(m, 0, chunk, 1);
+        ASSERT_EQ(t.levels.size(), 1u) << chunk;
+        EXPECT_EQ(t.levels[0].capacity, chunk);
+    }
+}
+
 TEST(StageTower, BuildsMultipleLevelsForDeepChunks) {
     Machine m(AccessFunction::polynomial(0.5), 1 << 20);
     StageTower t(m, 0, 4096, 1);

@@ -372,6 +372,9 @@ int main(int argc, char** argv) {
         bad_arg("--v", std::to_string(v).c_str(),
                 "2^(2^k) or at most 4 for --program fft-rec");
     }
+    if (program_name == "oddeven" && !algo::OddEvenTranspositionSortProgram::valid_size(v)) {
+        bad_arg("--v", std::to_string(v).c_str(), "at least 2 for --program oddeven");
+    }
     auto program = make_program(program_name, v, seed);
     if (!program) usage(argv[0]);
     const std::size_t mu = program->context_words();
