@@ -4,8 +4,9 @@
 ///
 /// `bench_micro --json [path]` skips google-benchmark and instead times the
 /// E3 simulation workload with the bulk fast path and cost-table cache on
-/// vs. off, writing the measurements (words simulated per second, table
-/// builds avoided, speedup) to BENCH_micro.json.
+/// vs. off, and with each kind of observer attached, writing the
+/// measurements (words simulated per second, table builds avoided, speedup,
+/// observer overheads) to BENCH_micro.json.
 
 #include <benchmark/benchmark.h>
 
@@ -32,6 +33,7 @@
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/provenance.hpp"
+#include "telemetry/span.hpp"
 #include "trace/aggregate.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -139,8 +141,10 @@ struct JsonMeasurement {
     }
 };
 
-/// Which sink (if any) rides along on the timed leg.
-enum class TraceLeg { kNone, kAggregate, kLocality, kLocalitySampled };
+/// Which sink (if any) rides along on the timed leg. kPhaseObserver attaches
+/// the serve daemon's span sink as the simulator's phase observer, the way
+/// serve::run_to_json times a cache miss.
+enum class TraceLeg { kNone, kAggregate, kLocality, kLocalitySampled, kPhaseObserver };
 
 /// SHARDS rate of the sampled locality leg (the production default).
 constexpr double kSampleRate = 0.01;
@@ -164,11 +168,13 @@ JsonMeasurement run_e3_workload(std::uint64_t v, int reps, bool fast_paths,
         loc_opts.sample_rate = kSampleRate;
     }
     locality::LocalitySink loc(loc_opts);
+    telemetry::SpanSink spans(telemetry::steady_now_ns());
     const bool locality_leg =
         leg == TraceLeg::kLocality || leg == TraceLeg::kLocalitySampled;
     core::HmmSimulator::Options options;
     if (leg == TraceLeg::kAggregate) options.trace = &agg;
     if (locality_leg) options.trace = &loc;
+    if (leg == TraceLeg::kPhaseObserver) options.phases = &spans;
     std::uint64_t seen = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r) {
@@ -215,19 +221,25 @@ double median_of(std::vector<double> v) {
     return v[v.size() / 2];
 }
 
+/// Throughput overhead of \p leg over the untraced reference \p base, percent.
+double overhead_pct(const JsonMeasurement& base, const JsonMeasurement& leg) {
+    return 100.0 * (base.words_per_sec() / leg.words_per_sec() - 1.0);
+}
+
 int run_json_mode(const std::string& path) {
     constexpr std::uint64_t kProcessors = 1 << 11;
     constexpr int kReps = 16;
     constexpr int kRounds = 5;
     // Enabled-path legs: the exact engine runs the workload about ten times
     // slower than untraced (stack-slot work on every reference), the
-    // sampled engine a few times slower, so their rep counts are scaled down
-    // to bound wall-clock share; overheads compare *throughput*, so unequal
-    // rep counts stay comparable.
+    // AggregateSink about five times and the sampled engine a few times
+    // slower, so their rep counts are scaled down to bound wall-clock share;
+    // overheads compare *throughput*, so unequal rep counts stay comparable.
     constexpr int kEnabledRounds = 3;
     constexpr int kExactReps = 2;
     constexpr int kSampledReps = 8;
-    constexpr int kTracedRounds = 2;
+    constexpr int kTracedRounds = 3;
+    constexpr int kTracedReps = 4;
 
     // Warm-up outside the timed region (page faults, first-touch, clocks).
     (void)run_e3_workload(kProcessors, 1, true);
@@ -239,7 +251,7 @@ int run_json_mode(const std::string& path) {
     // leg: the LocalitySink disabled path *is* the null-sink path, so its
     // measured overhead is this A/A delta — pure harness noise by
     // construction, which is exactly the claim being audited.
-    JsonMeasurement fast, loff, slow, traced;
+    JsonMeasurement fast, loff, slow;
     bool trace_counts_exact = true;
     bool loc_counts_exact = true;
     std::vector<double> aa_deltas;  // per-round paired A/A deltas, percent
@@ -269,19 +281,34 @@ int run_json_mode(const std::string& path) {
     // AggregateSink's per-level buckets and the LocalitySink's entries and
     // slot bitmap churn the cache, and interleaving them would bleed that
     // pollution into the untraced (disabled-path) timings.
+    //
+    // Observer overheads use the same paired-rounds/median scheme as the A/A
+    // audit above: each round runs a fresh untraced reference leg and the
+    // observed legs back to back (order flipped every round) and contributes
+    // one per-round throughput ratio per leg; the medians are the reported
+    // overheads. A ratio against the best-of untraced leg would fold any
+    // transient the observed legs happened to absorb — and the untraced best
+    // never did — straight into the overhead.
+    JsonMeasurement traced, phased;
+    std::vector<double> traced_pcts, phased_pcts;
     for (int round = 0; round < kTracedRounds; ++round) {
-        const JsonMeasurement t = run_e3_workload(kProcessors, kReps, true,
-                                                  TraceLeg::kAggregate);
+        JsonMeasurement u, t, p;
+        if (round % 2 == 0) {
+            u = run_e3_workload(kProcessors, kReps, true);
+            t = run_e3_workload(kProcessors, kTracedReps, true, TraceLeg::kAggregate);
+            p = run_e3_workload(kProcessors, kReps, true, TraceLeg::kPhaseObserver);
+        } else {
+            p = run_e3_workload(kProcessors, kReps, true, TraceLeg::kPhaseObserver);
+            t = run_e3_workload(kProcessors, kTracedReps, true, TraceLeg::kAggregate);
+            u = run_e3_workload(kProcessors, kReps, true);
+        }
+        traced_pcts.push_back(overhead_pct(u, t));
+        phased_pcts.push_back(overhead_pct(u, p));
         trace_counts_exact = trace_counts_exact && t.counts_exact;
-        if (round == 0 || t.seconds < traced.seconds) traced = t;
+        if (round == 0 || t.words_per_sec() > traced.words_per_sec()) traced = t;
+        if (round == 0 || p.words_per_sec() > phased.words_per_sec()) phased = p;
     }
-    // Enabled-path overhead, measured with the same paired-rounds/median
-    // scheme as the A/A audit above: each round runs a fresh untraced
-    // reference leg and both enabled legs back to back (order flipped every
-    // round) and contributes one per-round throughput ratio; the medians are
-    // the reported overheads. A single-shot ratio against the best-of
-    // untraced leg would fold any transient the enabled legs happened to
-    // absorb — and the untraced best never did — straight into the overhead.
+    // The locality engines, by the same scheme.
     JsonMeasurement locon, locsamp;
     std::vector<double> exact_pcts, sampled_pcts;
     for (int round = 0; round < kEnabledRounds; ++round) {
@@ -297,8 +324,8 @@ int run_json_mode(const std::string& path) {
             ex = run_e3_workload(kProcessors, kExactReps, true, TraceLeg::kLocality);
             u = run_e3_workload(kProcessors, kReps, true);
         }
-        exact_pcts.push_back(100.0 * (u.words_per_sec() / ex.words_per_sec() - 1.0));
-        sampled_pcts.push_back(100.0 * (u.words_per_sec() / sa.words_per_sec() - 1.0));
+        exact_pcts.push_back(overhead_pct(u, ex));
+        sampled_pcts.push_back(overhead_pct(u, sa));
         loc_counts_exact = loc_counts_exact && ex.counts_exact && sa.counts_exact;
         if (round == 0 || ex.words_per_sec() > locon.words_per_sec()) locon = ex;
         if (round == 0 || sa.words_per_sec() > locsamp.words_per_sec()) locsamp = sa;
@@ -329,13 +356,10 @@ int run_json_mode(const std::string& path) {
     const double speedup = fast.seconds > 0.0 ? slow.seconds / fast.seconds : 0.0;
     // The untraced leg runs with the null sink, i.e. it *is* the disabled
     // path whose overhead must stay within noise; the traced legs measure
-    // the cost of attaching each sink. The AggregateSink's overhead compares
-    // against the untraced best-of; the locality overheads are the
-    // paired-round medians computed above.
-    const double tracing_overhead_pct =
-        traced.words_per_sec() > 0.0
-            ? 100.0 * (fast.words_per_sec() / traced.words_per_sec() - 1.0)
-            : 0.0;
+    // the cost of attaching each sink, as the paired-round medians computed
+    // above.
+    const double tracing_overhead_pct = median_of(traced_pcts);
+    const double phase_observer_overhead_pct = median_of(phased_pcts);
     const double locality_overhead_pct = aa_median_pct;
     const double locality_enabled_overhead_pct = median_of(exact_pcts);
     const double locality_sampled_overhead_pct = median_of(sampled_pcts);
@@ -348,6 +372,7 @@ int run_json_mode(const std::string& path) {
     measurements.set("bulk_with_cache", measurement_json(fast));
     measurements.set("bulk_with_cache_locality_off", measurement_json(loff));
     measurements.set("bulk_with_cache_traced", measurement_json(traced));
+    measurements.set("bulk_with_cache_phase_observer", measurement_json(phased));
     measurements.set("bulk_with_cache_locality", measurement_json(locon));
     measurements.set("bulk_with_cache_locality_sampled", measurement_json(locsamp));
     measurements.set("per_word_no_cache", measurement_json(slow));
@@ -358,6 +383,7 @@ int run_json_mode(const std::string& path) {
     doc.set("costs_bit_identical_counters", costs_counters);
     doc.set("counters", hw_snapshot.to_json());
     doc.set("tracing_overhead_pct", tracing_overhead_pct);
+    doc.set("phase_observer_overhead_pct", phase_observer_overhead_pct);
     doc.set("locality_overhead_pct", locality_overhead_pct);
     doc.set("locality_enabled_overhead_pct", locality_enabled_overhead_pct);
     doc.set("locality_sampled_overhead_pct", locality_sampled_overhead_pct);
@@ -382,9 +408,13 @@ int run_json_mode(const std::string& path) {
     std::printf("  per-word:      %.3fs  (%.0f words/s, %llu table builds)\n",
                 slow.seconds, slow.words_per_sec(),
                 static_cast<unsigned long long>(slow.table_builds));
-    std::printf("  traced:        %.3fs  (AggregateSink attached, overhead %+.1f%%, "
-                "counts exact: %s)\n",
-                traced.seconds, tracing_overhead_pct, trace_counts_exact ? "yes" : "NO");
+    std::printf("  traced:        %.3fs  (AggregateSink attached, %d reps, paired-median "
+                "overhead %+.1f%%, counts exact: %s)\n",
+                traced.seconds, kTracedReps, tracing_overhead_pct,
+                trace_counts_exact ? "yes" : "NO");
+    std::printf("  phase obs.:    %.3fs  (SpanSink as phase observer, paired-median "
+                "overhead %+.1f%%)\n",
+                phased.seconds, phase_observer_overhead_pct);
     std::printf("  locality off:  %.3fs  (A/A re-run of the null-sink leg, "
                 "paired-median delta %+.1f%%)\n",
                 loff.seconds, locality_overhead_pct);
@@ -400,8 +430,8 @@ int run_json_mode(const std::string& path) {
                 fast.hmm_cost == slow.hmm_cost ? "yes" : "NO");
     std::printf("  wrote %s\n", path.c_str());
     const bool ok = fast.hmm_cost == slow.hmm_cost && trace_counts_exact && loc_counts_exact &&
-                    traced.hmm_cost == fast.hmm_cost && locon.hmm_cost == fast.hmm_cost &&
-                    locsamp.hmm_cost == fast.hmm_cost;
+                    traced.hmm_cost == fast.hmm_cost && phased.hmm_cost == fast.hmm_cost &&
+                    locon.hmm_cost == fast.hmm_cost && locsamp.hmm_cost == fast.hmm_cost;
     return ok ? 0 : 2;
 }
 

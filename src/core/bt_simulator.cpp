@@ -83,7 +83,8 @@ public:
           pad_(compute_pad(f, v_, mu_)),
           total_slots_(2 * v_ + gap_slots(v_) + 2),
           machine_(f, pad_ + total_slots_ * mu_ + 64),
-          proc_of_slot_(total_slots_, kEmptySlot), slot_of_proc_(v_), sigma_(v_, 0) {
+          proc_of_slot_(total_slots_, kEmptySlot), slot_of_proc_(v_), sigma_(v_, 0),
+          phases_(trace::phase_target(options_.trace, options_.phases, phase_fanout_)) {
         machine_.set_trace(options_.trace);
         touches_.reserve(2 * mu_);
     }
@@ -151,6 +152,9 @@ private:
     bt::ShardAccount account_;               ///< one context execution's fold
     model::TouchLog touches_;                ///< the executing context's touch log
     bool walking_ = false;  ///< move_slot_run charges without copying
+
+    trace::MultiSink phase_fanout_;  ///< charge sink + phase observer, when both
+    trace::Sink* const phases_;      ///< where phase scopes go; nullptr: nowhere
 };
 
 Addr BtSim::compute_pad(const model::AccessFunction& f, std::uint64_t v, std::size_t mu) {
@@ -592,7 +596,7 @@ BtSimResult BtSim::run() {
     }
     const double cload = machine_.cost();
     {
-        trace::PhaseScope move(options_.trace, trace::Phase::kContextMove, 0);
+        trace::PhaseScope move(phases_, trace::Phase::kContextMove, 0);
         unpack(0);  // Step 0 of Fig. 5
     }
     result_.layout_cost += machine_.cost() - cload;
@@ -612,17 +616,16 @@ BtSimResult BtSim::run() {
 
         if (options_.check_invariants) check_round_invariants(first, csize, s);
 
-        trace::Sink* const sink = options_.trace;
         // Rounds executing a smoothing-inserted dummy superstep attribute all
         // their charges to the dummy-superstep phase.
-        const bool dummy_round = sink != nullptr && program_.is_dummy_step(s);
+        const bool dummy_round = phases_ != nullptr && program_.is_dummy_step(s);
         const auto ph = [dummy_round](trace::Phase p) {
             return dummy_round ? trace::Phase::kDummyStep : p;
         };
 
         const double c0 = machine_.cost();
         {
-            trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), label);
+            trace::PhaseScope move(phases_, ph(trace::Phase::kContextMove), label);
             pack(label);  // Step 1.a
         }
         if (options_.check_invariants) {
@@ -635,7 +638,7 @@ BtSimResult BtSim::run() {
         const double c1 = machine_.cost();
         result_.layout_cost += c1 - c0;
         {
-            trace::PhaseScope exec(sink, ph(trace::Phase::kStepExec), label);
+            trace::PhaseScope exec(phases_, ph(trace::Phase::kStepExec), label);
             compute(s, csize);
         }
         const double c2 = machine_.cost();
@@ -643,11 +646,11 @@ BtSimResult BtSim::run() {
         bool transposed = false;
         if (options_.use_rational_permutations &&
             program_.permutation_class(s) == model::PermutationClass::kTranspose) {
-            trace::PhaseScope deliver(sink, ph(trace::Phase::kDeliverTranspose), label);
+            trace::PhaseScope deliver(phases_, ph(trace::Phase::kDeliverTranspose), label);
             transposed = deliver_transpose(first, csize, program_.permutation_grain(s));
         }
         if (!transposed) {
-            trace::PhaseScope deliver(sink, ph(trace::Phase::kDeliverSort), label);
+            trace::PhaseScope deliver(phases_, ph(trace::Phase::kDeliverSort), label);
             deliver_sort(label, first, csize);
         }
         // BT delivery bypasses model::deliver_messages (transpose/sort), so it
@@ -656,7 +659,7 @@ BtSimResult BtSim::run() {
         static auto& metric_batch = report::metric_histogram("model.delivery_batch");
         metric_delivered.add(last_outgoing_);
         metric_batch.observe(last_outgoing_);
-        if (sink != nullptr) sink->messages(last_outgoing_);
+        if (options_.trace != nullptr) options_.trace->messages(last_outgoing_);
         result_.deliver_cost += machine_.cost() - c2;
 
         for (ProcId p = first; p < first + csize; ++p) sigma_[p] = s + 1;
@@ -671,7 +674,7 @@ BtSimResult BtSim::run() {
         if (s + 1 < steps) {
             const unsigned next_label = program_.label(s + 1);
             if (next_label < label) {
-                trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), next_label);
+                trace::PhaseScope move(phases_, ph(trace::Phase::kContextMove), next_label);
                 const std::uint64_t bsib = std::uint64_t{1} << (label - next_label);
                 const std::uint64_t jbar = tree_.cluster_of(top_proc, next_label);
                 const ProcId cbar_first = tree_.cluster_first(jbar, next_label);
@@ -688,7 +691,7 @@ BtSimResult BtSim::run() {
         }
 
         {
-            trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), label);
+            trace::PhaseScope move(phases_, ph(trace::Phase::kContextMove), label);
             unpack(label);  // Step 5
         }
         result_.layout_cost += machine_.cost() - c3;

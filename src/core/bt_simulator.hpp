@@ -67,12 +67,20 @@ public:
 #else
             false;
 #endif
-        /// Charge-trace sink (not owned; must outlive simulate()). BT charges
-        /// are attributed to step execution (COMPUTE), context movement
-        /// (PACK/UNPACK/Step-4 swaps), sort-based or transpose-based delivery
-        /// — or dummy-superstep for smoothing-inserted rounds. The transfers
-        /// it sees number BtSimResult::block_transfers.
+        /// Charge-trace sink (not owned; must outlive simulate()). Attached
+        /// to the machine, so reads, writes and COMPUTE take their traced
+        /// paths. BT charges are attributed to step execution (COMPUTE),
+        /// context movement (PACK/UNPACK/Step-4 swaps), sort-based or
+        /// transpose-based delivery — or dummy-superstep for
+        /// smoothing-inserted rounds. The transfers it sees number
+        /// BtSimResult::block_transfers.
         trace::Sink* trace = nullptr;
+        /// Phase observer (not owned; must outlive simulate()). Receives the
+        /// same phase_begin/phase_end scopes as \p trace, dummy-superstep
+        /// relabelling included, and no other event. It is never attached to
+        /// the machine: with only this set the run stays on the untraced
+        /// path. When both are set, each scope reaches \p trace first.
+        trace::Sink* phases = nullptr;
     };
 
     explicit BtSimulator(model::AccessFunction f) : BtSimulator(std::move(f), Options{}) {}

@@ -50,12 +50,12 @@ struct SimState {
 
 
 /// The rounds of Figure 1 from the initial layout to Step 3, instantiated
-/// once per trace mode: the untraced loop has no sink to test, and a traced
-/// one attributes every charge to a phase. Returns the number of rounds.
+/// once per trace mode: the untraced loop has no charge sink to test, and a
+/// traced one sends every charge to the machine's sink. Phase scopes go to
+/// \p phases (nullptr: none) in either mode. Returns the number of rounds.
 template <bool Traced>
 std::uint64_t run_rounds(SimState& st, model::Program& program, const ClusterTree& tree,
-                         bool check_invariants) {
-    trace::Sink* const sink = Traced ? st.machine.trace() : nullptr;
+                         trace::Sink* phases, bool check_invariants) {
     const ContextLayout layout = program.layout();
     const std::size_t mu = st.mu;
     const StepIndex steps = program.num_supersteps();
@@ -86,7 +86,7 @@ std::uint64_t run_rounds(SimState& st, model::Program& program, const ClusterTre
         metric_rounds.add();
         // Rounds executing a smoothing-inserted dummy superstep attribute all
         // their charges (swaps included) to the dummy-superstep phase.
-        const bool dummy_round = Traced && program.is_dummy_step(s);
+        const bool dummy_round = phases != nullptr && program.is_dummy_step(s);
         const auto ph = [dummy_round](trace::Phase p) {
             return dummy_round ? trace::Phase::kDummyStep : p;
         };
@@ -130,17 +130,17 @@ std::uint64_t run_rounds(SimState& st, model::Program& program, const ClusterTre
         for (std::uint64_t idx = 0; idx < csize; ++idx) {
             DBSP_ASSERT(st.proc_of_block[idx] == first + idx);
             if (idx > 0) {
-                trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), label);
+                trace::PhaseScope move(phases, ph(trace::Phase::kContextMove), label);
                 st.machine.charge_swap_blocks(st.block_addr(0), st.block_addr(idx), mu);
             }
             {
-                trace::PhaseScope exec(sink, ph(trace::Phase::kStepExec), label);
+                trace::PhaseScope exec(phases, ph(trace::Phase::kStepExec), label);
                 runner.run(account, s, first + idx, st.block_addr(0), st.block_addr(idx));
                 st.machine.merge_shard(account);
                 account.clear();
             }
             if (idx > 0) {
-                trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), label);
+                trace::PhaseScope move(phases, ph(trace::Phase::kContextMove), label);
                 st.machine.charge_swap_blocks(st.block_addr(0), st.block_addr(idx), mu);
             }
         }
@@ -149,10 +149,10 @@ std::uint64_t run_rounds(SimState& st, model::Program& program, const ClusterTre
         // buffers and delivering into the incoming buffers; all traffic stays
         // within the topmost mu*|C| cells.
         {
-            trace::PhaseScope deliver(sink, ph(trace::Phase::kDeliver), label);
+            trace::PhaseScope deliver(phases, ph(trace::Phase::kDeliver), label);
             model::deliver_messages(layout, first, csize, contexts, program.proc_id_base(),
                                     &scratch);
-            if constexpr (Traced) sink->messages(scratch.pending.size());
+            if constexpr (Traced) st.machine.trace()->messages(scratch.pending.size());
         }
 
         for (ProcId p = first; p < first + csize; ++p) sigma[p] = s + 1;
@@ -162,7 +162,7 @@ std::uint64_t run_rounds(SimState& st, model::Program& program, const ClusterTre
         // clusters of the enclosing i_{s+1}-cluster through the top of memory.
         const unsigned next_label = program.label(s + 1);
         if (next_label < label) {
-            trace::PhaseScope move(sink, ph(trace::Phase::kContextMove), next_label);
+            trace::PhaseScope move(phases, ph(trace::Phase::kContextMove), next_label);
             const std::uint64_t b = std::uint64_t{1} << (label - next_label);
             const std::uint64_t jbar = tree.cluster_of(top_proc, next_label);
             const ProcId cbar_first = tree.cluster_first(jbar, next_label);
@@ -207,6 +207,8 @@ HmmSimResult HmmSimulator::simulate_with(
     SimState st(f_, v, mu);
     trace::Sink* const sink = options_.trace;
     st.machine.set_trace(sink);
+    trace::MultiSink both;
+    trace::Sink* const phases = trace::phase_target(sink, options_.phases, both);
 
     // Load the initial contexts (the input configuration; uncharged, as the
     // simulated machine is assumed to start from this memory image).
@@ -225,9 +227,10 @@ HmmSimResult HmmSimulator::simulate_with(
 
     static auto& metric_runs = report::metric_counter("sim.hmm.runs");
     metric_runs.add();
-    result.rounds = sink != nullptr
-                        ? run_rounds<true>(st, program, tree, options_.check_invariants)
-                        : run_rounds<false>(st, program, tree, options_.check_invariants);
+    result.rounds =
+        sink != nullptr
+            ? run_rounds<true>(st, program, tree, phases, options_.check_invariants)
+            : run_rounds<false>(st, program, tree, phases, options_.check_invariants);
 
     result.hmm_cost = st.machine.cost();
     result.words_touched = st.machine.words_touched();

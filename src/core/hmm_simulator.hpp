@@ -49,12 +49,19 @@ public:
 #else
             false;
 #endif
-        /// Charge-trace sink (not owned; must outlive simulate()). Every HMM
-        /// charge is attributed to a phase: step execution, context movement
-        /// (block swaps/rotations), message delivery — or dummy-superstep for
-        /// rounds executing a smoothing-inserted dummy. The words it sees
-        /// total HmmSimResult::words_touched.
+        /// Charge-trace sink (not owned; must outlive simulate()). Attached
+        /// to the machine, so the run takes the traced per-word path. Every
+        /// HMM charge is attributed to a phase: step execution, context
+        /// movement (block swaps/rotations), message delivery — or
+        /// dummy-superstep for rounds executing a smoothing-inserted dummy.
+        /// The words it sees total HmmSimResult::words_touched.
         trace::Sink* trace = nullptr;
+        /// Phase observer (not owned; must outlive simulate()). Receives the
+        /// same phase_begin/phase_end scopes as \p trace, dummy-superstep
+        /// relabelling included, and no other event. It is never attached to
+        /// the machine: with only this set the run stays on the untraced
+        /// path. When both are set, each scope reaches \p trace first.
+        trace::Sink* phases = nullptr;
     };
 
     explicit HmmSimulator(model::AccessFunction f)

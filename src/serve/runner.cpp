@@ -90,9 +90,11 @@ std::string fingerprint(const check::ProgramSpec& spec, const RunOptions& option
 
 std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& options,
                         RunObservation* obs) {
-    // Telemetry scaffolding: sinks see phase scopes and superstep events
-    // only; every charged cost and serialized byte below is computed exactly
-    // as in the unobserved run.
+    // Telemetry scaffolding: span sinks see phase scopes and superstep events
+    // only. On the simulator legs they are phase observers, so the machines
+    // carry a charge sink only when the locality profiler asks for one; every
+    // charged cost and serialized byte below is computed exactly as in the
+    // unobserved run.
     if (obs != nullptr && obs->t0_ns == 0) obs->t0_ns = telemetry::steady_now_ns();
     auto finish_leg = [&](const char* name, telemetry::SpanSink& sink,
                           std::uint64_t begin_ns) {
@@ -143,16 +145,9 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
         const std::uint64_t begin_ns = telemetry::steady_now_ns();
         auto smoothed = core::smooth(prog, core::hmm_label_set(options.f, mu, v));
         locality::LocalitySink loc(locality_options);
-        trace::MultiSink multi{&loc, &span_sink};
         core::HmmSimulator::Options sim;
-        const bool spans = obs != nullptr && obs->span != nullptr;
-        if (options.locality && spans) {
-            sim.trace = &multi;
-        } else if (options.locality) {
-            sim.trace = &loc;
-        } else if (spans) {
-            sim.trace = &span_sink;
-        }
+        if (options.locality) sim.trace = &loc;
+        if (obs != nullptr && obs->span != nullptr) sim.phases = &span_sink;
         const core::HmmSimResult res =
             core::HmmSimulator(options.f, sim).simulate(*smoothed);
         finish_leg("hmm", span_sink, begin_ns);
@@ -177,16 +172,9 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
         const std::uint64_t begin_ns = telemetry::steady_now_ns();
         auto smoothed = core::smooth(prog, core::bt_label_set(options.f, mu, v));
         locality::LocalitySink loc(locality_options);
-        trace::MultiSink multi{&loc, &span_sink};
         core::BtSimulator::Options sim;
-        const bool spans = obs != nullptr && obs->span != nullptr;
-        if (options.locality && spans) {
-            sim.trace = &multi;
-        } else if (options.locality) {
-            sim.trace = &loc;
-        } else if (spans) {
-            sim.trace = &span_sink;
-        }
+        if (options.locality) sim.trace = &loc;
+        if (obs != nullptr && obs->span != nullptr) sim.phases = &span_sink;
         const core::BtSimResult res =
             core::BtSimulator(options.f, sim).simulate(*smoothed);
         finish_leg("bt", span_sink, begin_ns);

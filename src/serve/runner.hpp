@@ -68,12 +68,15 @@ std::optional<model::AccessFunction> parse_function(const std::string& text,
 std::string fingerprint(const check::ProgramSpec& spec, const RunOptions& options);
 
 /// Wall-clock observation of one run, collected alongside (never inside)
-/// the deterministic result document. When \p span is non-null the executor
-/// legs attach a telemetry::SpanSink through the existing trace phase-scope
-/// hooks and append one leg span each ("dbsp" / "hmm" / "bt", with
-/// superstep-granularity children); the slack fields mirror the cost and
-/// bound values the document itself carries, so the telemetry layer can
-/// gauge measured-cost-over-theorem-bound without re-parsing the reply.
+/// the deterministic result document. When \p span is non-null each
+/// executor leg gets a telemetry::SpanSink and appends one leg span ("dbsp"
+/// / "hmm" / "bt"). The direct machine's sink sees its per-superstep events;
+/// the HMM and BT simulators take theirs as the phase observer, so their
+/// legs hold one child per phase scope (step-exec, context-move, deliver,
+/// ...) while the machines stay on the untraced path unless the locality
+/// profiler is attached. The slack fields mirror the cost and bound values
+/// the document itself carries, so the telemetry layer can gauge
+/// measured-cost-over-theorem-bound without re-parsing the reply.
 /// Observation is strictly read-alongside: the returned bytes are
 /// byte-identical with and without it (regression-tested).
 struct RunObservation {

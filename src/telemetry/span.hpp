@@ -3,11 +3,13 @@
 /// \file span.hpp
 /// Request spans: every serve request gets a monotonically assigned id and a
 /// tree of named, steady-clock-timed spans (parse -> cache-probe -> run ->
-/// superstep[i] -> reply-write). SpanBuilder assembles the tree on the
+/// reply-write; under run, one span per executor leg, and under each leg its
+/// supersteps or phase scopes). SpanBuilder assembles the tree on the
 /// request thread; SpanSink overrides only the trace::Sink phase-scope and
-/// superstep hooks (every other event stays the base's empty virtual) to
-/// time the simulator legs at superstep granularity without touching the
-/// charging paths.
+/// superstep hooks (every other event stays the base's empty virtual). The
+/// HMM and BT simulators take it as their phase observer, never as their
+/// charge sink, so timing their legs costs two virtual calls and two clock
+/// reads per phase scope and nothing per charged word.
 ///
 /// Spans observe wall time only. They never feed back into charged costs,
 /// fingerprints or reply bytes — the span tree travels exclusively through
@@ -81,7 +83,9 @@ private:
 
 /// trace::Sink adapter that turns the simulators' phase scopes (and the
 /// direct machine's superstep events) into timed spans. Charge events keep
-/// the base's empty implementations.
+/// the base's empty implementations: attach it as a simulator's phase
+/// observer (Options::phases), not as its charge sink (Options::trace),
+/// which would put the machine on its per-word traced path for nothing.
 ///
 /// Detail is bounded: the first kMaxDetail phase instances are recorded as
 /// individual spans ("superstep[i]" resolution — each simulator round is one

@@ -50,4 +50,12 @@ void MultiSink::phase_end(Phase phase) {
     for (Sink* c : children_) c->phase_end(phase);
 }
 
+Sink* phase_target(Sink* charges, Sink* phases, MultiSink& both) {
+    if (phases == nullptr || phases == charges) return charges;
+    if (charges == nullptr) return phases;
+    both.add(charges);
+    both.add(phases);
+    return &both;
+}
+
 }  // namespace dbsp::trace

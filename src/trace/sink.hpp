@@ -8,6 +8,11 @@
 /// observes the stream and attributes the charges it sees, e.g. to
 /// (phase x memory level x superstep label).
 ///
+/// A sink that reads only the phase scopes (a wall-clock timer, say) is
+/// handed to the HMM and BT simulators as their phase observer instead of
+/// their charge sink: it then sees the same scopes while the machines keep
+/// no sink and run their untraced paths (see phase_target below).
+///
 /// Zero overhead when disabled: a machine holds a raw `trace::Sink*`
 /// (nullptr by default) and every emission site is guarded by a single
 /// branch on that pointer — no virtual call, no allocation, no work on the
@@ -163,5 +168,11 @@ public:
 private:
     std::vector<Sink*> children_;
 };
+
+/// Where a simulator's phase scopes go, given its charge sink \p charges
+/// (attached to the machine) and its phase observer \p phases (never
+/// attached to the machine): whichever is set, or \p both fanned out to the
+/// two, charge sink first, when they are distinct. nullptr when neither is.
+Sink* phase_target(Sink* charges, Sink* phases, MultiSink& both);
 
 }  // namespace dbsp::trace

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,10 +49,12 @@ check::ProgramSpec corpus_spec(std::uint64_t seed) {
     return check::generate_spec(check::GenConfig{}, seed);
 }
 
-std::string run_line(const check::ProgramSpec& spec) {
+/// A run request line; \p locality (a JSON object's text) is added when set.
+std::string run_line(const check::ProgramSpec& spec, const char* locality = nullptr) {
     report::Json req = report::Json::object();
     req.set("op", "run");
     req.set("spec", check::serialize_spec(spec));
+    if (locality != nullptr) req.set("locality", report::Json::parse(locality).value());
     return req.dump_compact();
 }
 
@@ -229,15 +232,33 @@ TEST(ServeServer, TelemetryNeverChangesReplyBytes) {
     serve::Server plain({});
 
     const check::ProgramSpec spec = interesting_spec();
-    const std::string expected = serve::run_to_json(spec, serve::RunOptions{});
-    const std::string line = run_line(spec);
-    // Miss path, then hit path, on both servers: four identical documents.
-    EXPECT_EQ(with_telemetry.handle_line(line),
-              serve::run_reply(expected, /*cached=*/false));
-    EXPECT_EQ(with_telemetry.handle_line(line),
-              serve::run_reply(expected, /*cached=*/true));
-    EXPECT_EQ(plain.handle_line(line), serve::run_reply(expected, /*cached=*/false));
-    EXPECT_EQ(plain.handle_line(line), serve::run_reply(expected, /*cached=*/true));
+    // Locality off, exact and sampled: with locality on, the simulator legs
+    // carry the profiler as their charge sink and the span sink as their
+    // phase observer at once.
+    serve::RunOptions exact;
+    exact.locality = true;
+    serve::RunOptions sampled = exact;
+    sampled.sampled = true;
+    sampled.sample_rate = 0.5;
+    const std::vector<std::pair<serve::RunOptions, std::string>> requests = {
+        {serve::RunOptions{}, run_line(spec)},
+        {exact, run_line(spec, "{\"mode\":\"exact\"}")},
+        {sampled, run_line(spec, "{\"mode\":\"sampled\",\"rate\":0.5}")},
+    };
+    for (const auto& [options, line] : requests) {
+        const std::string expected = serve::run_to_json(spec, options);
+        // Miss path, then hit path, on both servers: four identical documents.
+        EXPECT_EQ(with_telemetry.handle_line(line),
+                  serve::run_reply(expected, /*cached=*/false))
+            << line;
+        EXPECT_EQ(with_telemetry.handle_line(line),
+                  serve::run_reply(expected, /*cached=*/true))
+            << line;
+        EXPECT_EQ(plain.handle_line(line), serve::run_reply(expected, /*cached=*/false))
+            << line;
+        EXPECT_EQ(plain.handle_line(line), serve::run_reply(expected, /*cached=*/true))
+            << line;
+    }
     std::remove(log_path.c_str());
 }
 
@@ -262,13 +283,31 @@ TEST(ServeServer, SpansOpServesRecentRequestTrees) {
     EXPECT_FALSE(miss["cached"].as_bool(true));
     EXPECT_GT(miss["bound_slack"]["hmm"].as_double(), 0.0);
     EXPECT_GT(miss["bound_slack"]["bt"].as_double(), 0.0);
+    // The simulator legs hold one child per phase scope (the span sink is
+    // their phase observer); past the detail cap a phase folds into one
+    // aggregated child of the same name.
+    const std::map<std::string, std::vector<std::string>> leg_phases = {
+        {"hmm", {"step-exec", "context-move", "deliver"}},
+        {"bt", {"step-exec", "context-move", "deliver-sort"}},
+    };
     std::vector<std::string> names;
     for (const report::Json& child : miss["spans"]["children"].items()) {
         names.push_back(child["name"].as_string());
         if (child["name"].as_string() == "run") {
             std::vector<std::string> legs;
             for (const report::Json& leg : child["children"].items()) {
-                legs.push_back(leg["name"].as_string());
+                const std::string name = leg["name"].as_string();
+                legs.push_back(name);
+                std::vector<std::string> phases;
+                for (const report::Json& phase : leg["children"].items()) {
+                    phases.push_back(phase["name"].as_string());
+                }
+                const auto want = leg_phases.find(name);
+                if (want == leg_phases.end()) continue;
+                for (const std::string& phase : want->second) {
+                    EXPECT_NE(std::find(phases.begin(), phases.end(), phase), phases.end())
+                        << name << " leg lacks " << phase;
+                }
             }
             EXPECT_EQ(legs, (std::vector<std::string>{"dbsp", "hmm", "bt"}));
         }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "algos/bitonic_sort.hpp"
@@ -413,6 +416,148 @@ TEST(TraceMulti, FanOutKeepsEveryChildExact) {
     std::uint64_t scopes = 0;
     for (const auto& [key, stats] : aggregate.phases()) scopes += stats.scopes;
     EXPECT_EQ(chrome.event_count(), 2 * scopes);
+}
+
+// ---------------------------------------------------------------------------
+// Phase observers: a traced run's phase scopes without its charge path.
+// ---------------------------------------------------------------------------
+
+/// Records phase scopes in order and counts every other event.
+class ScopeRecorder final : public trace::Sink {
+public:
+    struct Scope {
+        bool begin;
+        trace::Phase phase;
+        unsigned label;
+        bool operator==(const Scope&) const = default;
+        friend std::ostream& operator<<(std::ostream& os, const Scope& s) {
+            return os << (s.begin ? "begin " : "end ") << trace::phase_name(s.phase) << '/'
+                      << s.label;
+        }
+    };
+
+    void access(trace::Addr, double) override { ++other_events; }
+    void access_range(std::span<const double>, trace::Addr, trace::Addr) override {
+        ++other_events;
+    }
+    void charge(double) override { ++other_events; }
+    void block_op(std::span<const double>, double, unsigned,
+                  std::initializer_list<trace::AddrRange>) override {
+        ++other_events;
+    }
+    void block_transfer(trace::Addr, trace::Addr, std::uint64_t, double, double) override {
+        ++other_events;
+    }
+    void messages(std::uint64_t) override { ++other_events; }
+    void superstep(unsigned, std::uint64_t, std::size_t, double, double) override {
+        ++other_events;
+    }
+    void phase_begin(trace::Phase phase, unsigned label) override {
+        scopes.push_back({true, phase, label});
+    }
+    void phase_end(trace::Phase phase) override { scopes.push_back({false, phase, 0}); }
+
+    bool opened(trace::Phase phase) const {
+        return std::any_of(scopes.begin(), scopes.end(),
+                           [phase](const Scope& s) { return s.begin && s.phase == phase; });
+    }
+
+    std::vector<Scope> scopes;
+    std::uint64_t other_events = 0;
+};
+
+/// Every way of attaching recorders to one simulation: as the charge sink,
+/// as the phase observer alone, and as both at once (two recorders).
+struct ObserverRuns {
+    ScopeRecorder traced, observer, both_charges, both_phases;
+
+    /// The observer, and both recorders of the combined run, saw exactly the
+    /// traced run's scopes; neither phase observer saw any other event.
+    void expect_same_scopes() const {
+        EXPECT_FALSE(traced.scopes.empty());
+        EXPECT_GT(traced.other_events, 0u);
+        EXPECT_EQ(observer.scopes, traced.scopes);
+        EXPECT_EQ(observer.other_events, 0u);
+        EXPECT_EQ(both_charges.scopes, traced.scopes);
+        EXPECT_EQ(both_charges.other_events, traced.other_events);
+        EXPECT_EQ(both_phases.scopes, traced.scopes);
+        EXPECT_EQ(both_phases.other_events, 0u);
+    }
+};
+
+TEST(PhaseObserver, HmmScopesMatchTracedRunOnTheUntracedPath) {
+    const std::uint64_t v = 64;
+    const auto f = AccessFunction::polynomial(0.5);
+    auto run = [&](trace::Sink* charges, trace::Sink* phases) {
+        // With every label in L, each descent of the sort's merge stages is
+        // padded with dummy supersteps.
+        auto prog = make_sort_program(v, 29);
+        auto smoothed = core::smooth(*prog, core::full_label_set(v));
+        EXPECT_TRUE(has_dummy_step(*smoothed));
+        core::HmmSimulator::Options options;
+        options.trace = charges;
+        options.phases = phases;
+        return core::HmmSimulator(f, options).simulate(*smoothed);
+    };
+    ObserverRuns rec;
+    const auto plain = run(nullptr, nullptr);
+    run(&rec.traced, nullptr);
+    const auto observed = run(nullptr, &rec.observer);
+    run(&rec.both_charges, &rec.both_phases);
+
+    rec.expect_same_scopes();
+    EXPECT_TRUE(rec.observer.opened(trace::Phase::kDummyStep));
+    EXPECT_EQ(observed.hmm_cost, plain.hmm_cost);
+    EXPECT_EQ(observed.words_touched, plain.words_touched);
+    EXPECT_EQ(observed.rounds, plain.rounds);
+    EXPECT_EQ(observed.contexts, plain.contexts);
+}
+
+TEST(PhaseObserver, BtScopesMatchTracedRunOnTheUntracedPath) {
+    const auto f = AccessFunction::polynomial(0.5);
+    // A sort smoothed over every label, so it has dummy supersteps, and a
+    // transpose program (FFT-rec, log v a power of two) whose
+    // rational-permutation delivery opens deliver-transpose scopes.
+    struct Case {
+        std::function<std::unique_ptr<model::Program>()> make;
+        std::uint64_t v;
+        bool rational;
+        trace::Phase must_open;
+    };
+    const std::vector<Case> cases = {
+        {[] { return make_sort_program(64, 13); }, 64, false, trace::Phase::kDummyStep},
+        {[] { return make_fft_program(16, 17); }, 16, true,
+         trace::Phase::kDeliverTranspose},
+    };
+    for (const Case& c : cases) {
+        auto run = [&](trace::Sink* charges, trace::Sink* phases) {
+            auto prog = c.make();
+            auto smoothed = core::smooth(
+                *prog, c.rational ? core::bt_label_set(f, prog->context_words(), c.v)
+                                  : core::full_label_set(c.v));
+            core::BtSimulator::Options options;
+            options.use_rational_permutations = c.rational;
+            options.trace = charges;
+            options.phases = phases;
+            return core::BtSimulator(f, options).simulate(*smoothed);
+        };
+        ObserverRuns rec;
+        const auto plain = run(nullptr, nullptr);
+        run(&rec.traced, nullptr);
+        const auto observed = run(nullptr, &rec.observer);
+        run(&rec.both_charges, &rec.both_phases);
+
+        rec.expect_same_scopes();
+        EXPECT_TRUE(rec.observer.opened(c.must_open)) << trace::phase_name(c.must_open);
+        EXPECT_EQ(observed.bt_cost, plain.bt_cost);
+        EXPECT_EQ(observed.transfer_latency, plain.transfer_latency);
+        EXPECT_EQ(observed.transfer_volume, plain.transfer_volume);
+        EXPECT_EQ(observed.word_access, plain.word_access);
+        EXPECT_EQ(observed.block_transfers, plain.block_transfers);
+        EXPECT_EQ(observed.rounds, plain.rounds);
+        EXPECT_EQ(observed.transpose_invocations, plain.transpose_invocations);
+        EXPECT_EQ(observed.contexts, plain.contexts);
+    }
 }
 
 // ---------------------------------------------------------------------------

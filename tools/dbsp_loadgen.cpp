@@ -26,8 +26,10 @@
 ///   dbsp_loadgen --socket PATH [--spawn DBSP_SERVE_BIN] [--requests N]
 ///                [--distinct K] [--batch B] [--out FILE] [--telemetry]
 ///
-/// --telemetry adds a fifth leg (PR 9): validate the op:"watch" frame
-/// stream ("dbsp-telemetry-v2" schema) and the op:"spans" ring, and — when
+/// --telemetry adds a fifth leg: validate the op:"watch" frame stream
+/// ("dbsp-telemetry-v2" schema) and the op:"spans" ring (a fresh cache miss
+/// must succeed, and its run span must hold the dbsp, hmm and bt legs, each
+/// simulator leg with phase children), and — when
 /// --spawn is given — measure telemetry_overhead_pct: the daemon CPU-time
 /// overhead (summed per-thread schedstat runtime, nanosecond resolution)
 /// of running with --log at the default info level (the production
@@ -101,6 +103,25 @@ std::string run_line(const check::ProgramSpec& spec) {
     req.set("op", "run");
     req.set("spec", check::serialize_spec(spec));
     return req.dump_compact();
+}
+
+/// A cache-miss request's span record is complete when its "run" span holds
+/// the dbsp, hmm and bt legs and each simulator leg holds a phase child.
+bool miss_spans_complete(const report::Json& record) {
+    if (record["cached"].as_bool(true)) return false;
+    for (const report::Json& child : record["spans"]["children"].items()) {
+        if (child["name"].as_string() != "run") continue;
+        bool dbsp = false, hmm = false, bt = false;
+        for (const report::Json& leg : child["children"].items()) {
+            const std::string& name = leg["name"].as_string();
+            const bool phased = !leg["children"].items().empty();
+            dbsp = dbsp || name == "dbsp";
+            hmm = hmm || (name == "hmm" && phased);
+            bt = bt || (name == "bt" && phased);
+        }
+        return dbsp && hmm && bt;
+    }
+    return false;
 }
 
 double quantile(std::vector<double> sorted, double q) {
@@ -461,7 +482,9 @@ int main(int argc, char** argv) {
         // with leg spans and bound-slack gauges on the miss-path entries.
         // Earlier miss-path entries may have been evicted by the cache-hit
         // legs (the ring holds the most recent requests), so issue one fresh
-        // miss first to guarantee a slack-bearing record near the head.
+        // miss first to guarantee a slack-bearing record near the head. That
+        // miss is the newest run record, and its span tree must be complete
+        // (miss_spans_complete).
         {
             std::string reply;
             const check::ProgramSpec fresh =
@@ -469,6 +492,11 @@ int main(int argc, char** argv) {
             if (!client.request(run_line(fresh), &reply, &error)) {
                 std::fprintf(stderr, "dbsp_loadgen: fresh-miss run failed: %s\n",
                              error.c_str());
+                ++telemetry_bad;
+            } else if (const auto run = report::Json::parse(reply);
+                       !run.has_value() || !(*run)["ok"].as_bool()) {
+                std::fprintf(stderr, "dbsp_loadgen: fresh-miss run refused: %s\n",
+                             reply.c_str());
                 ++telemetry_bad;
             }
             if (!client.request("{\"op\":\"spans\",\"limit\":64}", &reply, &error)) {
@@ -482,6 +510,7 @@ int main(int argc, char** argv) {
                             !(*doc)["spans"].items().empty();
                 if (good) {
                     bool saw_slack = false;
+                    const report::Json* fresh_miss = nullptr;  // newest run record
                     for (const report::Json& r : (*doc)["spans"].items()) {
                         if (!r["id"].is_number() || !r["op"].is_string() ||
                             !r["spans"].is_object()) {
@@ -489,8 +518,12 @@ int main(int argc, char** argv) {
                             break;
                         }
                         if (r["bound_slack"]["hmm"].as_double() > 0.0) saw_slack = true;
+                        if (fresh_miss == nullptr && r["op"].as_string() == "run") {
+                            fresh_miss = &r;
+                        }
                     }
-                    good = good && saw_slack;
+                    good = good && saw_slack && fresh_miss != nullptr &&
+                           miss_spans_complete(*fresh_miss);
                 }
                 if (!good) {
                     ++telemetry_bad;
