@@ -145,39 +145,5 @@ int main(int argc, char** argv) {
                     "growing hierarchy penalty; the Figure 1 schedule does not)\n");
     }
 
-    // Opt-in charge trace (DBSP_TRACE=1 or =path.json): re-run the largest
-    // sweep point serially with a sink attached and report the breakdown.
-    bench::EnvTrace env_trace;
-    if (env_trace.enabled()) {
-        ex.timed_leg("e3 traced re-run", [&] {
-            const Point& pt = points.back();
-            const auto labels = workload_labels(pt.v, 7);
-            algo::RandomRoutingProgram prog(pt.v, labels, 101);
-            auto smoothed =
-                core::smooth(prog, core::hmm_label_set(pt.f, prog.context_words(), pt.v));
-            core::HmmSimulator::Options options;
-            options.trace = env_trace.sink();
-            const auto res = core::HmmSimulator(pt.f, options).simulate(*smoothed);
-            env_trace.report("HMM simulation, " + pt.f.name() + ", v=" + std::to_string(pt.v),
-                             res.hmm_cost);
-        });
-    }
-    // Opt-in locality profile (DBSP_LOCALITY=exact|sampled[@R]): profile the
-    // largest sweep point's simulated address stream on a serial re-run,
-    // same one-sink-one-leg discipline as the charge trace above.
-    bench::EnvLocality env_loc;
-    if (env_loc.enabled()) {
-        ex.timed_leg("e3 locality re-run", [&] {
-            const Point& pt = points.back();
-            const auto labels = workload_labels(pt.v, 7);
-            algo::RandomRoutingProgram prog(pt.v, labels, 101);
-            auto smoothed =
-                core::smooth(prog, core::hmm_label_set(pt.f, prog.context_words(), pt.v));
-            core::HmmSimulator::Options options;
-            options.trace = env_loc.sink();
-            (void)core::HmmSimulator(pt.f, options).simulate(*smoothed);
-            env_loc.report("HMM simulation, " + pt.f.name() + ", v=" + std::to_string(pt.v));
-        });
-    }
     return ex.finish();
 }

@@ -141,24 +141,5 @@ int main(int argc, char** argv) {
                      spreads.back() / spreads.front(), 1.05);
     }
 
-    // Opt-in charge trace (DBSP_TRACE=1 or =path.json): re-run the largest
-    // routing point on the x^0.5-BT with a sink attached. The sink is not
-    // thread-safe, so this stays a serial leg.
-    bench::EnvTrace env_trace;
-    if (env_trace.enabled()) {
-        ex.timed_leg("e8 traced re-run", [&] {
-            const std::uint64_t v = 1 << 10;
-            const auto f = model::AccessFunction::polynomial(0.5);
-            const auto labels = workload_labels(v);
-            algo::RandomRoutingProgram prog(v, labels, 31);
-            auto smoothed =
-                core::smooth(prog, core::bt_label_set(f, prog.context_words(), v));
-            core::BtSimulator::Options options;
-            options.trace = env_trace.sink();
-            const auto res = core::BtSimulator(f, options).simulate(*smoothed);
-            env_trace.report("BT simulation, " + f.name() + ", v=" + std::to_string(v),
-                             res.bt_cost);
-        });
-    }
     return ex.finish();
 }

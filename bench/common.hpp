@@ -16,19 +16,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "locality/sink.hpp"
 #include "model/access_function.hpp"
 #include "report/experiment.hpp"
-#include "report/trace_bundle.hpp"
-#include "trace/sink.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -273,87 +268,6 @@ auto parallel_sweep(const std::vector<Point>& points, Fn&& fn)
                        [&](std::size_t i) { results[i] = fn(points[i]); });
     return results;
 }
-
-/// Opt-in charge tracing for the experiment binaries, driven by the
-/// DBSP_TRACE environment variable (see report::TraceBundle::from_env).
-/// The sink is not thread-safe, so binaries attach it to one representative
-/// configuration re-run serially after the parallel sweep, not to the sweep
-/// workers themselves.
-class EnvTrace {
-public:
-    EnvTrace() : bundle_(report::TraceBundle::from_env("bench")) {}
-
-    bool enabled() const { return bundle_.enabled(); }
-    trace::Sink* sink() { return bundle_.sink(); }
-
-    /// Print the aggregate report for the traced run (and write the Chrome
-    /// file if a path was given). \p charged_cost is the simulator's own
-    /// total, printed next to the attributed sum.
-    void report(const std::string& what, double charged_cost) const {
-        bundle_.report("DBSP_TRACE", what, charged_cost);
-    }
-
-private:
-    report::TraceBundle bundle_;
-};
-
-/// Opt-in address-stream locality profiling for the experiment binaries,
-/// driven by the DBSP_LOCALITY environment variable (the --locality analogue
-/// of EnvTrace / DBSP_TRACE):
-///   unset / "" / "0"  — disabled;
-///   "1" / "exact"     — exact reuse-distance engine;
-///   "sampled"         — SHARDS-sampled engine at the default production rate;
-///   "sampled@R"       — SHARDS-sampled at rate R in (0, 1].
-/// Any other value disables the hook with a stderr warning — an experiment
-/// sweep should not die on a typo in an observability knob.
-/// Like EnvTrace, the sink is not thread-safe: binaries attach it to one
-/// representative configuration re-run serially after the parallel sweep.
-class EnvLocality {
-public:
-    EnvLocality() {
-        const char* value = std::getenv("DBSP_LOCALITY");
-        if (value == nullptr || value[0] == '\0' || std::strcmp(value, "0") == 0) return;
-        locality::LocalityOptions options;
-        if (std::strcmp(value, "1") == 0 || std::strcmp(value, "exact") == 0) {
-            // exact defaults
-        } else if (std::strcmp(value, "sampled") == 0) {
-            options.mode = locality::LocalityOptions::Mode::kSampled;
-        } else if (std::strncmp(value, "sampled@", 8) == 0) {
-            char* end = nullptr;
-            const double rate = std::strtod(value + 8, &end);
-            if (value[8] == '\0' || end == nullptr || *end != '\0' || !(rate > 0.0) ||
-                rate > 1.0) {
-                warn(value);
-                return;
-            }
-            options.mode = locality::LocalityOptions::Mode::kSampled;
-            options.sample_rate = rate;
-        } else {
-            warn(value);
-            return;
-        }
-        sink_ = std::make_unique<locality::LocalitySink>(options);
-    }
-
-    bool enabled() const { return sink_ != nullptr; }
-    locality::LocalitySink* sink() { return sink_.get(); }
-
-    /// Print the profiled run's analytics (reuse-distance histogram, working
-    /// set, score) for the traced leg.
-    void report(const std::string& what) {
-        if (sink_ != nullptr) sink_->profile().print(stdout, "DBSP_LOCALITY " + what);
-    }
-
-private:
-    static void warn(const char* value) {
-        std::fprintf(stderr,
-                     "bench: ignoring DBSP_LOCALITY=\"%s\" (expected 0, 1, exact, "
-                     "sampled, or sampled@R with R in (0, 1])\n",
-                     value);
-    }
-
-    std::unique_ptr<locality::LocalitySink> sink_;
-};
 
 /// The paper's case-study access functions.
 inline std::vector<model::AccessFunction> case_study_functions() {

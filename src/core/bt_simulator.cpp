@@ -84,7 +84,8 @@ public:
           total_slots_(2 * v_ + gap_slots(v_) + 2),
           machine_(f, pad_ + total_slots_ * mu_ + 64),
           proc_of_slot_(total_slots_, kEmptySlot), slot_of_proc_(v_), sigma_(v_, 0),
-          phases_(trace::phase_target(options_.trace, options_.phases, phase_fanout_)) {
+          phase_fanout_{options_.trace, options_.phases},
+          phases_(phase_fanout_.target()) {
         machine_.set_trace(options_.trace);
         touches_.reserve(2 * mu_);
     }
@@ -153,7 +154,7 @@ private:
     model::TouchLog touches_;                ///< the executing context's touch log
     bool walking_ = false;  ///< move_slot_run charges without copying
 
-    trace::MultiSink phase_fanout_;  ///< charge sink + phase observer, when both
+    trace::MultiSink phase_fanout_;  ///< charge sink, then phase observer
     trace::Sink* const phases_;      ///< where phase scopes go; nullptr: nowhere
 };
 

@@ -207,8 +207,8 @@ HmmSimResult HmmSimulator::simulate_with(
     SimState st(f_, v, mu);
     trace::Sink* const sink = options_.trace;
     st.machine.set_trace(sink);
-    trace::MultiSink both;
-    trace::Sink* const phases = trace::phase_target(sink, options_.phases, both);
+    trace::MultiSink phase_fanout{sink, options_.phases};
+    trace::Sink* const phases = phase_fanout.target();
 
     // Load the initial contexts (the input configuration; uncharged, as the
     // simulated machine is assumed to start from this memory image).

@@ -13,26 +13,28 @@ bool fail(std::string* error, const std::string& message) {
 
 bool parse_locality(const report::Json& loc, RunOptions* options, std::string* error) {
     if (!loc.is_object()) return fail(error, "locality: expected an object");
-    options->locality = true;
+    locality::LocalityOptions parsed;
     for (const auto& [key, value] : loc.members()) {
         if (key == "mode") {
             const std::string& mode = value.as_string();
             if (!value.is_string() || (mode != "exact" && mode != "sampled")) {
                 return fail(error, "locality.mode: expected \"exact\" or \"sampled\"");
             }
-            options->sampled = mode == "sampled";
+            parsed.mode = mode == "sampled" ? locality::LocalityOptions::Mode::kSampled
+                                            : locality::LocalityOptions::Mode::kExact;
         } else if (key == "rate") {
             if (!value.is_number() || !valid_sample_rate(value.as_double())) {
                 return fail(error, "locality.rate: expected a number in (0, 1]");
             }
-            options->sample_rate = value.as_double();
+            parsed.sample_rate = value.as_double();
         } else {
             return fail(error, "locality: unknown field \"" + key + "\"");
         }
     }
-    if (!options->sampled && loc.contains("rate")) {
+    if (parsed.mode != locality::LocalityOptions::Mode::kSampled && loc.contains("rate")) {
         return fail(error, "locality.rate: only valid with mode \"sampled\"");
     }
+    options->locality = parsed;
     return true;
 }
 

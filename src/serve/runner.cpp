@@ -33,6 +33,10 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
     return fnv1a(h, s.data(), s.size() + 1);
 }
 
+bool is_sampled(const locality::LocalityOptions& options) {
+    return options.mode == locality::LocalityOptions::Mode::kSampled;
+}
+
 std::string hex64(std::uint64_t h) {
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
@@ -80,9 +84,10 @@ std::string fingerprint(const check::ProgramSpec& spec, const RunOptions& option
     h = fnv1a(h, options.model);
     h = fnv1a(h, options.f.key());
     if (options.locality) {
-        h = fnv1a(h, options.sampled ? std::string("sampled") : std::string("exact"));
-        if (options.sampled) {
-            h = fnv1a(h, &options.sample_rate, sizeof(options.sample_rate));
+        const bool sampled = is_sampled(*options.locality);
+        h = fnv1a(h, sampled ? std::string("sampled") : std::string("exact"));
+        if (sampled) {
+            h = fnv1a(h, &options.locality->sample_rate, sizeof(double));
         }
     }
     return hex64(h);
@@ -132,11 +137,8 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
     dbsp.set("communicate", direct.communication_time());
     doc.set("dbsp", std::move(dbsp));
 
-    locality::LocalityOptions locality_options;
-    if (options.sampled) {
-        locality_options.mode = locality::LocalityOptions::Mode::kSampled;
-        locality_options.sample_rate = options.sample_rate;
-    }
+    const locality::LocalityOptions locality_options = options.locality.value_or(
+        locality::LocalityOptions{});
     report::Json profiles = report::Json::object();
 
     if (options.model == "hmm" || options.model == "both") {
@@ -197,8 +199,9 @@ std::string run_to_json(const check::ProgramSpec& spec, const RunOptions& option
 
     if (options.locality) {
         report::Json loc = report::Json::object();
-        loc.set("mode", options.sampled ? "sampled" : "exact");
-        if (options.sampled) loc.set("sample_rate", options.sample_rate);
+        const bool sampled = is_sampled(*options.locality);
+        loc.set("mode", sampled ? "sampled" : "exact");
+        if (sampled) loc.set("sample_rate", options.locality->sample_rate);
         loc.set("profiles", std::move(profiles));
         doc.set("locality", std::move(loc));
     }

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "check/program_gen.hpp"
+#include "locality/sink.hpp"
 #include "model/access_function.hpp"
 #include "telemetry/span.hpp"
 
@@ -37,12 +38,10 @@ struct RunOptions {
     std::string model = "both";
     /// Access function of the target hierarchical machine.
     model::AccessFunction f = model::AccessFunction::polynomial(0.5);
-    /// Attach the address-stream locality profiler to the simulation legs.
-    bool locality = false;
-    /// SHARDS-sampled profiler instead of the exact engine.
-    bool sampled = false;
-    /// Sampling rate; must satisfy valid_sample_rate when sampled.
-    double sample_rate = 0.01;
+    /// When set, the address-stream locality profiler runs on the
+    /// simulation legs in this mode; a sampled rate must satisfy
+    /// valid_sample_rate.
+    std::optional<dbsp::locality::LocalityOptions> locality;
     /// Inert: read by nothing. Kept only because benchmark/src/serve_mix.cpp
     /// sets it.
     std::size_t threads = 0;

@@ -28,29 +28,29 @@ void SpanSink::phase_end(trace::Phase phase) {
     if (open_.empty() || open_.back().phase != phase) return;
     const Open top = open_.back();
     open_.pop_back();
-    record(trace::phase_name(phase), top.label, top.start_ns - t0_ns_,
-           now - top.start_ns, static_cast<unsigned>(phase));
+    record(phase, top.label, top.start_ns - t0_ns_, now - top.start_ns);
 }
 
 void SpanSink::superstep(unsigned label, std::uint64_t tau, std::size_t h,
                          double comm_arg, double cost) {
     (void)tau, (void)h, (void)comm_arg, (void)cost;
     const std::uint64_t now = steady_now_ns();
-    if (last_superstep_ns_ == 0) last_superstep_ns_ = t0_ns_;
     const std::uint64_t start = last_superstep_ns_;
-    record("superstep", label, start - t0_ns_, now - start, trace::kPhaseCount);
+    record(trace::Phase::kSuperstep, label, start - t0_ns_, now - start);
     last_superstep_ns_ = now;
 }
 
-void SpanSink::record(const char* name, unsigned label, std::uint64_t start_ns,
-                      std::uint64_t dur_ns, unsigned phase_index) {
-    Aggregate& agg = aggregate_[phase_index];
+void SpanSink::record(trace::Phase phase, unsigned label, std::uint64_t start_ns,
+                      std::uint64_t dur_ns) {
+    Aggregate& agg = aggregate_[static_cast<unsigned>(phase)];
     if (agg.count == 0) agg.first_start_ns = start_ns;
     ++agg.count;
     agg.dur_ns += dur_ns;
     if (detail_.size() < kMaxDetail) {
+        ++agg.detailed;
+        agg.detailed_ns += dur_ns;
         Span s;
-        s.name = name;
+        s.name = trace::phase_name(phase);
         s.label = label;
         s.start_ns = start_ns;
         s.dur_ns = dur_ns;
@@ -63,40 +63,20 @@ Span SpanSink::take(std::string leg_name) {
     leg.name = std::move(leg_name);
     leg.children = std::move(detail_);
     detail_.clear();
-
-    // Count how many instances the detail spans already cover, per phase.
-    std::uint64_t detailed[trace::kPhaseCount + 1] = {};
-    for (const Span& s : leg.children) {
-        for (unsigned p = 0; p <= trace::kPhaseCount; ++p) {
-            const char* name = p < trace::kPhaseCount
-                                   ? trace::phase_name(static_cast<trace::Phase>(p))
-                                   : "superstep";
-            if (s.name == name) {
-                ++detailed[p];
-                break;
-            }
-        }
-    }
-    for (unsigned p = 0; p <= trace::kPhaseCount; ++p) {
+    for (unsigned p = 0; p < trace::kPhaseCount; ++p) {
         const Aggregate& agg = aggregate_[p];
-        if (agg.count <= detailed[p]) continue;
+        if (agg.count == agg.detailed) continue;
+        // The folded node carries the instances and time the detail spans
+        // do not.
         Span folded;
-        folded.name = p < trace::kPhaseCount
-                          ? trace::phase_name(static_cast<trace::Phase>(p))
-                          : "superstep";
-        folded.count = agg.count - detailed[p];
+        folded.name = trace::phase_name(static_cast<trace::Phase>(p));
+        folded.count = agg.count - agg.detailed;
         folded.start_ns = agg.first_start_ns;
-        // The folded node carries the phase total minus what the detail
-        // spans already account for.
-        std::uint64_t detailed_ns = 0;
-        for (const Span& s : leg.children) {
-            if (s.name == folded.name) detailed_ns += s.dur_ns;
-        }
-        folded.dur_ns = agg.dur_ns > detailed_ns ? agg.dur_ns - detailed_ns : 0;
+        folded.dur_ns = agg.dur_ns - agg.detailed_ns;
         leg.children.push_back(std::move(folded));
     }
     for (auto& agg : aggregate_) agg = Aggregate{};
-    last_superstep_ns_ = 0;
+    last_superstep_ns_ = steady_now_ns();
     return leg;
 }
 

@@ -96,19 +96,22 @@ public:
     static constexpr std::size_t kMaxDetail = 48;
 
     /// \p t0_ns: the owning request's start stamp (SpanBuilder::t0_ns), so
-    /// leg spans share the request-relative timebase.
-    explicit SpanSink(std::uint64_t t0_ns) : t0_ns_(t0_ns) {}
+    /// leg spans share the request-relative timebase. The leg starts now.
+    explicit SpanSink(std::uint64_t t0_ns)
+        : t0_ns_(t0_ns), last_superstep_ns_(steady_now_ns()) {}
 
     void phase_begin(trace::Phase phase, unsigned label) override;
     void phase_end(trace::Phase phase) override;
 
-    /// Direct-machine superstep events carry no scope; the time between
-    /// consecutive events is superstep i's duration.
+    /// Direct-machine superstep events carry no scope; superstep i lasts
+    /// from the previous event (the leg start for the first) to this one.
+    /// They fold with Phase::kSuperstep scopes.
     void superstep(unsigned label, std::uint64_t tau, std::size_t h, double comm_arg,
                    double cost) override;
 
     /// Assemble the leg span: recorded detail spans first, then one
-    /// aggregated span per phase for the folded tail.
+    /// aggregated span per phase for the folded tail. Resets the sink; the
+    /// next leg starts now.
     Span take(std::string leg_name);
 
 private:
@@ -117,21 +120,23 @@ private:
         unsigned label;
         std::uint64_t start_ns;
     };
+    /// One phase's instances: all of them, and those kept as detail spans.
     struct Aggregate {
         std::uint64_t count = 0;
         std::uint64_t dur_ns = 0;
         std::uint64_t first_start_ns = 0;
+        std::uint64_t detailed = 0;
+        std::uint64_t detailed_ns = 0;
     };
 
-    void record(const char* name, unsigned label, std::uint64_t start_ns,
-                std::uint64_t dur_ns, unsigned phase_index);
+    void record(trace::Phase phase, unsigned label, std::uint64_t start_ns,
+                std::uint64_t dur_ns);
 
     std::uint64_t t0_ns_;
-    std::uint64_t last_superstep_ns_ = 0;  ///< previous superstep event stamp
+    std::uint64_t last_superstep_ns_;  ///< previous superstep event, or leg start
     std::vector<Open> open_;
     std::vector<Span> detail_;
-    // Phases plus one extra slot for direct-machine superstep events.
-    Aggregate aggregate_[trace::kPhaseCount + 1] = {};
+    Aggregate aggregate_[trace::kPhaseCount] = {};
 };
 
 }  // namespace dbsp::telemetry

@@ -38,21 +38,6 @@ void ChromeTraceSink::append_events(std::FILE* out, bool* first) const {
     }
 }
 
-void ChromeTraceSink::write(std::FILE* out) const {
-    std::fprintf(out, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    bool first = true;
-    append_events(out, &first);
-    std::fprintf(out, "\n]}\n");
-}
-
-bool ChromeTraceSink::write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    write(f);
-    std::fclose(f);
-    return true;
-}
-
 void ChromeTraceSink::write_merged(std::span<const ChromeTraceSink* const> sinks,
                                    std::FILE* out) {
     std::fprintf(out, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
@@ -77,7 +62,8 @@ std::string ChromeTraceSink::to_json() const {
     std::size_t size = 0;
     std::FILE* mem = open_memstream(&buf, &size);
     if (mem == nullptr) return {};
-    write(mem);
+    const ChromeTraceSink* const self[] = {this};
+    write_merged(self, mem);
     std::fclose(mem);
     std::string s(buf, size);
     std::free(buf);

@@ -23,9 +23,7 @@ public:
     /// \p track names the timeline row ("tid" in the trace).
     explicit ChromeTraceSink(std::string track = "model") : track_(std::move(track)) {}
 
-    /// Serialise the collected events as a `{"traceEvents": [...]}` document.
-    void write(std::FILE* out) const;
-    bool write(const std::string& path) const;
+    /// The collected events as a `{"traceEvents": [...]}` document.
     std::string to_json() const;
 
     /// Serialise several sinks into one document; each sink's track becomes

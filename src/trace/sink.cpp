@@ -1,5 +1,7 @@
 #include "trace/sink.hpp"
 
+#include <algorithm>
+
 namespace dbsp::trace {
 
 const char* phase_name(Phase p) {
@@ -17,6 +19,12 @@ const char* phase_name(Phase p) {
         case Phase::kSuperstep: return "superstep";
     }
     return "?";
+}
+
+void MultiSink::add(Sink* child) {
+    if (child == nullptr) return;
+    if (std::find(children_.begin(), children_.end(), child) != children_.end()) return;
+    children_.push_back(child);
 }
 
 void MultiSink::access(Addr x, double cost) {
@@ -48,14 +56,6 @@ void MultiSink::phase_begin(Phase phase, unsigned label) {
 }
 void MultiSink::phase_end(Phase phase) {
     for (Sink* c : children_) c->phase_end(phase);
-}
-
-Sink* phase_target(Sink* charges, Sink* phases, MultiSink& both) {
-    if (phases == nullptr || phases == charges) return charges;
-    if (charges == nullptr) return phases;
-    both.add(charges);
-    both.add(phases);
-    return &both;
 }
 
 }  // namespace dbsp::trace

@@ -11,7 +11,7 @@
 /// A sink that reads only the phase scopes (a wall-clock timer, say) is
 /// handed to the HMM and BT simulators as their phase observer instead of
 /// their charge sink: it then sees the same scopes while the machines keep
-/// no sink and run their untraced paths (see phase_target below).
+/// no sink and run their untraced paths (see MultiSink::target below).
 ///
 /// Zero overhead when disabled: a machine holds a raw `trace::Sink*`
 /// (nullptr by default) and every emission site is guarded by a single
@@ -143,14 +143,27 @@ private:
     Phase phase_;
 };
 
-/// Fan-out sink: forwards every event verbatim to each child, in the order
-/// the children were added. Used by dbsp_explore to feed the aggregate
-/// table, the Chrome trace writer and the locality profiler from one run.
+/// Fan-out sink: the one rule for handing several observers one event
+/// stream. Null and repeated children are skipped; every other child gets
+/// every event verbatim, in the order the children were added.
 class MultiSink final : public Sink {
 public:
     MultiSink() = default;
-    MultiSink(std::initializer_list<Sink*> children) : children_(children) {}
-    void add(Sink* child) { children_.push_back(child); }
+    MultiSink(std::initializer_list<Sink*> children) {
+        for (Sink* child : children) add(child);
+    }
+    MultiSink(const MultiSink&) = delete;  ///< target() may point at this
+    MultiSink& operator=(const MultiSink&) = delete;
+
+    void add(Sink* child);
+    /// The pointer to attach: nullptr with no child, the child itself with
+    /// one, this fan-out with more. So a lone sink is attached directly, and
+    /// a run whose only observer is a phase observer keeps its untraced
+    /// path.
+    Sink* target() {
+        if (children_.size() > 1) return this;
+        return children_.empty() ? nullptr : children_.front();
+    }
 
     void access(Addr x, double cost) override;
     void access_range(std::span<const double> prefix, Addr begin, Addr end) override;
@@ -168,11 +181,5 @@ public:
 private:
     std::vector<Sink*> children_;
 };
-
-/// Where a simulator's phase scopes go, given its charge sink \p charges
-/// (attached to the machine) and its phase observer \p phases (never
-/// attached to the machine): whichever is set, or \p both fanned out to the
-/// two, charge sink first, when they are distinct. nullptr when neither is.
-Sink* phase_target(Sink* charges, Sink* phases, MultiSink& both);
 
 }  // namespace dbsp::trace

@@ -24,7 +24,9 @@
 #include "locality/sink.hpp"
 #include "report/json.hpp"
 #include "report/metrics.hpp"
-#include "report/trace_bundle.hpp"
+#include "trace/aggregate.hpp"
+#include "trace/chrome_trace.hpp"
+#include "trace/sink.hpp"
 #include "util/rng.hpp"
 
 namespace dbsp::locality {
@@ -537,12 +539,12 @@ TEST(LocalitySink, RecursiveSimulationScoresBelowNaive) {
     EXPECT_LT(rec_score, naive_score);
 }
 
-TEST(LocalitySink, NestedFanOutBesideATraceBundleKeepsTheProfile) {
-    // dbsp_explore --trace --locality attaches MultiSink{bundle sink,
-    // LocalitySink}, where the bundle's sink is itself a MultiSink over an
-    // AggregateSink and a ChromeTraceSink. Every leaf must see every event:
-    // the profile equals a LocalitySink-only run's, and the aggregate's
-    // counts equal the machine's.
+TEST(LocalitySink, FlatFanOutBesideTheTraceSinksKeepsTheProfile) {
+    // dbsp_explore --trace=FILE --locality attaches one flat
+    // MultiSink{AggregateSink, ChromeTraceSink, LocalitySink} per leg. Every
+    // child must see every event: the profile and reference count equal a
+    // LocalitySink-only run's, the aggregate's counts equal the machine's,
+    // and the Chrome sink records events.
     const auto f = model::AccessFunction::polynomial(0.5);
     const std::uint64_t v = 32;
     SplitMix64 rng(9);
@@ -558,17 +560,19 @@ TEST(LocalitySink, NestedFanOutBesideATraceBundleKeepsTheProfile) {
         options.trace = &alone;
         const auto plain = core::HmmSimulator(f, options).simulate(*smoothed);
 
-        report::TraceBundle bundle("hmm", /*with_chrome=*/true);
+        trace::AggregateSink aggregate;
+        trace::ChromeTraceSink chrome("hmm");
         LocalitySink loc;
-        trace::MultiSink nested{bundle.sink(), &loc};
-        options.trace = &nested;
+        trace::MultiSink sinks{&aggregate, &chrome, &loc};
+        options.trace = sinks.target();
         const auto res = core::HmmSimulator(f, options).simulate(*smoothed);
 
         EXPECT_EQ(res.hmm_cost, plain.hmm_cost);
         EXPECT_TRUE(loc.profile().identical(alone.profile()));
+        EXPECT_EQ(loc.recorded_accesses(), alone.recorded_accesses());
         EXPECT_EQ(loc.recorded_accesses(), res.words_touched);
-        EXPECT_EQ(bundle.aggregate()->attributed_words(), res.words_touched);
-        EXPECT_GT(bundle.chrome()->event_count(), 0u);
+        EXPECT_EQ(aggregate.attributed_words(), res.words_touched);
+        EXPECT_GT(chrome.event_count(), 0u);
     }
     {
         auto smoothed = core::smooth(prog, core::bt_label_set(f, mu, v));
@@ -577,10 +581,11 @@ TEST(LocalitySink, NestedFanOutBesideATraceBundleKeepsTheProfile) {
         options.trace = &alone;
         const auto plain = core::BtSimulator(f, options).simulate(*smoothed);
 
-        report::TraceBundle bundle("bt", /*with_chrome=*/true);
+        trace::AggregateSink aggregate;
+        trace::ChromeTraceSink chrome("bt");
         LocalitySink loc;
-        trace::MultiSink nested{bundle.sink(), &loc};
-        options.trace = &nested;
+        trace::MultiSink sinks{&aggregate, &chrome, &loc};
+        options.trace = sinks.target();
         auto& transfer_words = report::metric_counter("bt.transfer_words");
         const std::uint64_t before = transfer_words.value();
         const auto res = core::BtSimulator(f, options).simulate(*smoothed);
@@ -588,9 +593,10 @@ TEST(LocalitySink, NestedFanOutBesideATraceBundleKeepsTheProfile) {
 
         EXPECT_EQ(res.bt_cost, plain.bt_cost);
         EXPECT_TRUE(loc.profile().identical(alone.profile()));
-        EXPECT_EQ(bundle.aggregate()->block_transfers(), res.block_transfers);
-        EXPECT_EQ(bundle.aggregate()->transfer_volume(), transferred);
-        EXPECT_GT(bundle.chrome()->event_count(), 0u);
+        EXPECT_EQ(loc.recorded_accesses(), alone.recorded_accesses());
+        EXPECT_EQ(aggregate.block_transfers(), res.block_transfers);
+        EXPECT_EQ(aggregate.transfer_volume(), transferred);
+        EXPECT_GT(chrome.event_count(), 0u);
     }
 }
 

@@ -176,7 +176,7 @@ TEST(CounterGroup, ArmingCountersIsPureObservation) {
     // for telemetry while serving deterministic replies).
     const auto spec = check::generate_spec(check::GenConfig{}, 12345);
     serve::RunOptions options;
-    options.locality = true;
+    options.locality = locality::LocalityOptions{};
     const std::string without = serve::run_to_json(spec, options);
     CounterGroup serving;
     std::string with;

@@ -103,9 +103,8 @@ TEST(ServeRunner, FingerprintSeparatesResultInfluencingOptions) {
     serve::RunOptions log_f = base;
     log_f.f = model::AccessFunction::logarithmic();
     serve::RunOptions sampled = base;
-    sampled.locality = true;
-    sampled.sampled = true;
-    sampled.sample_rate = 0.5;
+    sampled.locality = locality::LocalityOptions{locality::LocalityOptions::Mode::kSampled,
+                                                 0.5};
     EXPECT_NE(serve::fingerprint(spec, base), serve::fingerprint(spec, hmm_only));
     EXPECT_NE(serve::fingerprint(spec, base), serve::fingerprint(spec, log_f));
     EXPECT_NE(serve::fingerprint(spec, base), serve::fingerprint(spec, sampled));
@@ -236,10 +235,10 @@ TEST(ServeServer, TelemetryNeverChangesReplyBytes) {
     // carry the profiler as their charge sink and the span sink as their
     // phase observer at once.
     serve::RunOptions exact;
-    exact.locality = true;
-    serve::RunOptions sampled = exact;
-    sampled.sampled = true;
-    sampled.sample_rate = 0.5;
+    exact.locality = locality::LocalityOptions{};
+    serve::RunOptions sampled;
+    sampled.locality = locality::LocalityOptions{locality::LocalityOptions::Mode::kSampled,
+                                                 0.5};
     const std::vector<std::pair<serve::RunOptions, std::string>> requests = {
         {serve::RunOptions{}, run_line(spec)},
         {exact, run_line(spec, "{\"mode\":\"exact\"}")},

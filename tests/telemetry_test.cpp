@@ -296,6 +296,45 @@ TEST(SpanSink, PhaseScopesBecomeSpansAndTailAggregates) {
     EXPECT_EQ(sink.take("bt").children.size(), 1u);
 }
 
+TEST(SpanSink, DirectSuperstepsStartAtTheLegAndFoldOnlyTheTail) {
+    // The direct machine's superstep events carry no scope. Each one ends a
+    // superstep span that starts at the previous event, or at the leg start
+    // for the first, never at the request start. They share
+    // Phase::kSuperstep's slot, so past the detail cap the folded node holds
+    // only the supersteps the detail spans do not.
+    const std::uint64_t leg_offset_ns = 20'000'000;
+    const std::uint64_t t0 = telemetry::steady_now_ns() - leg_offset_ns;
+    telemetry::SpanSink sink(t0);
+    auto feed = [&sink](std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            sink.superstep(static_cast<unsigned>(i), 1, 0, 1.0, 1.0);
+        }
+    };
+
+    feed(5);
+    const std::uint64_t before_take = telemetry::steady_now_ns() - t0;
+    const telemetry::Span few = sink.take("dbsp");
+    EXPECT_EQ(few.children.size(), 5u);  // all detail, nothing folded
+    ASSERT_FALSE(few.children.empty());
+    for (const telemetry::Span& s : few.children) {
+        EXPECT_EQ(s.name, "superstep");
+        EXPECT_EQ(s.count, 1u);
+    }
+    EXPECT_GE(few.children.front().start_ns, leg_offset_ns);
+
+    // take() starts the next leg's clock.
+    const std::size_t cap = telemetry::SpanSink::kMaxDetail;
+    feed(cap + 12);
+    const telemetry::Span many = sink.take("dbsp");
+    EXPECT_EQ(many.children.size(), cap + 1);
+    ASSERT_FALSE(many.children.empty());
+    EXPECT_GE(many.children.front().start_ns, before_take);
+    const telemetry::Span& tail = many.children.back();
+    EXPECT_EQ(tail.name, "superstep");
+    EXPECT_EQ(tail.count, 12u);
+    EXPECT_EQ(tail.start_ns, many.children.front().start_ns);
+}
+
 TEST(SpanSink, ChargeEventsAreIgnoredAndUnmatchedEndsAreSafe) {
     telemetry::SpanSink sink(0);
     sink.charge(100.0);

@@ -6,6 +6,8 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/bitonic_sort.hpp"
@@ -416,6 +418,78 @@ TEST(TraceMulti, FanOutKeepsEveryChildExact) {
     std::uint64_t scopes = 0;
     for (const auto& [key, stats] : aggregate.phases()) scopes += stats.scopes;
     EXPECT_EQ(chrome.event_count(), 2 * scopes);
+}
+
+/// Logs (its id, event kind) into a log shared with other sinks.
+class EventLog final : public trace::Sink {
+public:
+    using Log = std::vector<std::pair<int, char>>;
+    EventLog(int id, Log* log) : id_(id), log_(log) {}
+
+    void access(trace::Addr, double) override { note('a'); }
+    void access_range(std::span<const double>, trace::Addr, trace::Addr) override {
+        note('r');
+    }
+    void charge(double) override { note('c'); }
+    void block_op(std::span<const double>, double, unsigned,
+                  std::initializer_list<trace::AddrRange>) override {
+        note('o');
+    }
+    void block_transfer(trace::Addr, trace::Addr, std::uint64_t, double, double) override {
+        note('t');
+    }
+    void messages(std::uint64_t) override { note('m'); }
+    void superstep(unsigned, std::uint64_t, std::size_t, double, double) override {
+        note('s');
+    }
+    void phase_begin(trace::Phase, unsigned) override { note('B'); }
+    void phase_end(trace::Phase) override { note('E'); }
+
+private:
+    void note(char kind) { log_->emplace_back(id_, kind); }
+    int id_;
+    Log* log_;
+};
+
+TEST(TraceMulti, TargetSkipsNullAndRepeatedChildren) {
+    EventLog::Log log;
+    EventLog a(1, &log), b(2, &log), c(3, &log);
+
+    trace::MultiSink empty;
+    EXPECT_EQ(empty.target(), nullptr);
+    trace::MultiSink nulls{nullptr, nullptr};
+    EXPECT_EQ(nulls.target(), nullptr);
+    // One distinct child is attached directly, not through the fan-out.
+    trace::MultiSink one{nullptr, &a, &a};
+    EXPECT_EQ(one.target(), &a);
+
+    trace::MultiSink grown;
+    grown.add(nullptr);
+    grown.add(&c);
+    grown.add(&c);
+    EXPECT_EQ(grown.target(), &c);
+    grown.add(&a);
+    EXPECT_EQ(grown.target(), &grown);
+
+    // Two or more: every event reaches each distinct child once, in the
+    // order the children were first added.
+    trace::MultiSink many{&b, nullptr, &a, &b, &c, &a};
+    ASSERT_EQ(many.target(), &many);
+    const double prefix[] = {0.0, 1.0, 2.0};
+    many.access(1, 1.0);
+    many.access_range(prefix, 0, 2);
+    many.charge(1.0);
+    many.block_op(prefix, 2.0, 2, {{0, 1}});
+    many.block_transfer(0, 1, 1, 1.0, 2.0);
+    many.messages(3);
+    many.superstep(0, 1, 0, 1.0, 1.0);
+    many.phase_begin(trace::Phase::kStepExec, 0);
+    many.phase_end(trace::Phase::kStepExec);
+    EventLog::Log want;
+    for (const char kind : std::string("arcotmsBE")) {
+        for (const int id : {2, 1, 3}) want.emplace_back(id, kind);
+    }
+    EXPECT_EQ(log, want);
 }
 
 // ---------------------------------------------------------------------------

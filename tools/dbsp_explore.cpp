@@ -78,7 +78,7 @@
 #include "model/dbsp_machine.hpp"
 #include "perf/counters.hpp"
 #include "report/provenance.hpp"
-#include "report/trace_bundle.hpp"
+#include "trace/aggregate.hpp"
 #include "trace/chrome_trace.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -159,25 +159,22 @@ std::unique_ptr<model::Program> make_program(const std::string& name, std::uint6
     return nullptr;
 }
 
-/// Per-leg tracing bundle: an aggregate table always, plus a Chrome track
-/// when a JSON path was requested (the merged file is written by main, not
-/// per leg). Disabled bundle when tracing is off.
-report::TraceBundle make_leg_trace(bool enabled, bool chrome, const char* track) {
-    return enabled ? report::TraceBundle(track, chrome) : report::TraceBundle();
-}
+/// One leg's observers. The flags pick which of them reach the run: the
+/// aggregate table under --trace, the Chrome track when --trace names a
+/// file, the profiler under --locality or --counters. sinks.target() is
+/// the one charge sink to attach (nullptr when no flag is on).
+struct Leg {
+    Leg(const char* track, bool traced, bool chrome_track, bool profiled,
+        const locality::LocalityOptions& profile)
+        : chrome(track), loc(profile),
+          sinks{traced ? &aggregate : nullptr, chrome_track ? &chrome : nullptr,
+                profiled ? &loc : nullptr} {}
 
-/// Combine one leg's charge-trace bundle with the locality profiler. Returns
-/// the sink to attach (nullptr when both observers are off); \p multi must
-/// outlive the simulation, it fans events to both when both are on.
-trace::Sink* make_leg_sink(report::TraceBundle& bundle, locality::LocalitySink& loc,
-                           trace::MultiSink& multi, bool locality_enabled) {
-    trace::Sink* charge = bundle.sink();
-    if (!locality_enabled) return charge;
-    if (charge == nullptr) return &loc;
-    multi.add(charge);
-    multi.add(&loc);
-    return &multi;
-}
+    trace::AggregateSink aggregate;
+    trace::ChromeTraceSink chrome;
+    locality::LocalitySink loc;
+    trace::MultiSink sinks;
+};
 
 /// One leg's hardware-counter summary line (multiplex-corrected ratios), or
 /// the degradation reason.
@@ -239,8 +236,7 @@ int main(int argc, char** argv) {
     bool trace_enabled = false;
     std::string trace_path;
     bool locality_enabled = false;
-    bool locality_sampled = false;
-    double locality_rate = 0.01;
+    locality::LocalityOptions locality_options;
     std::string locality_path;
     bool counters_enabled = false;
     std::string counters_path;
@@ -288,7 +284,7 @@ int main(int argc, char** argv) {
             if (colon != std::string::npos) {
                 const std::string mode = rest.substr(colon + 1);
                 rest = rest.substr(0, colon);
-                locality_sampled = true;
+                locality_options.mode = locality::LocalityOptions::Mode::kSampled;
                 if (mode != "sampled") {
                     const char* rate_str = mode.c_str() + std::strlen("sampled");
                     char* end = nullptr;
@@ -299,7 +295,7 @@ int main(int argc, char** argv) {
                         bad_arg("--locality", arg.c_str(),
                                 ":sampled or :sampled@R with R in (0, 1]");
                     }
-                    locality_rate = rate;
+                    locality_options.sample_rate = rate;
                 }
             }
             if (!rest.empty()) {
@@ -357,9 +353,7 @@ int main(int argc, char** argv) {
         serve::RunOptions run;
         run.model = model_name;
         run.f = f;
-        run.locality = locality_enabled;
-        run.sampled = locality_sampled;
-        run.sample_rate = locality_rate;
+        if (locality_enabled) run.locality = locality_options;
         std::printf("%s\n", serve::run_to_json(spec, run).c_str());
         return 0;
     }
@@ -382,22 +376,16 @@ int main(int argc, char** argv) {
     const bool chrome = !trace_path.empty();
 
     // Direct execution + cost model.
-    report::TraceBundle direct_trace = make_leg_trace(trace_enabled, chrome, "dbsp");
+    Leg direct_leg("dbsp", trace_enabled, chrome, false, locality_options);
     model::DbspMachine machine(f);
-    machine.set_trace(direct_trace.sink());
+    machine.set_trace(direct_leg.sinks.target());
     const auto direct = machine.run(*program);
     std::printf("program %-10s v=%llu  mu=%zu  supersteps=%zu\n", program_name.c_str(),
                 static_cast<unsigned long long>(v), mu, direct.supersteps.size());
     std::printf("D-BSP(%llu, %zu, %s): T = %.4g (compute %.4g + communicate %.4g)\n",
                 static_cast<unsigned long long>(v), mu, f.name().c_str(), direct.time,
                 direct.computation_time(), direct.communication_time());
-    direct_trace.report("dbsp_explore", "", direct.time);
-
-    locality::LocalityOptions locality_options;
-    if (locality_sampled) {
-        locality_options.mode = locality::LocalityOptions::Mode::kSampled;
-        locality_options.sample_rate = locality_rate;
-    }
+    if (trace_enabled) direct_leg.aggregate.print(stdout, direct.time);
 
     // --counters needs the reuse-distance profile for its cache-model
     // predictions, so it implies attaching the locality sink; the profile
@@ -412,15 +400,13 @@ int main(int argc, char** argv) {
         bt_counters = std::make_unique<perf::CounterGroup>();
     }
 
-    report::TraceBundle hmm_trace = make_leg_trace(trace_enabled, chrome, "hmm");
-    locality::LocalitySink hmm_loc(locality_options);
+    Leg hmm_leg("hmm", trace_enabled, chrome, locality_enabled, locality_options);
     bool have_hmm_profile = false;
     if (model_name == "hmm" || model_name == "both") {
         auto prog = make_program(program_name, v, seed);
         auto smoothed = core::smooth(*prog, core::hmm_label_set(f, mu, v));
-        trace::MultiSink multi;
         core::HmmSimulator::Options options;
-        options.trace = make_leg_sink(hmm_trace, hmm_loc, multi, locality_enabled);
+        options.trace = hmm_leg.sinks.target();
         if (hmm_counters) hmm_counters->start();
         const auto res = core::HmmSimulator(f, options).simulate(*smoothed);
         if (hmm_counters) {
@@ -432,24 +418,22 @@ int main(int argc, char** argv) {
                     f.name().c_str(), res.hmm_cost,
                     res.hmm_cost / (direct.time * static_cast<double>(v)),
                     res.hmm_cost / bound);
-        hmm_trace.report("dbsp_explore", "", res.hmm_cost);
-        if (locality_print) hmm_loc.profile().print(stdout, f.name() + "-HMM simulation");
+        if (trace_enabled) hmm_leg.aggregate.print(stdout, res.hmm_cost);
+        if (locality_print) hmm_leg.loc.profile().print(stdout, f.name() + "-HMM simulation");
         if (locality_enabled) have_hmm_profile = true;
         if (counters_enabled) {
             print_counters("hmm", hmm_snap);
-            print_cache_model(f.name() + "-HMM", hmm_loc.profile());
+            print_cache_model(f.name() + "-HMM", hmm_leg.loc.profile());
         }
     }
-    report::TraceBundle bt_trace = make_leg_trace(trace_enabled, chrome, "bt");
-    locality::LocalitySink bt_loc(locality_options);
+    Leg bt_leg("bt", trace_enabled, chrome, locality_enabled, locality_options);
     bool have_bt_profile = false;
     if (model_name == "bt" || model_name == "both") {
         auto prog = make_program(program_name, v, seed);
         auto smoothed = core::smooth(*prog, core::bt_label_set(f, mu, v));
-        trace::MultiSink multi;
         core::BtSimulator::Options options;
         options.use_rational_permutations = rational;
-        options.trace = make_leg_sink(bt_trace, bt_loc, multi, locality_enabled);
+        options.trace = bt_leg.sinks.target();
         if (bt_counters) bt_counters->start();
         const auto res = core::BtSimulator(f, options).simulate(*smoothed);
         if (bt_counters) {
@@ -462,18 +446,18 @@ int main(int argc, char** argv) {
                     f.name().c_str(), res.bt_cost, res.bt_cost / bound,
                     static_cast<unsigned long long>(res.sort_invocations),
                     static_cast<unsigned long long>(res.transpose_invocations));
-        bt_trace.report("dbsp_explore", "", res.bt_cost);
-        if (locality_print) bt_loc.profile().print(stdout, f.name() + "-BT simulation");
+        if (trace_enabled) bt_leg.aggregate.print(stdout, res.bt_cost);
+        if (locality_print) bt_leg.loc.profile().print(stdout, f.name() + "-BT simulation");
         if (locality_enabled) have_bt_profile = true;
         if (counters_enabled) {
             print_counters("bt", bt_snap);
-            print_cache_model(f.name() + "-BT", bt_loc.profile());
+            print_cache_model(f.name() + "-BT", bt_leg.loc.profile());
         }
     }
 
     if (chrome) {
-        const std::vector<const trace::ChromeTraceSink*> tracks = {
-            direct_trace.chrome(), hmm_trace.chrome(), bt_trace.chrome()};
+        const trace::ChromeTraceSink* const tracks[] = {&direct_leg.chrome, &hmm_leg.chrome,
+                                                        &bt_leg.chrome};
         if (!trace::ChromeTraceSink::write_merged(tracks, trace_path)) {
             std::fprintf(stderr, "dbsp_explore: cannot write trace file \"%s\"\n",
                          trace_path.c_str());
@@ -489,11 +473,13 @@ int main(int argc, char** argv) {
         doc.set("program", program_name);
         doc.set("v", v);
         doc.set("f", f.name());
-        doc.set("mode", locality_sampled ? "sampled" : "exact");
-        if (locality_sampled) doc.set("sample_rate", locality_rate);
+        const bool sampled =
+            locality_options.mode == locality::LocalityOptions::Mode::kSampled;
+        doc.set("mode", sampled ? "sampled" : "exact");
+        if (sampled) doc.set("sample_rate", locality_options.sample_rate);
         report::Json profiles = report::Json::object();
-        if (have_hmm_profile) profiles.set("hmm", hmm_loc.profile().to_json());
-        if (have_bt_profile) profiles.set("bt", bt_loc.profile().to_json());
+        if (have_hmm_profile) profiles.set("hmm", hmm_leg.loc.profile().to_json());
+        if (have_bt_profile) profiles.set("bt", bt_leg.loc.profile().to_json());
         doc.set("profiles", std::move(profiles));
         std::string error;
         if (!doc.save_file(locality_path, &error)) {
@@ -528,14 +514,14 @@ int main(int argc, char** argv) {
         if (have_hmm_profile) {
             report::Json leg = report::Json::object();
             leg.set("counters", hmm_snap.to_json());
-            const locality::LocalityProfile p = hmm_loc.profile();
+            const locality::LocalityProfile p = hmm_leg.loc.profile();
             leg.set("cachemodel", locality::cache_model_json(p, artifact_geometries(p)));
             legs.set("hmm", std::move(leg));
         }
         if (have_bt_profile) {
             report::Json leg = report::Json::object();
             leg.set("counters", bt_snap.to_json());
-            const locality::LocalityProfile p = bt_loc.profile();
+            const locality::LocalityProfile p = bt_leg.loc.profile();
             leg.set("cachemodel", locality::cache_model_json(p, artifact_geometries(p)));
             legs.set("bt", std::move(leg));
         }

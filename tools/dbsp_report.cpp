@@ -20,15 +20,8 @@
 ///     --check            run the regression gate (requires --baseline)
 ///     --baseline FILE    committed combined report to gate / diff against
 ///     --subset-ok        gate: tolerate experiments/checks missing vs baseline
-///     --exponent-drift X gate: max |exponent - baseline| (default 0.05)
-///     --value-drift X    gate: max relative value drift (default 0.25)
-///     --perf-drop X      gate: max words/sec drop, percent (default 35)
-///     --locality-overhead-max X         gate: ceiling on the exact-mode
-///                        enabled-path locality overhead, percent (default 1500)
-///     --locality-sampled-overhead-max X gate: same for the sampled mode
-///                        (default 400)
-///     --locality-score-err-max X        gate: ceiling on the sampled-mode
-///                        locality-score absolute error (default 0.5)
+///
+/// The gate's tolerances are report::GateOptions' defaults (conformance.hpp).
 ///
 /// Exit status: 0 all checks pass and the gate is clean; 1 a conformance
 /// check fails or the gate trips; 2 usage error or unreadable/unwritable
@@ -37,7 +30,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -68,21 +60,9 @@ const char* const kExperimentBinaries[] = {
     std::fprintf(stderr,
                  "usage: %s [options] [experiment.json ...]\n"
                  "  --run DIR | --micro FILE | --in FILE | --out FILE | --md FILE\n"
-                 "  --check --baseline FILE [--subset-ok]\n"
-                 "  [--exponent-drift X] [--value-drift X] [--perf-drop X]\n",
+                 "  --check --baseline FILE [--subset-ok]\n",
                  self);
     std::exit(2);
-}
-
-double parse_double(const char* flag, const char* value) {
-    char* end = nullptr;
-    const double x = std::strtod(value, &end);
-    if (end == nullptr || *end != '\0' || end == value || !(x >= 0.0)) {
-        std::fprintf(stderr, "dbsp_report: invalid %s \"%s\" (expected a nonnegative number)\n",
-                     flag, value);
-        std::exit(2);
-    }
-    return x;
 }
 
 /// Numeric sort key for experiment ids "e1".."e13"; unknown ids sort last,
@@ -141,21 +121,6 @@ int main(int argc, char** argv) {
             baseline_path = next();
         } else if (arg == "--subset-ok") {
             gate.subset_ok = true;
-        } else if (arg == "--exponent-drift") {
-            gate.exponent_drift = parse_double("--exponent-drift", next());
-        } else if (arg == "--value-drift") {
-            gate.value_drift_rel = parse_double("--value-drift", next());
-        } else if (arg == "--perf-drop") {
-            gate.perf_drop_pct = parse_double("--perf-drop", next());
-        } else if (arg == "--locality-overhead-max") {
-            gate.locality_enabled_overhead_max_pct =
-                parse_double("--locality-overhead-max", next());
-        } else if (arg == "--locality-sampled-overhead-max") {
-            gate.locality_sampled_overhead_max_pct =
-                parse_double("--locality-sampled-overhead-max", next());
-        } else if (arg == "--locality-score-err-max") {
-            gate.locality_sampled_score_err_max =
-                parse_double("--locality-score-err-max", next());
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "dbsp_report: unknown flag \"%s\"\n", arg.c_str());
             usage(argv[0]);
