@@ -6,7 +6,8 @@
 /// E3 simulation workload with the bulk fast path and cost-table cache on
 /// vs. off, and with each kind of observer attached, writing the
 /// measurements (words simulated per second, table builds avoided, speedup,
-/// observer overheads) to BENCH_micro.json.
+/// observer overheads) to BENCH_micro.json. One primitive leg times the
+/// exact reuse engine alone, on a recorded charge stream.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +39,7 @@
 #include "telemetry/span.hpp"
 #include "trace/aggregate.hpp"
 #include "util/bits.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -203,6 +207,108 @@ JsonMeasurement run_e3_workload(std::uint64_t v, int reps, bool fast_paths,
     return m;
 }
 
+/// A run's charge events as a profiler sees them, recorded once and
+/// replayed into another sink. Costs are not kept (an AddressStream reads
+/// addresses only), so a replay passes an empty cost table and zero costs.
+class ChargeStream final : public trace::Sink {
+public:
+    void access(trace::Addr x, double) override {
+        events_.push_back({Kind::kAccess, 0, x});
+    }
+    void access_log(std::span<const double>, trace::Addr base,
+                    std::span<const std::uint32_t> touches) override {
+        events_.push_back({Kind::kLog, 0, base, logs_.size(), touches.size()});
+        logs_.insert(logs_.end(), touches.begin(), touches.end());
+    }
+    void access_range(std::span<const double>, trace::Addr begin,
+                      trace::Addr end) override {
+        events_.push_back({Kind::kRange, 0, begin, end});
+    }
+    void block_op(std::span<const double>, double, unsigned touches,
+                  std::initializer_list<trace::AddrRange> ranges) override {
+        // The machines pass one range (charge_range) or two (swap, copy).
+        DBSP_REQUIRE(ranges.size() == 1 || ranges.size() == 2);
+        const trace::AddrRange* r = ranges.begin();
+        if (ranges.size() == 1) {
+            events_.push_back({Kind::kBlockOp1, touches, r[0].begin, r[0].end});
+        } else {
+            events_.push_back(
+                {Kind::kBlockOp2, touches, r[0].begin, r[0].end, r[1].begin, r[1].end});
+        }
+    }
+    void block_transfer(trace::Addr src, trace::Addr dst, std::uint64_t len, double,
+                        double) override {
+        events_.push_back({Kind::kTransfer, 0, src, dst, len});
+    }
+
+    std::size_t events() const { return events_.size(); }
+
+    void replay(trace::Sink& sink) const {
+        for (const Event& e : events_) {
+            switch (e.kind) {
+                case Kind::kAccess: sink.access(e.a, 0.0); break;
+                case Kind::kLog:
+                    sink.access_log({}, e.a, std::span(logs_).subspan(e.b, e.c));
+                    break;
+                case Kind::kRange: sink.access_range({}, e.a, e.b); break;
+                case Kind::kBlockOp1:
+                    sink.block_op({}, 0.0, e.touches, {{e.a, e.b}});
+                    break;
+                case Kind::kBlockOp2:
+                    sink.block_op({}, 0.0, e.touches, {{e.a, e.b}, {e.c, e.d}});
+                    break;
+                case Kind::kTransfer: sink.block_transfer(e.a, e.b, e.c, 0.0, 0.0); break;
+            }
+        }
+    }
+
+private:
+    enum class Kind : unsigned char {
+        kAccess, kLog, kRange, kBlockOp1, kBlockOp2, kTransfer
+    };
+    struct Event {
+        Kind kind;
+        unsigned touches;
+        std::uint64_t a, b = 0, c = 0, d = 0;
+    };
+    std::vector<Event> events_;
+    std::vector<std::uint32_t> logs_;  ///< the access_log entries, back to back
+};
+
+/// The exact reuse engine alone: one E3-shaped routing job's charge stream
+/// at v = 2^7 (the profile-exact benchmark's size), recorded once.
+struct EngineStream {
+    ChargeStream stream;
+    std::uint64_t refs = 0;  ///< the job's words_touched
+};
+
+EngineStream record_engine_stream() {
+    constexpr std::uint64_t kV = 1 << 7;
+    const auto f = model::AccessFunction::polynomial(0.5);
+    algo::RandomRoutingProgram prog(kV, e3_labels(kV), 101, 0, 8);
+    auto smoothed = core::smooth(prog, core::hmm_label_set(f, prog.context_words(), kV));
+    EngineStream out;
+    core::HmmSimulator::Options options;
+    options.trace = &out.stream;
+    out.refs = core::HmmSimulator(f, options).simulate(*smoothed).words_touched;
+    return out;
+}
+
+/// References per second of \p replays replays of \p s, each into a fresh
+/// exact LocalitySink; false in \p exact if a sink counts other than the
+/// job's references.
+double replay_refs_per_sec(const EngineStream& s, int replays, bool& exact) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < replays; ++r) {
+        locality::LocalitySink sink;
+        s.stream.replay(sink);
+        if (sink.recorded_accesses() != s.refs) exact = false;
+    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return static_cast<double>(s.refs) * replays / seconds;
+}
+
 report::Json measurement_json(const JsonMeasurement& m) {
     report::Json j = report::Json::object();
     j.set("wall_seconds", m.seconds);
@@ -240,6 +346,7 @@ int run_json_mode(const std::string& path) {
     constexpr int kSampledReps = 8;
     constexpr int kTracedRounds = 3;
     constexpr int kTracedReps = 4;
+    constexpr int kReplays = 8;  // recorded-stream replays per enabled round
 
     // Warm-up outside the timed region (page faults, first-touch, clocks).
     (void)run_e3_workload(kProcessors, 1, true);
@@ -308,9 +415,12 @@ int run_json_mode(const std::string& path) {
         if (round == 0 || t.words_per_sec() > traced.words_per_sec()) traced = t;
         if (round == 0 || p.words_per_sec() > phased.words_per_sec()) phased = p;
     }
-    // The locality engines, by the same scheme.
+    // The locality engines, by the same scheme, and the exact engine alone
+    // on a recorded stream (informational: its rate, not a ratio).
+    const EngineStream engine_stream = record_engine_stream();
+    bool replay_counts_exact = true;
     JsonMeasurement locon, locsamp;
-    std::vector<double> exact_pcts, sampled_pcts;
+    std::vector<double> exact_pcts, sampled_pcts, engine_rates;
     for (int round = 0; round < kEnabledRounds; ++round) {
         JsonMeasurement u, ex, sa;
         if (round % 2 == 0) {
@@ -318,7 +428,11 @@ int run_json_mode(const std::string& path) {
             ex = run_e3_workload(kProcessors, kExactReps, true, TraceLeg::kLocality);
             sa = run_e3_workload(kProcessors, kSampledReps, true,
                                  TraceLeg::kLocalitySampled);
+            engine_rates.push_back(
+                replay_refs_per_sec(engine_stream, kReplays, replay_counts_exact));
         } else {
+            engine_rates.push_back(
+                replay_refs_per_sec(engine_stream, kReplays, replay_counts_exact));
             sa = run_e3_workload(kProcessors, kSampledReps, true,
                                  TraceLeg::kLocalitySampled);
             ex = run_e3_workload(kProcessors, kExactReps, true, TraceLeg::kLocality);
@@ -363,6 +477,7 @@ int run_json_mode(const std::string& path) {
     const double locality_overhead_pct = aa_median_pct;
     const double locality_enabled_overhead_pct = median_of(exact_pcts);
     const double locality_sampled_overhead_pct = median_of(sampled_pcts);
+    const double reuse_engine_refs_per_s = median_of(engine_rates);
 
     report::Json doc = report::Json::object();
     doc.set("workload", "E3 random routing, v=" + std::to_string(kProcessors) +
@@ -391,6 +506,12 @@ int run_json_mode(const std::string& path) {
     doc.set("locality_sampled_score_abs_err", sampled_score_abs_err);
     doc.set("trace_counts_exact", trace_counts_exact);
     doc.set("locality_counts_exact", loc_counts_exact);
+    doc.set("reuse_engine_refs_per_s", reuse_engine_refs_per_s);
+    report::Json replay = report::Json::object();
+    replay.set("events", static_cast<std::uint64_t>(engine_stream.stream.events()));
+    replay.set("refs", engine_stream.refs);
+    replay.set("counts_exact", replay_counts_exact);
+    doc.set("reuse_engine_replay", std::move(replay));
     doc.set("metrics", report::metrics_to_json());
     std::string error;
     if (!doc.save_file(path, &error)) {
@@ -426,6 +547,10 @@ int run_json_mode(const std::string& path) {
                 "%+.1f%%, score abs err %.4f)\n",
                 locsamp.seconds, kSampleRate, kSampledReps,
                 locality_sampled_overhead_pct, sampled_score_abs_err);
+    std::printf("  reuse engine:  %.0f refs/s  (exact LocalitySink on a recorded v=128 "
+                "stream, %zu events, %llu refs, median of %d rounds)\n",
+                reuse_engine_refs_per_s, engine_stream.stream.events(),
+                static_cast<unsigned long long>(engine_stream.refs), kEnabledRounds);
     std::printf("  speedup:       %.2fx   costs bit-identical: %s\n", speedup,
                 fast.hmm_cost == slow.hmm_cost ? "yes" : "NO");
     std::printf("  wrote %s\n", path.c_str());

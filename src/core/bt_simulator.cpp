@@ -48,7 +48,8 @@ constexpr std::int64_t kEmptySlot = -1;
 /// accounting — cost and word_access fold independently, entry by entry in
 /// log order — at the *virtual* address vbase + i (vbase 0: the top of
 /// memory, where the schedule executes the context) while the data stays in
-/// place at the context's entry slot.
+/// place at the context's entry slot. When Traced, the sink then sees the
+/// whole log as one access_log event.
 template <bool Traced>
 void price_touches(const bt::Machine& m, trace::Sink* sink, const model::TouchLog& touches,
                    Addr vbase, std::size_t mu, bt::ShardAccount& account) {
@@ -58,8 +59,8 @@ void price_touches(const bt::Machine& m, trace::Sink* sink, const model::TouchLo
         const double delta = table.cost(vbase + i);
         account.cost += delta;
         account.word_access += delta;
-        if constexpr (Traced) sink->access(vbase + i, delta);
     }
+    if constexpr (Traced) sink->access_log(table.prefix(), vbase, touches);
 }
 
 /// A parsed processor context (executor bookkeeping; all words it carries

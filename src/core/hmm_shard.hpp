@@ -36,9 +36,9 @@ namespace dbsp::core {
 /// writes its context as a plain span; afterwards its touch log is priced in
 /// log order into the caller's account — f(vbase + i) per entry, the fold
 /// HmmShardAccessor::get/set apply — followed by the unit-op charge. When
-/// Traced, the sink sees each entry's access event and then the op charge.
-/// Nothing else can charge or emit an event while a step runs, so the
-/// events arrive in the order the step touched its words.
+/// Traced, the sink sees the whole log as one access_log event and then the
+/// op charge. Nothing else can charge or emit an event while a step runs,
+/// so the log's entries are in the order the step touched its words.
 template <bool Traced>
 class HmmStepRunner {
 public:
@@ -61,13 +61,14 @@ public:
         const model::CostTable& table = m_.table();
         for (const std::uint32_t i : touches_) {
             DBSP_REQUIRE(i < mu_);
-            const double delta = table.cost(vbase + i);
-            account.cost += delta;
-            if constexpr (Traced) sink_->access(vbase + i, delta);
+            account.cost += table.cost(vbase + i);
         }
         account.words_touched += touches_.size();
         const auto ops = static_cast<double>(out.ops);
-        if constexpr (Traced) sink_->charge(ops);
+        if constexpr (Traced) {
+            sink_->access_log(table.prefix(), vbase, touches_);
+            sink_->charge(ops);
+        }
         account.cost += ops;  // unit op costs
         return out;
     }

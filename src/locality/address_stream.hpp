@@ -6,6 +6,7 @@
 /// distances (Iacono et al., "Locality", arXiv:1902.07928) the profiler
 /// measures. The conventions reproduce the machines' own word accounting:
 ///  * access touches its one word;
+///  * access_log touches base + i for each log entry i, in log order;
 ///  * access_range touches [begin, end) once per cell, ascending;
 ///  * block_op touches each range in the given order, each cell `touches`
 ///    times in a row (a swap therefore contributes 4*len references: two per
@@ -37,6 +38,11 @@ template <typename Derived>
 class AddressStream : public trace::Sink {
 public:
     void access(trace::Addr x, double) final { self().touch(x); }
+
+    void access_log(std::span<const double>, trace::Addr base,
+                    std::span<const std::uint32_t> touches) final {
+        for (const std::uint32_t i : touches) self().touch(base + i);
+    }
 
     void access_range(std::span<const double>, trace::Addr begin, trace::Addr end) final {
         range_words_ += end - begin;

@@ -44,6 +44,16 @@
 
 namespace dbsp::locality {
 
+/// log2(d + 1) for d < kLog2Entries, filled from std::log2 at startup
+/// (profile.cpp), so an entry has exactly the bits the call would return.
+inline constexpr std::size_t kLog2Entries = 8192;
+extern const std::array<double, kLog2Entries> kLog2Plus1;
+
+/// log2(d + 1): a table read for small \p d, std::log2 beyond it.
+inline double log2_plus1(std::uint64_t d) {
+    return d < kLog2Entries ? kLog2Plus1[d] : std::log2(static_cast<double>(d) + 1.0);
+}
+
 struct LocalityProfile {
     /// One bucket per possible bit_width of a 64-bit distance/time.
     static constexpr unsigned kBuckets = 65;
@@ -160,7 +170,8 @@ struct LocalityProfile {
         // (d, 1) run of its own.
         push_score(d, 1);
         push_score(0, touches - 1);
-        for (std::uint64_t j = 1; j < cells; ++j) score_sum += cached_log;
+        const double term = log2_plus1(d);
+        for (std::uint64_t j = 1; j < cells; ++j) score_sum += term;
     }
 
     /// Profiles are bit-identical: every counter, histogram bucket, and the
@@ -213,15 +224,10 @@ private:
         if (pending_count != 0) {
             // d = 0 contributes count * log2(1) = count * 0.0; adding +0.0 to
             // a (always non-negative, non-NaN) sum is a bitwise no-op, so the
-            // dominant zero-distance runs skip the FP work entirely. The
-            // one-entry log2 cache absorbs the alternating d/0/d/0 pattern of
-            // multi-touch bulk ops (one log2 per *distinct* flushed distance).
+            // dominant zero-distance runs skip the FP work entirely.
             if (pending_distance != 0) {
-                if (pending_distance != cached_distance) {
-                    cached_distance = pending_distance;
-                    cached_log = std::log2(static_cast<double>(pending_distance) + 1.0);
-                }
-                score_sum += static_cast<double>(pending_count) * cached_log;
+                score_sum +=
+                    static_cast<double>(pending_count) * log2_plus1(pending_distance);
             }
             pending_count = 0;
         }
@@ -230,8 +236,7 @@ private:
     double score_total() const {
         double s = score_sum;
         if (pending_count != 0 && pending_distance != 0) {
-            s += static_cast<double>(pending_count) *
-                 std::log2(static_cast<double>(pending_distance) + 1.0);
+            s += static_cast<double>(pending_count) * log2_plus1(pending_distance);
         }
         return s;
     }
@@ -239,11 +244,6 @@ private:
     double distinct_estimate() const {
         return static_cast<double>(distinct_addresses) * (sampled_mode ? inv_rate : 1.0);
     }
-
-    /// flush_score() memo (derived state, excluded from identical()): the
-    /// last flushed non-zero distance and its log2(d+1).
-    std::uint64_t cached_distance = 0;
-    double cached_log = 0.0;
 };
 
 }  // namespace dbsp::locality

@@ -14,9 +14,11 @@
 /// order, so the live slots *are* the stack, newest on top, and a
 /// reference's distance is the number of live slots above its previous
 /// slot. A Fenwick tree over 512-slot block populations answers that count
-/// in O(log n). When the slot space is used up, the live slots are
-/// renumbered 1..live in place; the renumbering keeps their order, so no
-/// distance changes, and the space grows to several times the live count.
+/// in O(log n); a slot within kNearSlots of the top, where most
+/// re-references land, is counted directly. When the slot space is used up,
+/// the live slots are renumbered 1..live in place; the renumbering keeps
+/// their order, so no distance changes, and the space grows to several
+/// times the live count.
 /// An address's slot and last stamp live in one entry, so a bit is all a
 /// slot costs.
 ///
@@ -144,8 +146,8 @@ private:
     /// Slot space per live or requested slot after a renumbering. A slot
     /// costs one bit, and a roomier space renumbers less often.
     static constexpr std::uint64_t kSpacePerSlot = 8;
-    /// Widest gap above the previous warm cell's old slot that is
-    /// popcounted directly rather than answered by a rank query.
+    /// Widest gap, above the previous warm cell's old slot or below the top,
+    /// that is popcounted directly rather than answered by the Fenwick tree.
     static constexpr std::uint64_t kNearSlots = 1024;
 
     static bool address_sampled_hash(Addr x, std::uint64_t threshold) {
@@ -267,8 +269,12 @@ private:
         return n + bits_in(word & high);
     }
 
-    /// Live slots above slot \p s: the rank query.
+    /// Live slots above slot \p s: the rank query. Every live slot is at
+    /// most top_, so a slot near the top counts (s, top_] directly, with no
+    /// block count and no tree walk; touch logs, swaps and delivery records
+    /// re-reference words a few hundred slots down.
     std::uint64_t above(std::uint64_t s) const {
+        if (top_ - s <= kNearSlots) return count(s + 1, top_ + 1);
         const std::uint64_t block = s >> kBlockLog;
         std::uint64_t below = count(block << kBlockLog, s + 1);
         for (std::uint64_t i = block; i > 0; i &= i - 1) below += fenwick_[i];

@@ -33,6 +33,10 @@ void MultiSink::access(Addr x, double cost) {
 void MultiSink::access_range(std::span<const double> prefix, Addr begin, Addr end) {
     for (Sink* c : children_) c->access_range(prefix, begin, end);
 }
+void MultiSink::access_log(std::span<const double> prefix, Addr base,
+                           std::span<const std::uint32_t> touches) {
+    for (Sink* c : children_) c->access_log(prefix, base, touches);
+}
 void MultiSink::charge(double cost) {
     for (Sink* c : children_) c->charge(cost);
 }

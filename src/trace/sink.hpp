@@ -89,6 +89,18 @@ public:
     virtual void access_range(std::span<const double> /*prefix*/, Addr /*begin*/,
                               Addr /*end*/) {}
 
+    /// A step's touch log priced at \p base: entry i touches
+    /// x = base + touches[i], charged prefix[x + 1] - prefix[x]. The default
+    /// hands each entry to access() in log order, so a sink that does not
+    /// override this sees exactly the per-word stream.
+    virtual void access_log(std::span<const double> prefix, Addr base,
+                            std::span<const std::uint32_t> touches) {
+        for (const std::uint32_t i : touches) {
+            const Addr x = base + i;
+            access(x, prefix[x + 1] - prefix[x]);
+        }
+    }
+
     /// Pure-computation charge (unit ops; no memory level).
     virtual void charge(double /*cost*/) {}
 
@@ -167,6 +179,8 @@ public:
 
     void access(Addr x, double cost) override;
     void access_range(std::span<const double> prefix, Addr begin, Addr end) override;
+    void access_log(std::span<const double> prefix, Addr base,
+                    std::span<const std::uint32_t> touches) override;
     void charge(double cost) override;
     void block_op(std::span<const double> prefix, double delta, unsigned touches,
                   std::initializer_list<AddrRange> ranges) override;

@@ -5,6 +5,7 @@
 /// hmm::Machine.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <unordered_map>
@@ -104,6 +105,65 @@ TEST(ReuseDistance, MatchesBruteForceStackSimulation) {
     EXPECT_EQ(prof.distinct_addresses(), brute.stack.size());
 }
 
+/// Checks a profiler against the brute-force stack (distances) and a
+/// last-touch clock (reuse times), reference by reference.
+class BruteForceCheck {
+public:
+    explicit BruteForceCheck(ReuseDistanceProfiler& prof) : prof_(prof) {}
+
+    /// One record() of \p x; \p op labels a failure.
+    void record(Addr x, int op) { check(prof_.record(x), reference(x), op); }
+
+    /// One record_range(), every run it folds expanded per reference.
+    void range(Addr begin, Addr end, unsigned touches, int op) {
+        Addr x = begin;
+        prof_.record_range(begin, end, touches,
+                           [&](const ReuseDistanceProfiler::Event& first, std::int64_t step,
+                               std::uint64_t cells, unsigned t) {
+                               ASSERT_EQ(t, touches);
+                               ReuseDistanceProfiler::Event e = first;
+                               for (std::uint64_t j = 0; j < cells; ++j, ++x) {
+                                   check(e, reference(x), op);
+                                   for (unsigned r = 1; r < t; ++r) {
+                                       check({false, 0, 1}, reference(x), op);
+                                   }
+                                   e.time += static_cast<std::uint64_t>(step);
+                               }
+                           });
+        ASSERT_EQ(x, end) << "op " << op;
+    }
+
+    /// Every count agrees with the brute force's.
+    void expect_totals() const {
+        EXPECT_EQ(prof_.accesses(), clock_);
+        EXPECT_EQ(prof_.sampled_accesses(), clock_);
+        EXPECT_EQ(prof_.distinct_addresses(), brute_.stack.size());
+    }
+
+private:
+    /// The brute-force event of the next reference to x.
+    ReuseDistanceProfiler::Event reference(Addr x) {
+        ReuseDistanceProfiler::Event want = brute_.touch(x);
+        ++clock_;
+        if (!want.cold) want.time = clock_ - last_touch_[x];
+        last_touch_[x] = clock_;
+        return want;
+    }
+    static void check(const ReuseDistanceProfiler::Event& got,
+                      const ReuseDistanceProfiler::Event& want, int op) {
+        ASSERT_EQ(got.cold, want.cold) << "op " << op;
+        if (!got.cold) {
+            ASSERT_EQ(got.distance, want.distance) << "op " << op;
+            ASSERT_EQ(got.time, want.time) << "op " << op;
+        }
+    }
+
+    ReuseDistanceProfiler& prof_;
+    StackSim brute_;
+    std::unordered_map<Addr, std::uint64_t> last_touch_;
+    std::uint64_t clock_ = 0;
+};
+
 TEST(ReuseDistance, RangesMatchBruteForceStackSimulation) {
     // A seeded mix of record() and record_range(), every run the bulk path
     // folds expanded per word and checked event for event against the
@@ -114,42 +174,7 @@ TEST(ReuseDistance, RangesMatchBruteForceStackSimulation) {
     // 2^26; and the stream is long enough to renumber the slot space often.
     constexpr Addr kLimit = Addr{1} << 26;
     ReuseDistanceProfiler prof;
-    StackSim brute;
-    std::unordered_map<Addr, std::uint64_t> last_touch;
-    std::uint64_t clock = 0;
-    // The brute-force event of the next reference to x.
-    const auto reference = [&](Addr x) {
-        ReuseDistanceProfiler::Event want = brute.touch(x);
-        ++clock;
-        if (!want.cold) want.time = clock - last_touch[x];
-        last_touch[x] = clock;
-        return want;
-    };
-    const auto check = [](const ReuseDistanceProfiler::Event& got,
-                          const ReuseDistanceProfiler::Event& want, int op) {
-        ASSERT_EQ(got.cold, want.cold) << "op " << op;
-        if (!got.cold) {
-            ASSERT_EQ(got.distance, want.distance) << "op " << op;
-            ASSERT_EQ(got.time, want.time) << "op " << op;
-        }
-    };
-    const auto range = [&](Addr begin, Addr end, unsigned touches, int op) {
-        Addr x = begin;
-        prof.record_range(begin, end, touches,
-                          [&](const ReuseDistanceProfiler::Event& first, std::int64_t step,
-                              std::uint64_t cells, unsigned t) {
-                              ASSERT_EQ(t, touches);
-                              ReuseDistanceProfiler::Event e = first;
-                              for (std::uint64_t j = 0; j < cells; ++j, ++x) {
-                                  check(e, reference(x), op);
-                                  for (unsigned r = 1; r < t; ++r) {
-                                      check({false, 0, 1}, reference(x), op);
-                                  }
-                                  e.time += static_cast<std::uint64_t>(step);
-                              }
-                          });
-        ASSERT_EQ(x, end) << "op " << op;
-    };
+    BruteForceCheck brute(prof);
     SplitMix64 rng(16);
     Addr last_begin = 0, last_end = 1;
     for (int op = 0; op < 3000; ++op) {
@@ -159,43 +184,88 @@ TEST(ReuseDistance, RangesMatchBruteForceStackSimulation) {
                 for (int i = 0; i < 8; ++i) {
                     const Addr x = rng.next_below(4) == 0 ? kLimit - 8 + rng.next_below(16)
                                                           : rng.next_below(24);
-                    check(prof.record(x), reference(x), op);
+                    brute.record(x, op);
                 }
                 break;
             case 1:  // a fresh or partly warm range
                 last_begin = rng.next_below(400);
                 last_end = last_begin + 1 + rng.next_below(48);
-                range(last_begin, last_end, touches, op);
+                brute.range(last_begin, last_end, touches, op);
                 break;
             case 2:  // the previous range again: contiguous previous slots
-                range(last_begin, last_end, touches, op);
+                brute.range(last_begin, last_end, touches, op);
                 break;
             case 3:  // its cells one at a time between strangers, then the range
                 for (Addr x = last_begin; x < last_end; ++x) {
-                    check(prof.record(x), reference(x), op);
-                    const Addr stranger = 400 + rng.next_below(64);
-                    check(prof.record(stranger), reference(stranger), op);
+                    brute.record(x, op);
+                    brute.record(400 + rng.next_below(64), op);
                 }
-                range(last_begin, last_end, touches, op);
+                brute.range(last_begin, last_end, touches, op);
                 break;
             case 4:  // the previous range backwards, one word at a time
-                for (Addr x = last_end; x-- > last_begin;) {
-                    check(prof.record(x), reference(x), op);
-                }
-                range(last_begin, last_end, touches, op);
+                for (Addr x = last_end; x-- > last_begin;) brute.record(x, op);
+                brute.range(last_begin, last_end, touches, op);
                 break;
             case 5: {  // straddling the direct-mapped limit
                 const Addr begin = kLimit - 1 - rng.next_below(40);
-                range(begin, begin + 2 + rng.next_below(60), touches, op);
+                brute.range(begin, begin + 2 + rng.next_below(60), touches, op);
                 break;
             }
         }
         if (HasFatalFailure()) return;
     }
-    EXPECT_EQ(prof.accesses(), clock);
-    EXPECT_EQ(prof.sampled_accesses(), clock);
-    EXPECT_EQ(prof.distinct_addresses(), brute.stack.size());
+    brute.expect_totals();
     EXPECT_GE(prof.renumberings(), 8u);
+}
+
+TEST(ReuseDistance, ShortRangeBoundariesMatchBruteForceStackSimulation) {
+    // A rank query whose slot lies within 1024 slots of the top counts the
+    // slots above it directly; a deeper one walks the Fenwick tree over
+    // 512-slot blocks. record_range popcounts a gap of up to 1024 slots
+    // above the previous warm cell's old slot and asks a rank query past
+    // that. Re-referencing an address after k distinct others, for these k,
+    // puts the gaps on both sides of both limits and of a block edge. The
+    // other brute-force tests touch fewer than 1,000 distinct addresses, so
+    // they reach the tree only through dead-slot gaps.
+    const std::uint64_t ks[] = {511, 512, 513, 1023, 1024, 1025, 2048};
+    constexpr Addr kStrangers = 1 << 20;  // two pools of 2048 addresses from here
+    for (const bool renumbered : {false, true}) {
+        SCOPED_TRACE(renumbered ? "after a renumbering" : "fresh profiler");
+        ReuseDistanceProfiler prof;
+        BruteForceCheck brute(prof);
+        int op = 0;
+        const auto strangers = [&](Addr pool, std::uint64_t k) {
+            for (Addr x = pool; x < pool + k; ++x) brute.record(x, op);
+        };
+        if (renumbered) {
+            // 700 live addresses re-referenced until the slot space is
+            // compacted once with live slots, which moves every later slot
+            // against the block edges.
+            const std::uint64_t before = prof.renumberings();
+            for (Addr x = 0; prof.renumberings() < before + 2; x = (x + 1) % 700) {
+                brute.record(kStrangers + 4096 + x, op);
+            }
+        }
+        Addr a = 0;  // fresh word pairs [a, a + 2)
+        for (const std::uint64_t k : ks) {
+            for (const unsigned touches : {1u, 2u}) {
+                // The top gap: a, k strangers, a again.
+                brute.record(a, ++op);
+                strangers(kStrangers, k);
+                brute.record(a, op);
+                // The scan gap: a and a + 1 k + 1 slots apart, then k more
+                // strangers above them, then both as one range.
+                brute.record(a, ++op);
+                strangers(kStrangers, k);
+                brute.record(a + 1, op);
+                strangers(kStrangers + 2048, k);
+                brute.range(a, a + 2, touches, op);
+                if (HasFatalFailure()) return;
+                a += 2;
+            }
+        }
+        brute.expect_totals();
+    }
 }
 
 TEST(Profile, LevelCapacityBoundarySlicingIsExact) {
@@ -376,6 +446,19 @@ TEST(Profile, NoteCellsIsBitIdenticalToThePerReferenceStream) {
     }
 }
 
+TEST(Profile, Log2TableHoldsTheLibraryBits) {
+    // The score reads log2(d + 1) from a table for small d. Every entry must
+    // be the bits std::log2 returns at run time (a compile-time fold rounds
+    // some differently), or a profile's score would move.
+    volatile double one = 1.0;  // keeps the reference call at run time
+    for (std::uint64_t d = 0; d < kLog2Entries + 4; ++d) {
+        const double want = std::log2(static_cast<double>(d) + one);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(log2_plus1(d)),
+                  std::bit_cast<std::uint64_t>(want))
+            << "d " << d;
+    }
+}
+
 /// Drive the same deterministic mix of traced machine operations (every
 /// charged kind: single words, ranges, block ops, charge-only sweeps) so two
 /// sinks under different options see the identical reference stream.
@@ -428,6 +511,53 @@ TEST(LocalitySink, BatchedAndPerWordPathsAreBitIdentical) {
     EXPECT_EQ(fast.recorded_accesses(), slow.profile().accesses);
     EXPECT_EQ(fast.recorded_accesses(), m_fast.words_touched());
     EXPECT_TRUE(fast.profile().identical(slow.profile()));
+}
+
+TEST(LocalitySink, TouchLogsAreBitIdenticalToThePerWordProfiler) {
+    // Steps hand their touch logs to the sink as one access_log event. Logs
+    // with repeated entries, descending and ascending runs, and entries on
+    // both sides of a 4,096-entry page edge must profile exactly as the
+    // per-word reference does, and as the same words sent one access() each.
+    constexpr std::size_t kMu = 96;
+    const std::vector<double> prefix(3 * 4096 + kMu + 1, 0.0);  // costs unused
+    LocalitySink logged, per_access;
+    check::PerWordLocalitySink slow;
+    SplitMix64 rng(23);
+    std::vector<std::uint32_t> log;
+    for (int step = 0; step < 400; ++step) {
+        const trace::Addr base = rng.next_below(3) * 4096 + 4096 - kMu / 2;
+        log.clear();
+        while (log.size() < kMu) {
+            const auto i = static_cast<std::uint32_t>(rng.next_below(kMu));
+            const std::size_t n = 1 + rng.next_below(6);
+            switch (rng.next_below(4)) {
+                case 0:  // repeats
+                    log.insert(log.end(), n, i);
+                    break;
+                case 1:  // descending run
+                    for (std::uint32_t j = 0; j < n && j <= i; ++j) log.push_back(i - j);
+                    break;
+                case 2:  // ascending run, coalesced by the sink
+                    for (std::uint32_t j = 0; j < n && i + j < kMu; ++j) {
+                        log.push_back(i + j);
+                    }
+                    break;
+                default:
+                    log.push_back(i);
+            }
+        }
+        logged.access_log(prefix, base, log);
+        slow.access_log(prefix, base, log);
+        for (const std::uint32_t i : log) per_access.access(base + i, 0.0);
+        if (step % 50 == 0) {  // a bulk event between logs flushes the pending run
+            logged.access_range(prefix, base, base + 8);
+            slow.access_range(prefix, base, base + 8);
+            per_access.access_range(prefix, base, base + 8);
+        }
+    }
+    EXPECT_EQ(logged.recorded_accesses(), slow.profile().accesses);
+    EXPECT_TRUE(logged.profile().identical(slow.profile()));
+    EXPECT_TRUE(logged.profile().identical(per_access.profile()));
 }
 
 TEST(LocalitySink, SampledRateOneIsBitIdenticalToExact) {

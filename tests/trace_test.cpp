@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <complex>
 #include <cstdlib>
 #include <functional>
@@ -19,6 +20,7 @@
 #include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
 #include "hmm/machine.hpp"
+#include "model/cost_table.hpp"
 #include "model/dbsp_machine.hpp"
 #include "trace/aggregate.hpp"
 #include "trace/chrome_trace.hpp"
@@ -490,6 +492,67 @@ TEST(TraceMulti, TargetSkipsNullAndRepeatedChildren) {
         for (const int id : {2, 1, 3}) want.emplace_back(id, kind);
     }
     EXPECT_EQ(log, want);
+}
+
+/// Records the (address, cost bits) of every access() and nothing else, so
+/// access_log reaches it through the default expansion.
+class AccessRecorder final : public trace::Sink {
+public:
+    std::vector<std::pair<trace::Addr, std::uint64_t>> words;
+
+    void access(trace::Addr x, double cost) override {
+        words.emplace_back(x, std::bit_cast<std::uint64_t>(cost));
+    }
+};
+
+/// Records each access_log event whole.
+class LogRecorder final : public trace::Sink {
+public:
+    std::vector<std::pair<trace::Addr, std::vector<std::uint32_t>>> logs;
+    std::size_t accesses = 0;
+
+    void access(trace::Addr, double) override { ++accesses; }
+    void access_log(std::span<const double>, trace::Addr base,
+                    std::span<const std::uint32_t> touches) override {
+        logs.emplace_back(base, std::vector<std::uint32_t>(touches.begin(), touches.end()));
+    }
+};
+
+TEST(TraceSink, AccessLogDefaultIsThePerWordStream) {
+    // A sink that overrides only access() sees a touch log as the per-word
+    // calls the simulators made before logs were one event: f(base + i) per
+    // entry, in log order, repeats included, with the cost table's bits.
+    for (const AccessFunction& f : case_study_functions()) {
+        const model::CostTable table(f, 4096);
+        const std::vector<std::uint32_t> log{5, 5, 4, 3, 90, 0, 1, 2, 90, 63, 64, 65};
+        for (const trace::Addr base : {0, 1000, 3900}) {
+            AccessRecorder logged, per_word;
+            logged.access_log(table.prefix(), base, log);
+            for (const std::uint32_t i : log) {
+                per_word.access(base + i, table.cost(base + i));
+            }
+            ASSERT_EQ(logged.words.size(), log.size());
+            EXPECT_EQ(logged.words, per_word.words) << f.name() << " base " << base;
+        }
+    }
+}
+
+TEST(TraceMulti, ForwardsAccessLogToEachChildsHandler) {
+    // The fan-out forwards the whole log: a child that overrides access_log
+    // gets it as one event, a per-word child gets the default expansion.
+    const model::CostTable table(AccessFunction::polynomial(0.5), 256);
+    const std::vector<std::uint32_t> log{7, 7, 3, 40};
+    LogRecorder whole;
+    AccessRecorder words;
+    trace::MultiSink multi{&whole, &words};
+    multi.access_log(table.prefix(), 100, log);
+    ASSERT_EQ(whole.logs.size(), 1u);
+    EXPECT_EQ(whole.logs[0].first, 100u);
+    EXPECT_EQ(whole.logs[0].second, log);
+    EXPECT_EQ(whole.accesses, 0u);
+    AccessRecorder want;
+    for (const std::uint32_t i : log) want.access(100 + i, table.cost(100 + i));
+    EXPECT_EQ(words.words, want.words);
 }
 
 // ---------------------------------------------------------------------------

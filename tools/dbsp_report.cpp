@@ -23,6 +23,10 @@
 ///
 /// The gate's tolerances are report::GateOptions' defaults (conformance.hpp).
 ///
+/// --run writes the artifacts into a fresh directory under the temp
+/// directory (TMPDIR) and removes it before exiting; a binary that writes no
+/// artifact is an error.
+///
 /// Exit status: 0 all checks pass and the gate is clean; 1 a conformance
 /// check fails or the gate trips; 2 usage error or unreadable/unwritable
 /// artifact.
@@ -75,6 +79,34 @@ std::pair<int, std::string> id_key(const std::string& id) {
     }
     return {1 << 20, id};
 }
+
+/// A fresh directory under the temp directory (TMPDIR), made on demand and
+/// removed with everything in it when the owner goes out of scope, so a run
+/// leaves no files behind and concurrent runs never share an artifact.
+class ScratchDir {
+public:
+    ScratchDir() = default;
+    ScratchDir(const ScratchDir&) = delete;
+    ScratchDir& operator=(const ScratchDir&) = delete;
+    ~ScratchDir() {
+        std::error_code ec;
+        if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+    }
+
+    bool create() {
+        std::error_code ec;
+        const auto tmp = std::filesystem::temp_directory_path(ec);
+        if (ec) return false;
+        std::string name = (tmp / "dbsp_report_XXXXXX").string();
+        if (mkdtemp(name.data()) == nullptr) return false;
+        path_ = name;
+        return true;
+    }
+    const std::filesystem::path& path() const { return path_; }
+
+private:
+    std::filesystem::path path_;
+};
 
 std::optional<report::ExperimentResult> load_experiment(const std::string& path) {
     std::string error;
@@ -160,8 +192,14 @@ int main(int argc, char** argv) {
         current = std::move(*loaded);
     } else {
         // Run binaries first so positional artifacts can override a stale run.
+        ScratchDir artifact_dir;  // removed once the artifacts are ingested
         if (!run_dir.empty()) {
-            const auto artifact_dir = std::filesystem::temp_directory_path();
+            if (!artifact_dir.create()) {
+                std::fprintf(stderr,
+                             "dbsp_report: cannot create an artifact directory in the "
+                             "temp directory\n");
+                return 2;
+            }
             for (const char* name : kExperimentBinaries) {
                 const auto binary = std::filesystem::path(run_dir) / name;
                 std::error_code ec;
@@ -169,8 +207,7 @@ int main(int argc, char** argv) {
                     std::fprintf(stderr, "dbsp_report: skipping %s (not built)\n", name);
                     continue;
                 }
-                const auto artifact =
-                    artifact_dir / (std::string("dbsp_report_") + name + ".json");
+                const auto artifact = artifact_dir.path() / (std::string(name) + ".json");
                 const std::string cmd = "\"" + binary.string() + "\" --json \"" +
                                         artifact.string() + "\" > /dev/null";
                 std::printf("running %s ...\n", name);
@@ -179,6 +216,10 @@ int main(int argc, char** argv) {
                 // the failed verdicts belong in the report. Only a missing /
                 // unparsable artifact is fatal here.
                 (void)std::system(cmd.c_str());
+                if (!std::filesystem::exists(artifact, ec)) {
+                    std::fprintf(stderr, "dbsp_report: %s wrote no artifact\n", name);
+                    return 2;
+                }
                 inputs.push_back(artifact.string());
             }
         }
