@@ -3,11 +3,11 @@
 /// the cost-model machinery fast enough to run the E1-E12 experiments.
 ///
 /// `bench_micro --json [path]` skips google-benchmark and instead times the
-/// E3 simulation workload with the bulk fast path and cost-table cache on
-/// vs. off, and with each kind of observer attached, writing the
-/// measurements (words simulated per second, table builds avoided, speedup,
-/// observer overheads) to BENCH_micro.json. One primitive leg times the
-/// exact reuse engine alone, on a recorded charge stream.
+/// E3 simulation workload untraced and with each kind of observer attached,
+/// writing the measurements (words simulated per second, table builds
+/// avoided, observer overheads) to BENCH_micro.json; every observed leg must
+/// charge the untraced leg's cost bits. One primitive leg times the exact
+/// reuse engine alone, on a recorded charge stream.
 
 #include <benchmark/benchmark.h>
 
@@ -32,7 +32,6 @@
 #include "model/cost_table_cache.hpp"
 #include "perf/counters.hpp"
 #include "model/dbsp_machine.hpp"
-#include "model/superstep_exec.hpp"
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/provenance.hpp"
@@ -153,14 +152,11 @@ enum class TraceLeg { kNone, kAggregate, kLocality, kLocalitySampled, kPhaseObse
 /// SHARDS rate of the sampled locality leg (the production default).
 constexpr double kSampleRate = 0.01;
 
-JsonMeasurement run_e3_workload(std::uint64_t v, int reps, bool fast_paths,
-                                TraceLeg leg = TraceLeg::kNone) {
+JsonMeasurement run_e3_workload(std::uint64_t v, int reps, TraceLeg leg = TraceLeg::kNone) {
     // fill_messages = 8 makes the program full (h = 9): most context words
-    // are message records, the regime the bulk delivery path targets.
+    // are message records, moved by delivery's range accessors.
     constexpr std::size_t kFill = 8;
     const auto f = model::AccessFunction::polynomial(0.5);
-    model::ScopedBulkAccess bulk(fast_paths);
-    model::ScopedCostTableCache cache(fast_paths);
     model::CostTableCache::global().clear();
     const auto stats0 = model::CostTableCache::global().stats();
 
@@ -349,7 +345,7 @@ int run_json_mode(const std::string& path) {
     constexpr int kReplays = 8;  // recorded-stream replays per enabled round
 
     // Warm-up outside the timed region (page faults, first-touch, clocks).
-    (void)run_e3_workload(kProcessors, 1, true);
+    (void)run_e3_workload(kProcessors, 1);
 
     // Alternate the untraced legs, flipping their order every round, and keep
     // each leg's best round: robust against one-sided frequency/cache
@@ -358,24 +354,22 @@ int run_json_mode(const std::string& path) {
     // leg: the LocalitySink disabled path *is* the null-sink path, so its
     // measured overhead is this A/A delta — pure harness noise by
     // construction, which is exactly the claim being audited.
-    JsonMeasurement fast, loff, slow;
+    JsonMeasurement fast, loff;
     bool trace_counts_exact = true;
     bool loc_counts_exact = true;
     std::vector<double> aa_deltas;  // per-round paired A/A deltas, percent
     for (int round = 0; round < kRounds; ++round) {
         JsonMeasurement f, l;
         if (round % 2 == 0) {
-            f = run_e3_workload(kProcessors, kReps, true);
-            l = run_e3_workload(kProcessors, kReps, true);
+            f = run_e3_workload(kProcessors, kReps);
+            l = run_e3_workload(kProcessors, kReps);
         } else {
-            l = run_e3_workload(kProcessors, kReps, true);
-            f = run_e3_workload(kProcessors, kReps, true);
+            l = run_e3_workload(kProcessors, kReps);
+            f = run_e3_workload(kProcessors, kReps);
         }
         aa_deltas.push_back(100.0 * (l.seconds - f.seconds) / f.seconds);
-        const JsonMeasurement s = run_e3_workload(kProcessors, kReps, false);
         if (round == 0 || f.seconds < fast.seconds) fast = f;
         if (round == 0 || l.seconds < loff.seconds) loff = l;
-        if (round == 0 || s.seconds < slow.seconds) slow = s;
     }
     // The paired-median estimator: within each round the two legs run back to
     // back (order flipped every round), so slow monotonic drift — thermal
@@ -401,13 +395,13 @@ int run_json_mode(const std::string& path) {
     for (int round = 0; round < kTracedRounds; ++round) {
         JsonMeasurement u, t, p;
         if (round % 2 == 0) {
-            u = run_e3_workload(kProcessors, kReps, true);
-            t = run_e3_workload(kProcessors, kTracedReps, true, TraceLeg::kAggregate);
-            p = run_e3_workload(kProcessors, kReps, true, TraceLeg::kPhaseObserver);
+            u = run_e3_workload(kProcessors, kReps);
+            t = run_e3_workload(kProcessors, kTracedReps, TraceLeg::kAggregate);
+            p = run_e3_workload(kProcessors, kReps, TraceLeg::kPhaseObserver);
         } else {
-            p = run_e3_workload(kProcessors, kReps, true, TraceLeg::kPhaseObserver);
-            t = run_e3_workload(kProcessors, kTracedReps, true, TraceLeg::kAggregate);
-            u = run_e3_workload(kProcessors, kReps, true);
+            p = run_e3_workload(kProcessors, kReps, TraceLeg::kPhaseObserver);
+            t = run_e3_workload(kProcessors, kTracedReps, TraceLeg::kAggregate);
+            u = run_e3_workload(kProcessors, kReps);
         }
         traced_pcts.push_back(overhead_pct(u, t));
         phased_pcts.push_back(overhead_pct(u, p));
@@ -424,19 +418,17 @@ int run_json_mode(const std::string& path) {
     for (int round = 0; round < kEnabledRounds; ++round) {
         JsonMeasurement u, ex, sa;
         if (round % 2 == 0) {
-            u = run_e3_workload(kProcessors, kReps, true);
-            ex = run_e3_workload(kProcessors, kExactReps, true, TraceLeg::kLocality);
-            sa = run_e3_workload(kProcessors, kSampledReps, true,
-                                 TraceLeg::kLocalitySampled);
+            u = run_e3_workload(kProcessors, kReps);
+            ex = run_e3_workload(kProcessors, kExactReps, TraceLeg::kLocality);
+            sa = run_e3_workload(kProcessors, kSampledReps, TraceLeg::kLocalitySampled);
             engine_rates.push_back(
                 replay_refs_per_sec(engine_stream, kReplays, replay_counts_exact));
         } else {
             engine_rates.push_back(
                 replay_refs_per_sec(engine_stream, kReplays, replay_counts_exact));
-            sa = run_e3_workload(kProcessors, kSampledReps, true,
-                                 TraceLeg::kLocalitySampled);
-            ex = run_e3_workload(kProcessors, kExactReps, true, TraceLeg::kLocality);
-            u = run_e3_workload(kProcessors, kReps, true);
+            sa = run_e3_workload(kProcessors, kSampledReps, TraceLeg::kLocalitySampled);
+            ex = run_e3_workload(kProcessors, kExactReps, TraceLeg::kLocality);
+            u = run_e3_workload(kProcessors, kReps);
         }
         exact_pcts.push_back(overhead_pct(u, ex));
         sampled_pcts.push_back(overhead_pct(u, sa));
@@ -449,10 +441,9 @@ int run_json_mode(const std::string& path) {
     // legs must see streams of equal length for their scores to be
     // comparable). The absolute score error is the SHARDS estimation error
     // at the production rate, gated by the conformance baseline.
-    const JsonMeasurement acc_exact =
-        run_e3_workload(kProcessors, 1, true, TraceLeg::kLocality);
+    const JsonMeasurement acc_exact = run_e3_workload(kProcessors, 1, TraceLeg::kLocality);
     const JsonMeasurement acc_sampled =
-        run_e3_workload(kProcessors, 1, true, TraceLeg::kLocalitySampled);
+        run_e3_workload(kProcessors, 1, TraceLeg::kLocalitySampled);
     const double sampled_score_abs_err =
         std::abs(acc_sampled.locality_score - acc_exact.locality_score);
     // Hardware-counter leg: the same workload once more with a CounterGroup
@@ -463,11 +454,15 @@ int run_json_mode(const std::string& path) {
     // the PMU is unavailable, e.g. containers without CAP_PERFMON).
     perf::CounterGroup hw_counters;
     hw_counters.start();
-    const JsonMeasurement ctr = run_e3_workload(kProcessors, kReps, true);
+    const JsonMeasurement ctr = run_e3_workload(kProcessors, kReps);
     hw_counters.stop();
     const perf::CounterSnapshot hw_snapshot = hw_counters.read();
     const bool costs_counters = ctr.hmm_cost == fast.hmm_cost;
-    const double speedup = fast.seconds > 0.0 ? slow.seconds / fast.seconds : 0.0;
+    // Attaching an observer never changes a charged bit: every observed leg
+    // charges what the untraced leg charged.
+    const bool costs_bit_identical =
+        traced.hmm_cost == fast.hmm_cost && phased.hmm_cost == fast.hmm_cost &&
+        locon.hmm_cost == fast.hmm_cost && locsamp.hmm_cost == fast.hmm_cost;
     // The untraced leg runs with the null sink, i.e. it *is* the disabled
     // path whose overhead must stay within noise; the traced legs measure
     // the cost of attaching each sink, as the paired-round medians computed
@@ -490,11 +485,9 @@ int run_json_mode(const std::string& path) {
     measurements.set("bulk_with_cache_phase_observer", measurement_json(phased));
     measurements.set("bulk_with_cache_locality", measurement_json(locon));
     measurements.set("bulk_with_cache_locality_sampled", measurement_json(locsamp));
-    measurements.set("per_word_no_cache", measurement_json(slow));
     measurements.set("bulk_with_cache_counters", measurement_json(ctr));
     doc.set("measurements", std::move(measurements));
-    doc.set("speedup_bulk_vs_per_word", speedup);
-    doc.set("costs_bit_identical", fast.hmm_cost == slow.hmm_cost);
+    doc.set("costs_bit_identical", costs_bit_identical);
     doc.set("costs_bit_identical_counters", costs_counters);
     doc.set("counters", hw_snapshot.to_json());
     doc.set("tracing_overhead_pct", tracing_overhead_pct);
@@ -522,13 +515,10 @@ int run_json_mode(const std::string& path) {
 
     std::printf("E3 workload (v=%llu, %d reps):\n",
                 static_cast<unsigned long long>(kProcessors), kReps);
-    std::printf("  bulk+cache:    %.3fs  (%.0f words/s, %llu table builds, %llu avoided)\n",
+    std::printf("  untraced:      %.3fs  (%.0f words/s, %llu table builds, %llu avoided)\n",
                 fast.seconds, fast.words_per_sec(),
                 static_cast<unsigned long long>(fast.table_builds),
                 static_cast<unsigned long long>(fast.builds_avoided));
-    std::printf("  per-word:      %.3fs  (%.0f words/s, %llu table builds)\n",
-                slow.seconds, slow.words_per_sec(),
-                static_cast<unsigned long long>(slow.table_builds));
     std::printf("  traced:        %.3fs  (AggregateSink attached, %d reps, paired-median "
                 "overhead %+.1f%%, counts exact: %s)\n",
                 traced.seconds, kTracedReps, tracing_overhead_pct,
@@ -551,12 +541,9 @@ int run_json_mode(const std::string& path) {
                 "stream, %zu events, %llu refs, median of %d rounds)\n",
                 reuse_engine_refs_per_s, engine_stream.stream.events(),
                 static_cast<unsigned long long>(engine_stream.refs), kEnabledRounds);
-    std::printf("  speedup:       %.2fx   costs bit-identical: %s\n", speedup,
-                fast.hmm_cost == slow.hmm_cost ? "yes" : "NO");
+    std::printf("  costs bit-identical: %s\n", costs_bit_identical ? "yes" : "NO");
     std::printf("  wrote %s\n", path.c_str());
-    const bool ok = fast.hmm_cost == slow.hmm_cost && trace_counts_exact && loc_counts_exact &&
-                    traced.hmm_cost == fast.hmm_cost && phased.hmm_cost == fast.hmm_cost &&
-                    locon.hmm_cost == fast.hmm_cost && locsamp.hmm_cost == fast.hmm_cost;
+    const bool ok = costs_bit_identical && trace_counts_exact && loc_counts_exact;
     return ok ? 0 : 2;
 }
 

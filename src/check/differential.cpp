@@ -14,10 +14,8 @@
 #include "core/smoothing.hpp"
 #include "locality/cache_model.hpp"
 #include "locality/sink.hpp"
-#include "model/cost_table_cache.hpp"
 #include "model/dbsp_machine.hpp"
 #include "model/recorded_program.hpp"
-#include "model/superstep_exec.hpp"
 #include "report/metrics.hpp"
 #include "trace/aggregate.hpp"
 #include "trace/sink.hpp"
@@ -72,7 +70,7 @@ public:
 
     void check_cost(const std::string& tag, const std::string& what, double expected,
                     double actual) {
-        // Bit-identical, not approximately equal: the mode axes promise the
+        // Bit-identical, not approximately equal: a traced run promises the
         // exact same fold of the exact same doubles.
         if (expected != actual) {
             std::ostringstream os;
@@ -293,12 +291,10 @@ std::vector<Word> functional_image(const std::vector<Word>& context,
 
 DiffReport check_program(model::Program& program, const DiffConfig& config) {
     DiffReport report;
-    const std::vector<model::AccessFunction> functions =
-        config.functions.empty()
-            ? std::vector<model::AccessFunction>{model::AccessFunction::polynomial(0.35),
-                                                 model::AccessFunction::polynomial(0.5),
-                                                 model::AccessFunction::logarithmic()}
-            : config.functions;
+    // The paper's case-study trio.
+    const model::AccessFunction functions[] = {model::AccessFunction::polynomial(0.35),
+                                               model::AccessFunction::polynomial(0.5),
+                                               model::AccessFunction::logarithmic()};
 
     const std::uint64_t v = program.num_processors();
     const ContextLayout layout = program.layout();
@@ -308,15 +304,12 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
         Reporter rep(report, "f=" + f.name());
 
         // --- direct executor: the functional + cost reference -------------
-        const auto run_direct = [&](bool bulk, bool cache,
-                                    trace::Sink* sink) -> model::DbspResult {
-            model::ScopedBulkAccess sb(bulk);
-            model::ScopedCostTableCache sc(cache);
+        const auto run_direct = [&](trace::Sink* sink) -> model::DbspResult {
             model::DbspMachine machine(f);
             machine.set_trace(sink);
             return machine.run(program);
         };
-        const model::DbspResult ref = run_direct(true, true, nullptr);
+        const model::DbspResult ref = run_direct(nullptr);
         const auto ref_images = images_of(ref.contexts, layout);
 
         {
@@ -335,18 +328,9 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_cost("direct-cost-fold", "sum of superstep costs vs total", ref.time,
                            fold);
         }
-        for (const bool bulk : {false, true}) {
-            const model::DbspResult alt = run_direct(bulk, /*cache=*/bulk, nullptr);
-            rep.check_cost("direct-cost-mode",
-                           bulk ? "bulk direct time" : "per-word direct time", ref.time,
-                           alt.time);
-            rep.check_images("direct-image-mode",
-                             bulk ? "bulk direct image" : "per-word direct image",
-                             ref.contexts, alt.contexts);
-        }
         {
             trace::AggregateSink sink;
-            const model::DbspResult traced = run_direct(true, true, &sink);
+            const model::DbspResult traced = run_direct(&sink);
             std::uint64_t supersteps = 0;
             for (const auto& [key, stats] : sink.phases()) {
                 if (key.phase == trace::Phase::kSuperstep) supersteps += stats.scopes;
@@ -356,6 +340,8 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_attributed("direct-trace-cost", "attributed vs direct time",
                                  traced.time, sink.attributed_cost());
             rep.check_cost("direct-cost-mode", "traced direct time", ref.time, traced.time);
+            rep.check_images("direct-image-mode", "traced direct image", ref.contexts,
+                             traced.contexts);
         }
 
         // --- HMM simulator on an hmm_label_set smoothing ------------------
@@ -373,27 +359,15 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_images("smooth-hmm-image", "direct run of smoothed program",
                              ref_images, images_of(sm_direct.contexts, layout));
 
-            const auto run_hmm = [&](bool bulk, bool cache,
-                                     trace::Sink* sink) -> core::HmmSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
+            const auto run_hmm = [&](trace::Sink* sink) -> core::HmmSimResult {
                 core::HmmSimulator::Options opt;
                 opt.trace = sink;
                 opt.check_invariants = true;  // Theorem 4's Invariants 1-2
                 return core::HmmSimulator(f, opt).simulate(*smoothed);
             };
-            const core::HmmSimResult hmm = run_hmm(true, true, nullptr);
+            const core::HmmSimResult hmm = run_hmm(nullptr);
             rep.check_images("hmm-image", "HMM simulation image", ref_images,
                              images_of(hmm.contexts, layout));
-            for (const auto& [bulk, cache] :
-                 {std::pair{false, true}, std::pair{true, false}, std::pair{false, false}}) {
-                const core::HmmSimResult alt = run_hmm(bulk, cache, nullptr);
-                std::ostringstream what;
-                what << "HMM cost (bulk=" << bulk << " cache=" << cache << ")";
-                rep.check_cost("hmm-cost-mode", what.str(), hmm.hmm_cost, alt.hmm_cost);
-                rep.check_images("hmm-image-mode", what.str() + " image", hmm.contexts,
-                                 alt.contexts);
-            }
             {
                 // The traced run charges the untraced bits, and the
                 // LocalitySink's references equal the machine's word
@@ -403,21 +377,22 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                 locality::LocalitySink sink;
                 auto& touched = report::metric_counter("hmm.words_touched");
                 const std::uint64_t touched_before = touched.value();
-                const core::HmmSimResult traced = run_hmm(true, true, &sink);
+                const core::HmmSimResult traced = run_hmm(&sink);
                 const std::uint64_t touched_delta = touched.value() - touched_before;
                 rep.check_cost("hmm-cost-mode", "traced HMM cost", hmm.hmm_cost,
                                traced.hmm_cost);
+                rep.check_images("hmm-image-mode", "traced HMM image", hmm.contexts,
+                                 traced.contexts);
                 rep.check_count("locality-counts", "LocalitySink references vs words_touched",
                                 traced.words_touched, sink.recorded_accesses());
                 rep.check_count("locality-counts", "hmm.words_touched registry delta",
                                 traced.words_touched, touched_delta);
                 if (config.check_locality) {
-                    check_locality_modes(
-                        rep, "hmm-locality-modes", sink.profile(),
-                        [&](trace::Sink& s) { (void)run_hmm(true, true, &s); });
+                    check_locality_modes(rep, "hmm-locality-modes", sink.profile(),
+                                         [&](trace::Sink& s) { (void)run_hmm(&s); });
                 }
             }
-            if (config.check_bounds && v >= kBoundMinProcessors) {
+            if (v >= kBoundMinProcessors) {
                 const double bound =
                     kTheorem5Slack * core::theorem5_bound(sm_direct, f, v, mu);
                 if (!(hmm.hmm_cost <= bound)) {
@@ -444,27 +419,15 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
             rep.check_images("smooth-bt-image", "direct run of BT-smoothed program",
                              ref_images, images_of(sm_direct.contexts, layout));
 
-            const auto run_bt = [&](bool bulk, bool cache,
-                                    trace::Sink* sink) -> core::BtSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
+            const auto run_bt = [&](trace::Sink* sink) -> core::BtSimResult {
                 core::BtSimulator::Options opt;
                 opt.trace = sink;
                 opt.check_invariants = true;  // layout invariants + round checker
                 return core::BtSimulator(f, opt).simulate(*smoothed);
             };
-            const core::BtSimResult bt = run_bt(true, true, nullptr);
+            const core::BtSimResult bt = run_bt(nullptr);
             rep.check_images("bt-image", "BT simulation image", ref_images,
                              images_of(bt.contexts, layout));
-            for (const auto& [bulk, cache] :
-                 {std::pair{false, true}, std::pair{true, false}, std::pair{false, false}}) {
-                const core::BtSimResult alt = run_bt(bulk, cache, nullptr);
-                std::ostringstream what;
-                what << "BT cost (bulk=" << bulk << " cache=" << cache << ")";
-                rep.check_cost("bt-cost-mode", what.str(), bt.bt_cost, alt.bt_cost);
-                rep.check_images("bt-image-mode", what.str() + " image", bt.contexts,
-                                 alt.contexts);
-            }
             {
                 // Same on the BT side, through one MultiSink as dbsp_explore
                 // attaches it: transfers, transfer words and range words
@@ -477,7 +440,7 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                 auto& transfer_words = report::metric_counter("bt.transfer_words");
                 const std::uint64_t ranged_before = range_words.value();
                 const std::uint64_t transferred_before = transfer_words.value();
-                const core::BtSimResult traced = run_bt(true, true, &both);
+                const core::BtSimResult traced = run_bt(&both);
                 const std::uint64_t ranged = range_words.value() - ranged_before;
                 const std::uint64_t transferred =
                     transfer_words.value() - transferred_before;
@@ -488,12 +451,13 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                 rep.check_attributed("bt-trace-cost", "attributed vs bt_cost", traced.bt_cost,
                                      aggregate.attributed_cost());
                 rep.check_cost("bt-cost-mode", "traced BT cost", bt.bt_cost, traced.bt_cost);
+                rep.check_images("bt-image-mode", "traced BT image", bt.contexts,
+                                 traced.contexts);
                 rep.check_count("locality-counts", "LocalitySink range words vs bt.range_words",
                                 ranged, sink.range_words());
                 if (config.check_locality) {
-                    check_locality_modes(
-                        rep, "bt-locality-modes", sink.profile(),
-                        [&](trace::Sink& s) { (void)run_bt(true, true, &s); });
+                    check_locality_modes(rep, "bt-locality-modes", sink.profile(),
+                                         [&](trace::Sink& s) { (void)run_bt(&s); });
                 }
             }
             {
@@ -512,7 +476,7 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                     rep.fail("bt-components", os.str());
                 }
             }
-            if (config.check_bounds && v >= kBoundMinProcessors) {
+            if (v >= kBoundMinProcessors) {
                 const double bound = kTheorem12Slack * core::theorem12_bound(sm_direct, v, mu);
                 if (!(bt.bt_cost <= bound)) {
                     std::ostringstream os;
@@ -526,69 +490,50 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
 
         // --- naive (pinned-context) baselines -----------------------------
         {
-            const auto run_naive_hmm = [&](bool bulk, bool cache) -> core::HmmSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
-                return core::NaiveHmmSimulator(f).simulate(program);
-            };
-            const core::HmmSimResult nh = run_naive_hmm(true, true);
+            const core::HmmSimResult nh = core::NaiveHmmSimulator(f).simulate(program);
             rep.check_images("naive-hmm-image", "naive HMM image", ref_images,
                              images_of(nh.contexts, layout));
-            const core::HmmSimResult nh_alt = run_naive_hmm(false, false);
-            rep.check_cost("naive-hmm-cost-mode", "per-word naive HMM cost", nh.hmm_cost,
-                           nh_alt.hmm_cost);
-            rep.check_images("naive-hmm-image", "per-word naive HMM image", nh.contexts,
-                             nh_alt.contexts);
+            trace::AggregateSink sink;
+            const core::HmmSimResult traced =
+                core::NaiveHmmSimulator(f, {.trace = &sink}).simulate(program);
+            rep.check_cost("naive-hmm-cost-mode", "traced naive HMM cost", nh.hmm_cost,
+                           traced.hmm_cost);
+            rep.check_images("naive-hmm-image", "traced naive HMM image", nh.contexts,
+                             traced.contexts);
+            rep.check_count("naive-hmm-trace-counts", "attributed words vs words_touched",
+                            traced.words_touched, sink.attributed_words());
 
-            const auto run_naive_bt = [&](bool bulk, bool cache) -> core::BtSimResult {
-                model::ScopedBulkAccess sb(bulk);
-                model::ScopedCostTableCache sc(cache);
-                return core::NaiveBtSimulator(f).simulate(program);
-            };
-            const core::BtSimResult nb = run_naive_bt(true, true);
+            const core::BtSimResult nb = core::NaiveBtSimulator(f).simulate(program);
             rep.check_images("naive-bt-image", "naive BT image", ref_images,
                              images_of(nb.contexts, layout));
-            const core::BtSimResult nb_alt = run_naive_bt(false, false);
-            rep.check_cost("naive-bt-cost-mode", "per-word naive BT cost", nb.bt_cost,
-                           nb_alt.bt_cost);
-            rep.check_images("naive-bt-image", "per-word naive BT image", nb.contexts,
-                             nb_alt.contexts);
         }
 
         // --- Section 4 self-simulation ------------------------------------
-        if (config.check_self_sim) {
-            for (const std::uint64_t v_prime : self_sim_hosts(v)) {
-                const auto run_self = [&](bool bulk, bool cache,
-                                          trace::Sink* sink) -> core::SelfSimResult {
-                    model::ScopedBulkAccess sb(bulk);
-                    model::ScopedCostTableCache sc(cache);
-                    core::SelfSimulator sim(f, v_prime);
-                    sim.set_trace(sink);
-                    return sim.simulate(program);
-                };
-                const core::SelfSimResult self = run_self(true, true, nullptr);
-                std::ostringstream what;
-                what << "self-sim v'=" << v_prime;
-                rep.check_images("self-image", what.str() + " image", ref_images,
-                                 images_of(self.contexts, layout));
-                const core::SelfSimResult alt = run_self(false, false, nullptr);
-                rep.check_cost("self-cost-mode", what.str() + " per-word host time",
-                               self.host_time, alt.host_time);
-                rep.check_images("self-image", what.str() + " per-word image",
-                                 self.contexts, alt.contexts);
-                // Self-simulation charges are unit-op terms without words:
-                // only the attributed cost can be audited.
-                trace::AggregateSink sink;
-                const core::SelfSimResult traced = run_self(true, true, &sink);
-                rep.check_attributed("self-trace-cost", what.str() + " attributed host time",
-                                     traced.host_time, sink.attributed_cost());
-                rep.check_cost("self-cost-mode", what.str() + " traced host time",
-                               self.host_time, traced.host_time);
-            }
+        for (const std::uint64_t v_prime : self_sim_hosts(v)) {
+            const auto run_self = [&](trace::Sink* sink) -> core::SelfSimResult {
+                core::SelfSimulator sim(f, v_prime);
+                sim.set_trace(sink);
+                return sim.simulate(program);
+            };
+            const core::SelfSimResult self = run_self(nullptr);
+            std::ostringstream what;
+            what << "self-sim v'=" << v_prime;
+            rep.check_images("self-image", what.str() + " image", ref_images,
+                             images_of(self.contexts, layout));
+            // Self-simulation charges are unit-op terms without words:
+            // only the attributed cost can be audited.
+            trace::AggregateSink sink;
+            const core::SelfSimResult traced = run_self(&sink);
+            rep.check_attributed("self-trace-cost", what.str() + " attributed host time",
+                                 traced.host_time, sink.attributed_cost());
+            rep.check_cost("self-cost-mode", what.str() + " traced host time",
+                           self.host_time, traced.host_time);
+            rep.check_images("self-image", what.str() + " traced image", self.contexts,
+                             traced.contexts);
         }
 
         // --- recorded-trace replay ----------------------------------------
-        if (config.check_recorded) {
+        {
             model::Trace trace = model::record(program);
             model::RecordedProgram replay(std::move(trace));
             model::DbspMachine machine(f);

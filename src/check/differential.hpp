@@ -1,22 +1,24 @@
 #pragma once
 
 /// \file differential.hpp
-/// The differential oracle: run one D-BSP program through every executor and
-/// mode combination and cross-check the results.
+/// The differential oracle: run one D-BSP program through every executor
+/// under the paper's case-study access functions {x^0.35, x^0.5, log x} and
+/// cross-check the results.
 ///
 /// Executors covered: direct DbspMachine, HmmSimulator (Figure-1 scheduling,
 /// on a hmm_label_set-smoothed relabeling), BtSimulator (on a bt_label_set
 /// smoothing), NaiveHmmSimulator, NaiveBtSimulator, and SelfSimulator at up
-/// to three host sizes v' | v. Mode axes crossed on each: bulk vs per-word
-/// accessors (ScopedBulkAccess), cached vs uncached cost tables
-/// (ScopedCostTableCache), traced vs untraced (trace::Sink attached).
+/// to three host sizes v' | v. Each runs once untraced and once traced
+/// (trace::Sink attached), except NaiveBtSimulator, which takes no sink and
+/// runs once. Range fold against per-word fold is pinned where it lives, on
+/// the machines' and accessors' own ranges (RangeAccessFuzz tests).
 ///
 /// Checks, in decreasing order of strength:
 ///  * functional: every executor ends with the identical observable memory
 ///    image — data words, unread inbox (count + records in canonical
 ///    delivery order), and drained out-buffer count;
-///  * cost determinism: within one executor, charged cost is bit-identical
-///    across every bulk/cache/trace combination;
+///  * trace transparency: within one executor, the traced run charges the
+///    untraced run's cost bit for bit and ends with the same memory image;
 ///  * trace counts: what an attached sink attributed equals the executor's
 ///    own integer counters — words touched (HMM), block transfers and
 ///    transfer words (BT), supersteps (direct) — and the attributed cost
@@ -43,13 +45,12 @@
 #include <string>
 #include <vector>
 
-#include "model/access_function.hpp"
 #include "model/program.hpp"
 
 namespace dbsp::check {
 
 /// One observed discrepancy. `tag` is a stable machine-readable identifier of
-/// the check that fired (e.g. "hmm-image", "bt-cost-bulk"); the shrinker uses
+/// the check that fired (e.g. "hmm-image", "bt-cost-mode"); the shrinker uses
 /// it to keep reducing the *same* bug. `detail` is human-readable.
 struct DiffFailure {
     std::string tag;
@@ -67,15 +68,6 @@ struct DiffReport {
 };
 
 struct DiffConfig {
-    /// Access functions to run the whole matrix under. Empty = the paper's
-    /// case-study trio {x^0.35, x^0.5, log x}.
-    std::vector<model::AccessFunction> functions;
-    /// Cross-check the Section 4 self-simulation (v' in {1, mid, v}).
-    bool check_self_sim = true;
-    /// Check Theorem 5/12 slack bounds (v >= 8 only).
-    bool check_bounds = true;
-    /// Record the program and re-check the replay's structure.
-    bool check_recorded = true;
     /// Cross-check the locality-profiler mode axes on the HMM and BT
     /// simulators: batched vs per-word profiles must be bit-identical,
     /// rate-1.0 sampling must degenerate to the exact profile, and a

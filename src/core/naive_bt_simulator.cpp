@@ -49,7 +49,6 @@ BtSimResult NaiveBtSimulator::simulate(model::Program& program) const {
     BtSimResult result;
     result.data_words = program.data_words();
 
-    const bool bulk = model::bulk_access_enabled();
     std::vector<Message> pending;
     std::vector<Word> words;
     model::TouchLog touches;
@@ -74,25 +73,13 @@ BtSimResult NaiveBtSimulator::simulate(model::Program& program) const {
             machine.charge(static_cast<double>(out.ops));
             const auto cnt =
                 static_cast<std::size_t>(machine.read(base + layout.out_count_offset()));
-            if (bulk) {
-                // The out records are contiguous: one charged range read
-                // covers all 3*cnt words.
-                words.resize(3 * cnt);
-                machine.read_range(base + layout.out_record_offset(0), words);
-                for (std::size_t q = 0; q < cnt; ++q) {
-                    pending.push_back(Message{p, words[3 * q], words[3 * q + 1],
-                                              words[3 * q + 2]});
-                }
-            } else {
-                for (std::size_t q = 0; q < cnt; ++q) {
-                    const Addr off = base + layout.out_record_offset(q);
-                    Message m;
-                    m.src = p;
-                    m.dest = machine.read(off);
-                    m.payload0 = machine.read(off + 1);
-                    m.payload1 = machine.read(off + 2);
-                    pending.push_back(m);
-                }
+            // The out records are contiguous: one charged range read covers
+            // all 3*cnt words.
+            words.resize(3 * cnt);
+            machine.read_range(base + layout.out_record_offset(0), words);
+            for (std::size_t q = 0; q < cnt; ++q) {
+                pending.push_back(
+                    Message{p, words[3 * q], words[3 * q + 1], words[3 * q + 2]});
             }
             if (cnt > 0) machine.write(base + layout.out_count_offset(), 0);
         }
@@ -103,14 +90,8 @@ BtSimResult NaiveBtSimulator::simulate(model::Program& program) const {
                 static_cast<std::size_t>(machine.read(base + layout.in_count_offset()));
             DBSP_REQUIRE(cnt < layout.max_messages);
             const Addr off = base + layout.in_record_offset(cnt);
-            if (bulk) {
-                const Word rec[3] = {m.src, m.payload0, m.payload1};
-                machine.write_range(off, rec);
-            } else {
-                machine.write(off, m.src);
-                machine.write(off + 1, m.payload0);
-                machine.write(off + 2, m.payload1);
-            }
+            const Word rec[3] = {m.src, m.payload0, m.payload1};
+            machine.write_range(off, rec);
             machine.write(base + layout.in_count_offset(), cnt + 1);
         }
     }

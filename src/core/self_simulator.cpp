@@ -117,9 +117,8 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
     auto& contexts = result.contexts;
 
     const HmmSimulator local_sim(g_);
-    const bool bulk = model::bulk_access_enabled();
     trace::Sink* const sink = trace_;
-    std::vector<Word> scan;  // reused out-buffer staging for the bulk path
+    std::vector<Word> scan;  // reused out-buffer staging
     model::TouchLog touches;
     touches.reserve(2 * mu);
 
@@ -195,26 +194,13 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
                 const Addr base = k * mu;
                 const auto cnt = static_cast<std::size_t>(
                     mem.read(base + layout.out_count_offset()));
-                if (bulk) {
-                    scan.resize(3 * cnt);
-                    mem.read_range(base + layout.out_record_offset(0), scan);
-                    for (std::size_t q = 0; q < cnt; ++q) {
-                        const Message msg{j * w + k, scan[3 * q], scan[3 * q + 1],
-                                          scan[3 * q + 2]};
-                        DBSP_ASSERT(tree.same_cluster(msg.src, msg.dest, label));
-                        pending.push_back(msg);
-                    }
-                } else {
-                    for (std::size_t q = 0; q < cnt; ++q) {
-                        const Addr off = base + layout.out_record_offset(q);
-                        Message msg;
-                        msg.src = j * w + k;
-                        msg.dest = mem.read(off);
-                        msg.payload0 = mem.read(off + 1);
-                        msg.payload1 = mem.read(off + 2);
-                        DBSP_ASSERT(tree.same_cluster(msg.src, msg.dest, label));
-                        pending.push_back(msg);
-                    }
+                scan.resize(3 * cnt);
+                mem.read_range(base + layout.out_record_offset(0), scan);
+                for (std::size_t q = 0; q < cnt; ++q) {
+                    const Message msg{j * w + k, scan[3 * q], scan[3 * q + 1],
+                                      scan[3 * q + 2]};
+                    DBSP_ASSERT(tree.same_cluster(msg.src, msg.dest, label));
+                    pending.push_back(msg);
                 }
                 if (cnt > 0) mem.write(base + layout.out_count_offset(), 0);
                 sent_by_host[j] += cnt;
@@ -248,14 +234,8 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
                         mem.read(base + layout.in_count_offset()));
                     DBSP_REQUIRE(cnt < layout.max_messages);
                     const Addr off = base + layout.in_record_offset(cnt);
-                    if (bulk) {
-                        const Word rec[3] = {msg.src, msg.payload0, msg.payload1};
-                        mem.write_range(off, rec);
-                    } else {
-                        mem.write(off, msg.src);
-                        mem.write(off + 1, msg.payload0);
-                        mem.write(off + 2, msg.payload1);
-                    }
+                    const Word rec[3] = {msg.src, msg.payload0, msg.payload1};
+                    mem.write_range(off, rec);
                     mem.write(base + layout.in_count_offset(), cnt + 1);
                     ++recv_by_host[j];
                 }

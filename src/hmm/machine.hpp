@@ -84,10 +84,10 @@ public:
     /// read()/write() deliberately carry NO trace hook: they are the
     /// innermost few-cycle operations of every simulation loop, and even a
     /// never-taken branch on the sink pointer measurably slows the untraced
-    /// harness (bench_micro). Per-word trace events are emitted by
-    /// read_traced()/write_traced(), which charge identically (same delta,
-    /// same fold order); the simulators route word traffic through them only
-    /// when a sink is attached.
+    /// harness (bench_micro). read_traced()/write_traced() charge
+    /// identically (same delta, same fold order) and also emit the per-word
+    /// trace event; the simulators' traced word traffic goes through the
+    /// traced step runner and delivery accessor (core/hmm_shard.hpp) instead.
     Word read(Addr x);
     void write(Addr x, Word value);
     Word read_traced(Addr x);

@@ -20,9 +20,10 @@
 /// adds SHARDS spatial sampling on top (see reuse_distance.hpp).
 ///
 /// Null-sink discipline (PR 2) is unchanged: a machine with no sink attached
-/// executes zero locality-profiling instructions; the per-word events this
-/// sink consumes exist only on the read_traced/write_traced path the
-/// simulators select once per run.
+/// executes zero locality-profiling instructions; the touch-log and per-word
+/// events this sink consumes exist only on the traced instantiations the
+/// simulators select once per run (HmmStepRunner<true>,
+/// HmmShardAccessor<true>, BT COMPUTE's price_touches<true>).
 
 #include <cstdint>
 

@@ -37,42 +37,35 @@ std::shared_ptr<const CostTable> CostTableCache::get(const AccessFunction& f,
                                                      std::uint64_t capacity) {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!enabled_) {
-            ++stats_.builds;
-            builds_metric().add();
-        } else {
-            auto it = tables_.find(f.key());
-            if (it != tables_.end() && it->second.table->capacity() >= capacity) {
-                touch(it);
-                if (it->second.table->capacity() == capacity) {
-                    ++stats_.hits;
-                    hits_metric().add();
-                    return it->second.table;
-                }
-                ++stats_.slices;
-                slices_metric().add();
-                return std::make_shared<CostTable>(*it->second.table, capacity);
+        auto it = tables_.find(f.key());
+        if (it != tables_.end() && it->second.table->capacity() >= capacity) {
+            touch(it);
+            if (it->second.table->capacity() == capacity) {
+                ++stats_.hits;
+                hits_metric().add();
+                return it->second.table;
             }
-            ++stats_.builds;
-            builds_metric().add();
+            ++stats_.slices;
+            slices_metric().add();
+            return std::make_shared<CostTable>(*it->second.table, capacity);
         }
+        ++stats_.builds;
+        builds_metric().add();
     }
     // Build outside the lock: prefix construction is O(capacity) and must not
     // serialize unrelated workers. A racing build of the same table wastes one
     // build but stays correct (last insert wins; both tables are identical).
     auto table = std::make_shared<const CostTable>(f, capacity);
     std::lock_guard<std::mutex> lock(mutex_);
-    if (enabled_) {
-        auto [it, inserted] = tables_.try_emplace(f.key());
-        if (inserted) {
-            it->second.lru_pos = lru_.insert(lru_.begin(), it->first);
-        } else {
-            touch(it);
-        }
-        Entry& entry = it->second;
-        if (!entry.table || entry.table->capacity() < capacity) entry.table = table;
-        enforce_cap();
+    auto [it, inserted] = tables_.try_emplace(f.key());
+    if (inserted) {
+        it->second.lru_pos = lru_.insert(lru_.begin(), it->first);
+    } else {
+        touch(it);
     }
+    Entry& entry = it->second;
+    if (!entry.table || entry.table->capacity() < capacity) entry.table = table;
+    enforce_cap();
     return table;
 }
 
@@ -87,32 +80,6 @@ void CostTableCache::clear() {
     lru_.clear();
 }
 
-void CostTableCache::set_enabled(bool enabled) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    enabled_ = enabled;
-    if (!enabled) {
-        tables_.clear();
-        lru_.clear();
-    }
-}
-
-bool CostTableCache::enabled() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return enabled_;
-}
-
-void CostTableCache::set_max_entries(std::size_t max_entries) {
-    if (max_entries == 0) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    max_entries_ = max_entries;
-    enforce_cap();
-}
-
-std::size_t CostTableCache::max_entries() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return max_entries_;
-}
-
 std::size_t CostTableCache::size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return tables_.size();
@@ -123,7 +90,7 @@ void CostTableCache::touch(std::unordered_map<std::string, Entry>::iterator it) 
 }
 
 void CostTableCache::enforce_cap() {
-    while (tables_.size() > max_entries_) {
+    while (tables_.size() > kMaxEntries) {
         tables_.erase(lru_.back());
         lru_.pop_back();
         ++stats_.evictions;

@@ -16,7 +16,7 @@
 ///
 /// Thread-safe: the parallel benchmark harness hits it from every worker.
 ///
-/// Bounded: the cache holds at most max_entries() tables and evicts the
+/// Bounded: the cache holds at most kMaxEntries tables and evicts the
 /// least-recently-used key beyond that. One bench run touches a handful of
 /// access functions, but a long-lived dbsp_serve process sees an unbounded
 /// stream of distinct fingerprints, and every table is O(capacity) words.
@@ -24,15 +24,12 @@
 /// rebuilds the identical prefix array (the build is a deterministic running
 /// sum of f), so only the builds/hits split changes, never a charged value.
 ///
-/// Disabling: set_enabled(false) drops the cache's *own* references so later
-/// requests build fresh, but every table is handed out as a
-/// shared_ptr<const CostTable> — tables concurrent workers already hold stay
-/// alive and immutable for as long as they keep the pointer. A
-/// ScopedCostTableCache(false) inside one worker thread therefore
-/// cannot invalidate another worker's table (regression test:
-/// CostTableCache.DisableInOneWorkerCannotInvalidateConcurrentTables). The
-/// enabled flag itself is process-global, so concurrent scoped toggles race
-/// on *cache effectiveness* (hit rates), never on correctness.
+/// Lifetime: every table is handed out as a shared_ptr<const CostTable>, so
+/// clear() and eviction drop only the cache's *own* references. A table a
+/// concurrent worker already holds stays alive and immutable for as long as
+/// it keeps the pointer, so one worker calling clear() cannot invalidate
+/// another worker's table (regression test:
+/// CostTableCache.DisableInOneWorkerCannotInvalidateConcurrentTables).
 
 #include <cstdint>
 #include <list>
@@ -51,16 +48,14 @@ public:
     static CostTableCache& global();
 
     /// A table for \p f over [0, capacity): cached, sliced from a larger
-    /// cached table, or freshly built (and cached) as needed. When the cache
-    /// is disabled every call builds a fresh private table (the seed
-    /// behaviour, kept for the bit-for-bit cross-checks).
+    /// cached table, or freshly built (and cached) as needed.
     std::shared_ptr<const CostTable> get(const AccessFunction& f, std::uint64_t capacity);
 
     struct Stats {
         std::uint64_t builds = 0;     ///< O(capacity) prefix constructions
         std::uint64_t hits = 0;       ///< exact-capacity reuses
         std::uint64_t slices = 0;     ///< smaller-capacity views of a cached table
-        std::uint64_t evictions = 0;  ///< LRU drops after exceeding max_entries
+        std::uint64_t evictions = 0;  ///< LRU drops after exceeding kMaxEntries
         /// Table builds a cacheless implementation would have performed.
         std::uint64_t builds_avoided() const { return hits + slices; }
     };
@@ -69,21 +64,14 @@ public:
     /// Drop all cached tables (stats are kept).
     void clear();
 
-    void set_enabled(bool enabled);
-    bool enabled() const;
-
-    /// LRU bound on distinct cached keys. Setting a smaller bound evicts
-    /// immediately; 0 is rejected (use set_enabled(false) to bypass caching).
-    void set_max_entries(std::size_t max_entries);
-    std::size_t max_entries() const;
-
     /// Number of tables currently held.
     std::size_t size() const;
 
-    /// Default max_entries(): far above the handful of access functions any
-    /// single experiment uses, small enough that a serve process hosting
-    /// adversarially many distinct custom functions stays bounded.
-    static constexpr std::size_t kDefaultMaxEntries = 64;
+    /// LRU bound on distinct cached keys: far above the handful of access
+    /// functions any single experiment uses, small enough that a serve
+    /// process hosting adversarially many distinct custom functions stays
+    /// bounded.
+    static constexpr std::size_t kMaxEntries = 64;
 
 private:
     struct Entry {
@@ -93,32 +81,15 @@ private:
 
     /// Mark \p it most-recently-used. Caller holds mutex_.
     void touch(std::unordered_map<std::string, Entry>::iterator it);
-    /// Evict least-recently-used entries until size() <= max_entries_.
+    /// Evict least-recently-used entries until size() <= kMaxEntries.
     /// Caller holds mutex_.
     void enforce_cap();
 
     mutable std::mutex mutex_;
-    bool enabled_ = true;
     Stats stats_;
-    std::size_t max_entries_ = kDefaultMaxEntries;
     /// Keys ordered most- to least-recently used; back() evicts first.
     std::list<std::string> lru_;
     std::unordered_map<std::string, Entry> tables_;
-};
-
-/// RAII helper for tests: force the cache on/off within a scope.
-class ScopedCostTableCache {
-public:
-    explicit ScopedCostTableCache(bool enabled)
-        : previous_(CostTableCache::global().enabled()) {
-        CostTableCache::global().set_enabled(enabled);
-    }
-    ~ScopedCostTableCache() { CostTableCache::global().set_enabled(previous_); }
-    ScopedCostTableCache(const ScopedCostTableCache&) = delete;
-    ScopedCostTableCache& operator=(const ScopedCostTableCache&) = delete;
-
-private:
-    bool previous_;
 };
 
 }  // namespace dbsp::model

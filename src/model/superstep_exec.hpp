@@ -116,28 +116,6 @@ struct DeliveryScratch {
     std::vector<std::vector<Message>> by_group;  ///< phase 2 destination buckets
 };
 
-/// Process-wide switch for the bulk (range) accessor fast path in
-/// deliver_messages and the simulators' buffer scans. On by default; the
-/// cross-check tests and the bench_micro baseline disable it to reproduce the
-/// seed per-word code path (whose charged totals the fast path matches bit
-/// for bit).
-bool bulk_access_enabled();
-void set_bulk_access_enabled(bool enabled);
-
-/// RAII helper: force the bulk fast path on/off within a scope.
-class ScopedBulkAccess {
-public:
-    explicit ScopedBulkAccess(bool enabled) : previous_(bulk_access_enabled()) {
-        set_bulk_access_enabled(enabled);
-    }
-    ~ScopedBulkAccess() { set_bulk_access_enabled(previous_); }
-    ScopedBulkAccess(const ScopedBulkAccess&) = delete;
-    ScopedBulkAccess& operator=(const ScopedBulkAccess&) = delete;
-
-private:
-    bool previous_;
-};
-
 /// Batch-granularity delivery telemetry: one registry update per
 /// deliver_messages call, independent of how many messages moved.
 void note_delivery(std::size_t messages);
@@ -164,7 +142,6 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
                              DeliveryScratch* scratch = nullptr) {
     DeliveryScratch local;
     DeliveryScratch& sc = scratch ? *scratch : local;
-    const bool bulk = bulk_access_enabled();
     const ProcId end = first + count;
     const auto ngroups =
         static_cast<std::size_t>((count + kDeliveryGroupProcs - 1) / kDeliveryGroupProcs);
@@ -182,33 +159,20 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
             auto& acc = contexts.at(p);
             const auto sent = static_cast<std::size_t>(acc.get(layout.out_count_offset()));
             DBSP_ASSERT(sent <= layout.max_messages);
-            if (bulk) {
-                // One range read covers the whole outgoing record block: the
-                // records are contiguous, and the fused per-cell charge loop
-                // walks the same ascending addresses as the per-word path.
-                sc.words.resize(ContextLayout::kRecordWords * sent);
-                acc.get_range(layout.out_record_offset(0), sc.words);
-                for (std::size_t k = 0; k < sent; ++k) {
-                    const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
-                    Message m;
-                    m.src = id_base + p;  // inboxes carry global source ids
-                    m.dest = rec[0];
-                    m.payload0 = rec[1];
-                    m.payload1 = rec[2];
-                    DBSP_ASSERT(m.dest >= first && m.dest < end);
-                    pending.push_back(m);
-                }
-            } else {
-                for (std::size_t k = 0; k < sent; ++k) {
-                    const std::size_t off = layout.out_record_offset(k);
-                    Message m;
-                    m.src = id_base + p;
-                    m.dest = acc.get(off);
-                    m.payload0 = acc.get(off + 1);
-                    m.payload1 = acc.get(off + 2);
-                    DBSP_ASSERT(m.dest >= first && m.dest < end);
-                    pending.push_back(m);
-                }
+            // One range read covers the whole outgoing record block: the
+            // records are contiguous, and the accessor's range fold charges
+            // the same ascending cells, bit for bit, as a get() per word.
+            sc.words.resize(ContextLayout::kRecordWords * sent);
+            acc.get_range(layout.out_record_offset(0), sc.words);
+            for (std::size_t k = 0; k < sent; ++k) {
+                const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
+                Message m;
+                m.src = id_base + p;  // inboxes carry global source ids
+                m.dest = rec[0];
+                m.payload0 = rec[1];
+                m.payload1 = rec[2];
+                DBSP_ASSERT(m.dest >= first && m.dest < end);
+                pending.push_back(m);
             }
             if (sent > 0) {
                 acc.set(layout.out_count_offset(), 0);
@@ -235,14 +199,8 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
             auto in_count = static_cast<std::size_t>(acc.get(layout.in_count_offset()));
             DBSP_REQUIRE(in_count < layout.max_messages);
             const std::size_t off = layout.in_record_offset(in_count);
-            if (bulk) {
-                const Word rec[ContextLayout::kRecordWords] = {m.src, m.payload0, m.payload1};
-                acc.set_range(off, rec);
-            } else {
-                acc.set(off, m.src);
-                acc.set(off + 1, m.payload0);
-                acc.set(off + 2, m.payload1);
-            }
+            const Word rec[ContextLayout::kRecordWords] = {m.src, m.payload0, m.payload1};
+            acc.set_range(off, rec);
             acc.set(layout.in_count_offset(), in_count + 1);
             max_received = std::max(max_received, ++sc.received[m.dest - first]);
         }

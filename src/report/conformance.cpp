@@ -16,7 +16,8 @@ struct GatedFlag {
 };
 constexpr GatedFlag kGatedFlags[] = {
     {"costs_bit_identical", &MicroData::costs_bit_identical,
-     "bulk and per-word paths no longer charge bit-identical costs"},
+     "an observed leg no longer charges the untraced leg's cost bits (observers "
+     "must be pure observation)"},
     {"trace_counts_exact", &MicroData::trace_counts_exact,
      "AggregateSink attributed words no longer match words_touched"},
     {"locality_counts_exact", &MicroData::locality_counts_exact,
@@ -43,7 +44,6 @@ std::optional<MicroData> MicroData::from_json(const Json& j, std::string* error)
         return std::nullopt;
     }
     m.bulk_words_per_sec = bulk["words_per_sec"].as_double();
-    m.speedup = j["speedup_bulk_vs_per_word"].as_double(0.0);
     m.tracing_overhead_pct = j["tracing_overhead_pct"].as_double(0.0);
     m.locality_overhead_pct = j["locality_overhead_pct"].as_double(0.0);
     m.locality_enabled_overhead_pct = j["locality_enabled_overhead_pct"].as_double(0.0);
@@ -271,8 +271,7 @@ std::string CombinedReport::markdown(const CombinedReport* baseline) const {
 
     if (micro) {
         out += "\n## Harness microbenchmark (wall-clock, not a paper claim)\n\n";
-        out += "- bulk path: " + fmt(micro->bulk_words_per_sec) + " words/s\n";
-        out += "- bulk-vs-per-word speedup: " + fmt(micro->speedup) + "x\n";
+        out += "- untraced E3 leg: " + fmt(micro->bulk_words_per_sec) + " words/s\n";
         out += "- tracing overhead (AggregateSink attached): " +
                fmt(micro->tracing_overhead_pct) + "%\n";
         out += "- locality profiling overhead: disabled path " +

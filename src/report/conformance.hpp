@@ -35,7 +35,6 @@ namespace dbsp::report {
 struct MicroData {
     Json raw;
     double bulk_words_per_sec = 0.0;
-    double speedup = 0.0;
     double tracing_overhead_pct = 0.0;
     /// A/A re-measurement of the untraced leg: the LocalitySink disabled
     /// path *is* the null-sink path, so this is its measured overhead.
@@ -49,6 +48,8 @@ struct MicroData {
     /// SHARDS estimation error at the production rate.
     double locality_sampled_score_abs_err = 0.0;
     /// Gated booleans; each reads false when its key is missing (fail closed).
+    /// The traced, phase-observer, exact and sampled locality legs each
+    /// charged the untraced leg's cost bits.
     bool costs_bit_identical = false;
     /// AggregateSink attributed words matched words_touched on every rep.
     bool trace_counts_exact = false;

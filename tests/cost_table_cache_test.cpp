@@ -39,7 +39,6 @@ TEST(AccessFunctionKey, CustomsWithSameNameDontAlias) {
 
 TEST(CostTableCache, HitsSlicesAndBuilds) {
     CostTableCache& cache = CostTableCache::global();
-    ScopedCostTableCache enabled(true);
     cache.clear();
     const auto f = AccessFunction::polynomial(0.45);
     const auto before = cache.stats();
@@ -69,27 +68,13 @@ TEST(CostTableCache, HitsSlicesAndBuilds) {
     }
 }
 
-TEST(CostTableCache, DisabledAlwaysBuildsFresh) {
-    CostTableCache& cache = CostTableCache::global();
-    ScopedCostTableCache disabled(false);
-    const auto before = cache.stats();
-    const auto f = AccessFunction::polynomial(0.45);
-    const auto a = cache.get(f, 256);
-    const auto b = cache.get(f, 256);
-    const auto after = cache.stats();
-    EXPECT_NE(a.get(), b.get());
-    EXPECT_EQ(after.builds - before.builds, 2u);
-    EXPECT_EQ(after.hits, before.hits);
-}
-
 TEST(CostTableCache, DisableInOneWorkerCannotInvalidateConcurrentTables) {
-    // Regression guard for the parallel_sweep scenario: one worker toggling
-    // ScopedCostTableCache(false) clears the cache's *own* references, but a
-    // table is handed out as shared_ptr<const CostTable>, so every table a
-    // concurrent worker already holds (or obtains mid-toggle) stays alive and
-    // immutable. See the "Disabling" note in cost_table_cache.hpp.
+    // Regression guard for the parallel_sweep scenario: one worker calling
+    // clear() drops the cache's *own* references, but a table is handed out
+    // as shared_ptr<const CostTable>, so every table a concurrent worker
+    // already holds (or obtains mid-clear) stays alive and immutable. See the
+    // "Lifetime" note in cost_table_cache.hpp.
     CostTableCache& cache = CostTableCache::global();
-    ScopedCostTableCache enabled(true);
     cache.clear();
     const auto f = AccessFunction::polynomial(0.43);
     const CostTable reference(f, 1024);
@@ -97,12 +82,12 @@ TEST(CostTableCache, DisableInOneWorkerCannotInvalidateConcurrentTables) {
         64,
         [&](std::size_t i) {
             if (i % 8 == 3) {
-                // This worker briefly disables (and thereby clears) the cache
-                // while the others are reading tables obtained from it.
-                ScopedCostTableCache disabled(false);
+                // This worker clears the cache while the others are reading
+                // tables obtained from it.
+                cache.clear();
                 const auto t = cache.get(f, 256);
                 if (t->cost(255) != reference.cost(255)) {
-                    throw std::logic_error("fresh table drifted");
+                    throw std::logic_error("table obtained after clear() drifted");
                 }
                 return;
             }
@@ -132,7 +117,6 @@ TEST(ParallelFor, PropagatesExceptions) {
 
 TEST(ParallelFor, ConcurrentCacheAccessIsSafe) {
     CostTableCache& cache = CostTableCache::global();
-    ScopedCostTableCache enabled(true);
     cache.clear();
     const auto f = AccessFunction::polynomial(0.41);
     const CostTable reference(f, 2048);

@@ -15,9 +15,7 @@
 #include "core/hmm_simulator.hpp"
 #include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
-#include "model/cost_table_cache.hpp"
 #include "model/dbsp_machine.hpp"
-#include "model/superstep_exec.hpp"
 #include "util/rng.hpp"
 
 namespace dbsp {
@@ -125,66 +123,6 @@ INSTANTIATE_TEST_SUITE_P(
                       CrossCase{"prefix", 0}, CrossCase{"prefix", 1},
                       CrossCase{"prefix", 2}, CrossCase{"routing", 0},
                       CrossCase{"routing", 1}, CrossCase{"routing", 2}));
-
-/// The bulk-access fast path and the shared cost-table cache are pure
-/// optimizations: with them on (the default) every charged cost and every
-/// final context must equal the per-word, fresh-table seed path bit for bit.
-/// EXPECT_EQ on doubles is deliberate — any rounding drift is a bug.
-class BulkPathEquivalence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BulkPathEquivalence, CostsAndContextsBitIdenticalToPerWordPath) {
-    const auto f = function_at(GetParam());
-    constexpr std::uint64_t v = 64;
-    // A randomized mixed-label routing program: exercises every level of the
-    // cluster tree, partially filled out-buffers, and stale inboxes.
-    const std::vector<unsigned> labels{0, 4, 2, 6, 1, 5, 3, 2};
-
-    struct Run {
-        double hmm_cost, bt_cost;
-        double self_host, self_local, self_comm;
-        std::vector<std::vector<Word>> hmm_ctx, bt_ctx, self_ctx;
-    };
-    auto run_all = [&](bool fast_paths) {
-        model::ScopedBulkAccess bulk(fast_paths);
-        model::ScopedCostTableCache cache(fast_paths);
-        Run r;
-        algo::RandomRoutingProgram hmm_prog(v, labels, 913, 1, 2);
-        auto hs =
-            core::smooth(hmm_prog, core::hmm_label_set(f, hmm_prog.context_words(), v));
-        auto hmm = core::HmmSimulator(f).simulate(*hs);
-        r.hmm_cost = hmm.hmm_cost;
-        r.hmm_ctx = std::move(hmm.contexts);
-
-        algo::RandomRoutingProgram bt_prog(v, labels, 913, 1, 2);
-        auto bs = core::smooth(bt_prog, core::bt_label_set(f, bt_prog.context_words(), v));
-        auto bt = core::BtSimulator(f).simulate(*bs);
-        r.bt_cost = bt.bt_cost;
-        r.bt_ctx = std::move(bt.contexts);
-
-        algo::RandomRoutingProgram self_prog(v, labels, 913, 1, 2);
-        auto host = core::SelfSimulator(f, v / 4).simulate(self_prog);
-        r.self_host = host.host_time;
-        r.self_local = host.local_time;
-        r.self_comm = host.communication_time;
-        r.self_ctx = std::move(host.contexts);
-        return r;
-    };
-
-    const Run fast = run_all(true);
-    const Run slow = run_all(false);
-
-    EXPECT_EQ(fast.hmm_cost, slow.hmm_cost);
-    EXPECT_EQ(fast.bt_cost, slow.bt_cost);
-    EXPECT_EQ(fast.self_host, slow.self_host);
-    EXPECT_EQ(fast.self_local, slow.self_local);
-    EXPECT_EQ(fast.self_comm, slow.self_comm);
-    EXPECT_EQ(fast.hmm_ctx, slow.hmm_ctx);
-    EXPECT_EQ(fast.bt_ctx, slow.bt_ctx);
-    EXPECT_EQ(fast.self_ctx, slow.self_ctx);
-}
-
-INSTANTIATE_TEST_SUITE_P(CaseStudyFunctions, BulkPathEquivalence,
-                         ::testing::Values(0u, 1u, 2u));
 
 TEST(CrossExecutor, RationalDeliveryAgreesOnRecursiveFft) {
     SplitMix64 rng(4);

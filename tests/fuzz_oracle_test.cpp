@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <vector>
 
@@ -8,10 +9,12 @@
 #include "check/program_gen.hpp"
 #include "check/shrinker.hpp"
 #include "check/trace_io.hpp"
+#include "core/hmm_shard.hpp"
 #include "hmm/machine.hpp"
 #include "model/context_layout.hpp"
 #include "model/dbsp_machine.hpp"
 #include "model/recorded_program.hpp"
+#include "trace/aggregate.hpp"
 #include "util/rng.hpp"
 
 namespace dbsp::check {
@@ -468,6 +471,71 @@ TEST(RangeAccessFuzz, BtRangeMatchesPerWordAtBlockEdges) {
             ASSERT_EQ(bulk.word_access_cost(), word.word_access_cost());
         }
     }
+}
+
+/// core::HmmShardAccessor moves every delivered message record. Its
+/// set_range/get_range on one account must fold what per-word set/get fold
+/// on another: the same cost bits, words_touched and moved words, and when
+/// Traced the same attributed words. The context's charged (virtual) and
+/// data (physical) bases sit in different halves of memory and swap every
+/// trial, so a range that charges or moves at the wrong base diverges.
+template <bool Traced>
+void check_shard_accessor_ranges(std::uint64_t seed) {
+    constexpr std::uint64_t mu = 1 << 12;
+    constexpr std::uint64_t capacity = 2 * mu;
+    for (const auto& f : {AccessFunction::polynomial(0.35), AccessFunction::polynomial(0.5),
+                          AccessFunction::logarithmic()}) {
+        hmm::Machine bulk_m(f, capacity);
+        hmm::Machine word_m(f, capacity);
+        hmm::ShardAccount bulk_account, word_account;
+        trace::AggregateSink bulk_sink, word_sink;
+        core::HmmShardAccessor<Traced> bulk(bulk_m, bulk_account,
+                                            Traced ? &bulk_sink : nullptr, 0, mu, mu);
+        core::HmmShardAccessor<Traced> word(word_m, word_account,
+                                            Traced ? &word_sink : nullptr, 0, mu, mu);
+        SplitMix64 rng(seed);
+        for (int trial = 0; trial < 200; ++trial) {
+            const model::Addr vbase = trial % 2 == 0 ? 0 : mu;
+            const model::Addr pbase = mu - vbase;
+            bulk.rebind(vbase, pbase);
+            word.rebind(vbase, pbase);
+            const auto [index, len] = boundary_range(rng, mu);
+            std::vector<Word> values(len);
+            for (auto& w : values) w = rng.next();
+
+            bulk.set_range(index, values);
+            for (std::size_t i = 0; i < len; ++i) word.set(index + i, values[i]);
+            ASSERT_EQ(bulk_account.cost, word_account.cost)
+                << f.name() << " set [" << vbase + index << ", " << vbase + index + len
+                << ")";
+            ASSERT_EQ(bulk_account.words_touched, word_account.words_touched);
+
+            std::vector<Word> got(len), expect(len);
+            bulk.get_range(index, got);
+            for (std::size_t i = 0; i < len; ++i) expect[i] = word.get(index + i);
+            ASSERT_EQ(got, values);
+            ASSERT_EQ(expect, values);
+            ASSERT_EQ(bulk_account.cost, word_account.cost)
+                << f.name() << " get [" << vbase + index << ", " << vbase + index + len
+                << ")";
+            ASSERT_EQ(bulk_account.words_touched, word_account.words_touched);
+            ASSERT_TRUE(std::equal(bulk_m.raw().begin(), bulk_m.raw().end(),
+                                   word_m.raw().begin()))
+                << f.name() << " memories diverge after trial " << trial;
+            if constexpr (Traced) {
+                ASSERT_EQ(bulk_sink.attributed_words(), word_sink.attributed_words());
+                ASSERT_EQ(bulk_sink.attributed_words(), bulk_account.words_touched);
+            }
+        }
+    }
+}
+
+TEST(RangeAccessFuzz, HmmShardAccessorRangeMatchesPerWord) {
+    check_shard_accessor_ranges<false>(0xacc0u);
+}
+
+TEST(RangeAccessFuzz, HmmShardAccessorTracedRangeMatchesPerWord) {
+    check_shard_accessor_ranges<true>(0xacc1u);
 }
 
 }  // namespace

@@ -262,7 +262,6 @@ Json micro_doc(double words_per_sec, bool bit_identical = true,
     measurements.set("bulk_with_cache", std::move(bulk));
     Json doc = Json::object();
     doc.set("measurements", std::move(measurements));
-    doc.set("speedup_bulk_vs_per_word", 5.0);
     doc.set("tracing_overhead_pct", 10.0);
     doc.set("costs_bit_identical", bit_identical);
     doc.set("trace_counts_exact", trace_counts_exact);

@@ -495,52 +495,54 @@ TEST(ServeMetrics, SnapshotEqualsSumOfPerRequestCounts) {
     EXPECT_GT(delta_a, 0u);
 }
 
+/// Distinct access functions for filling the cost-table cache past its cap.
+model::AccessFunction lru_function(double base, std::size_t i) {
+    return model::AccessFunction::polynomial(base + 0.001 * static_cast<double>(i));
+}
+
 TEST(CostTableCacheLru, EvictsBeyondCapAndKeepsRecentlyUsed) {
     auto& cache = model::CostTableCache::global();
-    const std::size_t old_cap = cache.max_entries();
+    constexpr std::size_t cap = model::CostTableCache::kMaxEntries;
     cache.clear();
-    cache.set_max_entries(2);
     const auto baseline = cache.stats();
 
-    const auto f1 = model::AccessFunction::polynomial(0.311);
-    const auto f2 = model::AccessFunction::polynomial(0.312);
-    const auto f3 = model::AccessFunction::polynomial(0.313);
-    cache.get(f1, 32);
-    cache.get(f2, 32);
-    cache.get(f1, 32);  // f1 most recently used
-    cache.get(f3, 32);  // evicts f2, not f1
-    EXPECT_EQ(cache.size(), 2u);
+    for (std::size_t i = 0; i < cap; ++i) cache.get(lru_function(0.311, i), 32);
+    EXPECT_EQ(cache.size(), cap);
+    EXPECT_EQ(cache.stats().evictions, baseline.evictions) << "the cap itself fits";
+    cache.get(lru_function(0.311, 0), 32);    // #0 most recently used, #1 least
+    cache.get(lru_function(0.311, cap), 32);  // cap plus one: evicts #1, not #0
+    EXPECT_EQ(cache.size(), cap);
     EXPECT_EQ(cache.stats().evictions - baseline.evictions, 1u);
 
     const auto before = cache.stats();
-    cache.get(f1, 32);
-    EXPECT_EQ(cache.stats().hits - before.hits, 1u) << "f1 survived the eviction";
-    cache.get(f2, 32);
-    EXPECT_EQ(cache.stats().builds - before.builds, 1u) << "f2 was evicted";
+    cache.get(lru_function(0.311, 0), 32);
+    EXPECT_EQ(cache.stats().hits - before.hits, 1u) << "#0 survived the eviction";
+    cache.get(lru_function(0.311, 1), 32);
+    EXPECT_EQ(cache.stats().builds - before.builds, 1u) << "#1 was evicted";
 
-    cache.set_max_entries(old_cap);
     cache.clear();
 }
 
 TEST(CostTableCacheLru, EvictionNeverChangesChargedCosts) {
     auto& cache = model::CostTableCache::global();
-    const std::size_t old_cap = cache.max_entries();
     cache.clear();
-    cache.set_max_entries(1);
 
     const auto f = model::AccessFunction::polynomial(0.47);
     const auto warm = cache.get(f, 64);
-    cache.get(model::AccessFunction::polynomial(0.48), 64);  // evicts f
+    // Cap-many other functions make f the least recently used, and evict it.
+    for (std::size_t i = 0; i < model::CostTableCache::kMaxEntries; ++i) {
+        cache.get(lru_function(0.48, i), 64);
+    }
+    const auto before = cache.stats();
     const auto rebuilt = cache.get(f, 64);  // rebuilt after eviction
+    EXPECT_EQ(cache.stats().builds - before.builds, 1u) << "f was evicted";
 
-    model::ScopedCostTableCache off(false);
-    const auto cold = cache.get(f, 64);  // fresh private build, the seed path
+    const model::CostTable direct(f, 64);
     for (std::uint64_t x = 0; x < 64; ++x) {
-        EXPECT_EQ(rebuilt->cost(x), cold->cost(x)) << "x=" << x;
-        EXPECT_EQ(warm->cost(x), cold->cost(x)) << "x=" << x;
+        EXPECT_EQ(rebuilt->cost(x), direct.cost(x)) << "x=" << x;
+        EXPECT_EQ(warm->cost(x), direct.cost(x)) << "x=" << x;
     }
 
-    cache.set_max_entries(old_cap);
     cache.clear();
 }
 

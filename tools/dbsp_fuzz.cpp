@@ -1,11 +1,11 @@
 // dbsp_fuzz: differential fuzzer for the D-BSP executors.
 //
 // Each iteration generates a random D-BSP program (check::generate_spec),
-// runs it through every executor/mode combination (check::check_program), and
-// stops at the first divergence: the failing spec is shrunk to a minimal
-// repro (check::shrink) and written to --out as a committable repro file —
-// "dbsp-trace v2" when the divergence survives a RecordedProgram replay of
-// the shrunk program, else "dbsp-spec v1".
+// runs it through every executor, untraced and traced
+// (check::check_program), and stops at the first divergence: the failing
+// spec is shrunk to a minimal repro (check::shrink) and written to --out as
+// a committable repro file — "dbsp-trace v2" when the divergence survives a
+// RecordedProgram replay of the shrunk program, else "dbsp-spec v1".
 //
 //   dbsp_fuzz --seed 1 --iters 10000 --out tests/repros
 //   dbsp_fuzz --repro tests/repros/repro_hmm-image_42.txt

@@ -25,7 +25,8 @@
 ///
 /// --run writes the artifacts into a fresh directory under the temp
 /// directory (TMPDIR) and removes it before exiting; a binary that writes no
-/// artifact is an error.
+/// artifact is an error. A positional artifact replaces the run's artifact
+/// with the same experiment id.
 ///
 /// Exit status: 0 all checks pass and the gate is clean; 1 a conformance
 /// check fails or the gate trips; 2 usage error or unreadable/unwritable
@@ -191,8 +192,10 @@ int main(int argc, char** argv) {
         }
         current = std::move(*loaded);
     } else {
-        // Run binaries first so positional artifacts can override a stale run.
+        // Ingest the run's artifacts first: a later artifact with the same id
+        // replaces an earlier one, so a positional artifact overrides the run.
         ScratchDir artifact_dir;  // removed once the artifacts are ingested
+        std::vector<std::string> run_artifacts;
         if (!run_dir.empty()) {
             if (!artifact_dir.create()) {
                 std::fprintf(stderr,
@@ -220,9 +223,10 @@ int main(int argc, char** argv) {
                     std::fprintf(stderr, "dbsp_report: %s wrote no artifact\n", name);
                     return 2;
                 }
-                inputs.push_back(artifact.string());
+                run_artifacts.push_back(artifact.string());
             }
         }
+        inputs.insert(inputs.begin(), run_artifacts.begin(), run_artifacts.end());
         for (const std::string& path : inputs) {
             auto result = load_experiment(path);
             if (!result) return 2;
@@ -287,8 +291,8 @@ int main(int argc, char** argv) {
                     e.checks.size(), e.pass() ? "PASS" : "FAIL");
     }
     if (current.micro) {
-        std::printf("micro: %.0f words/s bulk, %.2fx speedup, costs bit-identical: %s\n",
-                    current.micro->bulk_words_per_sec, current.micro->speedup,
+        std::printf("micro: %.0f words/s untraced, costs bit-identical: %s\n",
+                    current.micro->bulk_words_per_sec,
                     current.micro->costs_bit_identical ? "yes" : "NO");
     }
     std::printf("experiments: %zu   checks: %d/%d pass, %d waived, %d fail\n",

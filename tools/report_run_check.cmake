@@ -5,7 +5,9 @@
 # (dbsp_report_<binary>.json), which must never be ingested:
 #   1. a stub experiment binary that writes nothing: exit 2, and TMPDIR
 #      holds nothing new;
-#   2. a stub that writes a valid artifact: exit 0, and again nothing new.
+#   2. a stub that writes a valid artifact: exit 0, and again nothing new;
+#   3. the same stub beside a positional artifact with the same id: the
+#      positional artifact wins.
 #
 # Required -D variables: REPORT_TOOL, WORK_DIR.
 
@@ -65,5 +67,21 @@ if(NOT out MATCHES "e1 +stub")
   message(FATAL_ERROR "--run did not ingest the fresh artifact: ${out}")
 endif()
 expect_tmp_untouched("written artifact")
+
+# 3. A positional artifact overrides the run's artifact with the same id.
+set(POSITIONAL "${WORK_DIR}/e1.json")
+file(WRITE "${POSITIONAL}" [=[{"id": "e1", "title": "from-positional", "claim": "p", "checks": [
+  {"id": "c", "label": "c", "kind": "min", "measured": 1, "predicted": 0,
+   "tolerance": 0, "pass": true}]}
+]=])
+execute_process(COMMAND "${REPORT_TOOL}" --run "${BIN}" "${POSITIONAL}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--run beside a positional artifact returned ${rc}, want 0: ${out}${err}")
+endif()
+if(NOT out MATCHES "e1 +from-positional")
+  message(FATAL_ERROR "the run's artifact overrode the positional one: ${out}")
+endif()
+expect_tmp_untouched("positional override")
 
 message(STATUS "report --run artifacts OK")
