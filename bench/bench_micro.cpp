@@ -1,15 +1,15 @@
-/// Wall-clock microbenchmarks (google-benchmark) of the simulator
-/// implementations themselves — not paper results, but useful for keeping
-/// the cost-model machinery fast enough to run the E1-E12 experiments.
+/// Wall-clock microbenchmarks of the simulator implementations themselves —
+/// not paper results, but useful for keeping the cost-model machinery fast
+/// enough to run the E1-E15 experiments.
 ///
-/// `bench_micro --json [path]` skips google-benchmark and instead times the
-/// E3 simulation workload untraced and with each kind of observer attached,
-/// writing the measurements (words simulated per second, table builds
-/// avoided, observer overheads) to BENCH_micro.json; every observed leg must
-/// charge the untraced leg's cost bits. One primitive leg times the exact
-/// reuse engine alone, on a recorded charge stream.
-
-#include <benchmark/benchmark.h>
+/// `bench_micro --json [PATH]` times the E3 simulation workload untraced and
+/// with each kind of observer attached, writing the measurements (words
+/// simulated per second, table builds avoided, observer overheads) to PATH
+/// (default BENCH_micro.json); every observed leg must charge the untraced
+/// leg's cost bits. Two primitive legs time one machine job alone: the exact
+/// reuse engine on a recorded charge stream, and the BT merge sort that
+/// delivers the BT simulator's messages. Any other argument prints usage and
+/// exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -20,18 +20,13 @@
 #include <string>
 #include <vector>
 
-#include "algos/bitonic_sort.hpp"
 #include "algos/permutation.hpp"
 #include "bt/sort.hpp"
-#include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
 #include "core/smoothing.hpp"
-#include "hmm/machine.hpp"
-#include "hmm/primitives.hpp"
 #include "locality/sink.hpp"
 #include "model/cost_table_cache.hpp"
 #include "perf/counters.hpp"
-#include "model/dbsp_machine.hpp"
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/provenance.hpp"
@@ -44,78 +39,6 @@
 namespace {
 
 using namespace dbsp;
-
-void BM_HmmScan(benchmark::State& state) {
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    hmm::Machine m(model::AccessFunction::polynomial(0.5), n);
-    for (auto _ : state) {
-        m.reset_cost();
-        benchmark::DoNotOptimize(hmm::touch_all(m, n));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_HmmScan)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_DirectDbspExecution(benchmark::State& state) {
-    const auto v = static_cast<std::uint64_t>(state.range(0));
-    SplitMix64 rng(1);
-    std::vector<model::Word> keys(v);
-    for (auto& k : keys) k = rng.next();
-    model::DbspMachine machine(model::AccessFunction::polynomial(0.5));
-    for (auto _ : state) {
-        algo::BitonicSortProgram prog(keys);
-        benchmark::DoNotOptimize(machine.run(prog).time);
-    }
-}
-BENCHMARK(BM_DirectDbspExecution)->Arg(1 << 8)->Arg(1 << 10);
-
-void BM_HmmSimulator(benchmark::State& state) {
-    const auto v = static_cast<std::uint64_t>(state.range(0));
-    const auto f = model::AccessFunction::polynomial(0.5);
-    for (auto _ : state) {
-        algo::RandomRoutingProgram prog(v, {0, 3, 5, 2, 7, 1}, 9);
-        auto smoothed = core::smooth(prog, core::hmm_label_set(f, prog.context_words(), v));
-        benchmark::DoNotOptimize(core::HmmSimulator(f).simulate(*smoothed).hmm_cost);
-    }
-}
-BENCHMARK(BM_HmmSimulator)->Arg(1 << 8)->Arg(1 << 10);
-
-void BM_BtSimulator(benchmark::State& state) {
-    const auto v = static_cast<std::uint64_t>(state.range(0));
-    const auto f = model::AccessFunction::polynomial(0.5);
-    for (auto _ : state) {
-        algo::RandomRoutingProgram prog(v, {0, 3, 5, 2, 7, 1}, 9);
-        auto smoothed = core::smooth(prog, core::bt_label_set(f, prog.context_words(), v));
-        benchmark::DoNotOptimize(core::BtSimulator(f).simulate(*smoothed).bt_cost);
-    }
-}
-BENCHMARK(BM_BtSimulator)->Arg(1 << 8)->Arg(1 << 10);
-
-/// The BT simulator's delivery primitive alone: records/s of the staged merge
-/// sort on 5-word records (the simulator's record size) under x^0.5.
-void BM_BtMergeSort(benchmark::State& state) {
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    const std::uint64_t r = 5;
-    const model::Addr base = 4096, scratch = base + n * r;
-    bt::Machine m(model::AccessFunction::polynomial(0.5), scratch + n * r);
-    SplitMix64 rng(3);
-    std::vector<model::Word> input(n * r);
-    for (auto& w : input) w = rng.next();
-    for (auto _ : state) {
-        state.PauseTiming();
-        std::copy(input.begin(), input.end(), m.raw().begin() + base);
-        state.ResumeTiming();
-        bt::merge_sort_records(m, base, n, r, scratch, /*stage=*/0, /*stage_words=*/2048);
-        benchmark::DoNotOptimize(m.raw().data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BtMergeSort)->Arg(1 << 10)->Arg(1 << 14);
-
-// --- the --json mode --------------------------------------------------------
 
 /// The E3 workload: a random cluster-respecting routing program simulated on
 /// the x^0.5-HMM via the Figure 1 schedule (the hottest loop in the suite).
@@ -323,6 +246,33 @@ double median_of(std::vector<double> v) {
     return v[v.size() / 2];
 }
 
+/// The BT simulator's delivery primitive alone: records per second of the
+/// staged merge sort on 2^14 five-word records (the simulator's record size)
+/// under x^0.5, median of \p rounds sorts. Each round refills the same input
+/// before the clock starts.
+double bt_merge_sort_records_per_sec(int rounds) {
+    constexpr std::uint64_t kRecords = 1 << 14;
+    constexpr std::uint64_t kRecordWords = 5;
+    constexpr std::uint64_t kStageWords = 2048;  // stage at [0, 2048)
+    constexpr model::Addr kBase = 4096;
+    constexpr model::Addr kScratch = kBase + kRecords * kRecordWords;
+    bt::Machine m(model::AccessFunction::polynomial(0.5),
+                  kScratch + kRecords * kRecordWords);
+    SplitMix64 rng(3);
+    std::vector<model::Word> input(kRecords * kRecordWords);
+    for (auto& w : input) w = rng.next();
+    std::vector<double> rates;
+    for (int r = 0; r < rounds; ++r) {
+        std::copy(input.begin(), input.end(), m.raw().begin() + kBase);
+        const auto t0 = std::chrono::steady_clock::now();
+        bt::merge_sort_records(m, kBase, kRecords, kRecordWords, kScratch, 0, kStageWords);
+        const double seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+        rates.push_back(static_cast<double>(kRecords) / seconds);
+    }
+    return median_of(rates);
+}
+
 /// Throughput overhead of \p leg over the untraced reference \p base, percent.
 double overhead_pct(const JsonMeasurement& base, const JsonMeasurement& leg) {
     return 100.0 * (base.words_per_sec() / leg.words_per_sec() - 1.0);
@@ -343,6 +293,7 @@ int run_json_mode(const std::string& path) {
     constexpr int kTracedRounds = 3;
     constexpr int kTracedReps = 4;
     constexpr int kReplays = 8;  // recorded-stream replays per enabled round
+    constexpr int kSortRounds = 9;
 
     // Warm-up outside the timed region (page faults, first-touch, clocks).
     (void)run_e3_workload(kProcessors, 1);
@@ -458,6 +409,11 @@ int run_json_mode(const std::string& path) {
     hw_counters.stop();
     const perf::CounterSnapshot hw_snapshot = hw_counters.read();
     const bool costs_counters = ctr.hmm_cost == fast.hmm_cost;
+    // Last, so that no leg above moves: the BT merge sort alone
+    // (informational: its rate, not a ratio). The registry is read first so
+    // that the metrics section still describes the E3 legs alone.
+    report::Json registry = report::metrics_to_json();
+    const double bt_merge_sort_records_per_s = bt_merge_sort_records_per_sec(kSortRounds);
     // Attaching an observer never changes a charged bit: every observed leg
     // charges what the untraced leg charged.
     const bool costs_bit_identical =
@@ -505,7 +461,8 @@ int run_json_mode(const std::string& path) {
     replay.set("refs", engine_stream.refs);
     replay.set("counts_exact", replay_counts_exact);
     doc.set("reuse_engine_replay", std::move(replay));
-    doc.set("metrics", report::metrics_to_json());
+    doc.set("bt_merge_sort_records_per_s", bt_merge_sort_records_per_s);
+    doc.set("metrics", std::move(registry));
     std::string error;
     if (!doc.save_file(path, &error)) {
         std::fprintf(stderr, "bench_micro: cannot write %s: %s\n", path.c_str(),
@@ -541,6 +498,9 @@ int run_json_mode(const std::string& path) {
                 "stream, %zu events, %llu refs, median of %d rounds)\n",
                 reuse_engine_refs_per_s, engine_stream.stream.events(),
                 static_cast<unsigned long long>(engine_stream.refs), kEnabledRounds);
+    std::printf("  bt merge sort: %.0f records/s  (2^14 five-word records, x^0.5-BT, "
+                "median of %d sorts)\n",
+                bt_merge_sort_records_per_s, kSortRounds);
     std::printf("  costs bit-identical: %s\n", costs_bit_identical ? "yes" : "NO");
     std::printf("  wrote %s\n", path.c_str());
     const bool ok = costs_bit_identical && trace_counts_exact && loc_counts_exact;
@@ -550,16 +510,11 @@ int run_json_mode(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            const std::string path =
-                (i + 1 < argc && argv[i + 1][0] != '-') ? argv[i + 1] : "BENCH_micro.json";
-            return run_json_mode(path);
-        }
+    if (argc >= 2 && argc <= 3 && std::strcmp(argv[1], "--json") == 0 &&
+        (argc == 2 || argv[2][0] != '-')) {
+        return run_json_mode(argc == 3 ? argv[2] : "BENCH_micro.json");
     }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    std::fprintf(stderr, "usage: %s --json [PATH]  (PATH defaults to BENCH_micro.json)\n",
+                 argv[0]);
+    return 2;
 }

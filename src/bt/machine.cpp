@@ -109,8 +109,6 @@ void Machine::merge_shard(const ShardAccount& account) {
     cost_ += account.cost;
     word_access_ += account.word_access;
     unit_ops_ += account.unit_ops;
-    range_ops_ += account.range_ops;
-    range_words_ += account.range_words;
 }
 
 }  // namespace dbsp::bt

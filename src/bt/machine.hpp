@@ -31,7 +31,7 @@ using model::AccessFunction;
 using model::Addr;
 using model::Word;
 
-/// Cost/telemetry accumulator for one context execution in COMPUTE — the BT
+/// Cost accumulator for one context execution in COMPUTE — the BT
 /// counterpart of hmm::ShardAccount (see there for why the fold unit
 /// matters). cost and word_access fold independently, the same
 /// decomposition Machine::read_range documents.
@@ -39,8 +39,6 @@ struct ShardAccount {
     double cost = 0.0;
     double word_access = 0.0;
     double unit_ops = 0.0;
-    std::uint64_t range_ops = 0;
-    std::uint64_t range_words = 0;
 
     void clear() { *this = ShardAccount{}; }
 

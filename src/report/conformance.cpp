@@ -348,15 +348,15 @@ std::vector<std::string> gate_violations(const CombinedReport& current,
             if (bc.waived || cc->waived) continue;
             if (bc.kind == "exponent") {
                 const double drift = std::fabs(cc->measured - bc.measured);
-                if (drift > options.exponent_drift) {
+                if (drift > kGateExponentDrift) {
                     violation(base_exp.id + "/" + bc.id + ": fitted exponent drifted " +
                               fmt(drift) + " from baseline (" + fmt(bc.measured) + " -> " +
-                              fmt(cc->measured) + ", allowed " + fmt(options.exponent_drift) +
+                              fmt(cc->measured) + ", allowed " + fmt(kGateExponentDrift) +
                               ")");
                 }
             } else if ((bc.kind == "min" || bc.kind == "max") && bc.tolerance > 0.0) {
                 // The check declares its own absolute drift allowance (an
-                // exact but fold-order-sensitive value; see GateOptions).
+                // exact but fold-order-sensitive value; see kGateValueDriftRel).
                 const double drift = std::fabs(cc->measured - bc.measured);
                 if (drift > bc.tolerance) {
                     violation(base_exp.id + "/" + bc.id + ": measured value drifted " +
@@ -367,11 +367,11 @@ std::vector<std::string> gate_violations(const CombinedReport& current,
             } else {
                 const double denom = std::max(std::fabs(bc.measured), 1e-12);
                 const double drift = std::fabs(cc->measured - bc.measured) / denom;
-                if (drift > options.value_drift_rel) {
+                if (drift > kGateValueDriftRel) {
                     violation(base_exp.id + "/" + bc.id + ": measured value drifted " +
                               fmt(100.0 * drift) + "% from baseline (" + fmt(bc.measured) +
                               " -> " + fmt(cc->measured) + ", allowed " +
-                              fmt(100.0 * options.value_drift_rel) + "%)");
+                              fmt(100.0 * kGateValueDriftRel) + "%)");
                 }
             }
         }
@@ -382,9 +382,9 @@ std::vector<std::string> gate_violations(const CombinedReport& current,
                                 (baseline.micro->bulk_words_per_sec -
                                  current.micro->bulk_words_per_sec) /
                                 baseline.micro->bulk_words_per_sec;
-        if (drop_pct > options.perf_drop_pct) {
+        if (drop_pct > kGatePerfDropPct) {
             violation("micro: bulk-path words/sec regressed " + fmt(drop_pct) +
-                      "% vs baseline (allowed " + fmt(options.perf_drop_pct) + "%)");
+                      "% vs baseline (allowed " + fmt(kGatePerfDropPct) + "%)");
         }
     }
 
@@ -400,25 +400,20 @@ std::vector<std::string> gate_violations(const CombinedReport& current,
                 violation(std::string("micro: ") + g.broken);
             }
         }
-        if (current.micro->locality_enabled_overhead_pct >
-            options.locality_enabled_overhead_max_pct) {
+        if (current.micro->locality_enabled_overhead_pct > kGateExactOverheadMaxPct) {
             violation("micro: exact locality profiling overhead " +
                       fmt(current.micro->locality_enabled_overhead_pct) +
-                      "% exceeds ceiling " +
-                      fmt(options.locality_enabled_overhead_max_pct) + "%");
+                      "% exceeds ceiling " + fmt(kGateExactOverheadMaxPct) + "%");
         }
-        if (current.micro->locality_sampled_overhead_pct >
-            options.locality_sampled_overhead_max_pct) {
+        if (current.micro->locality_sampled_overhead_pct > kGateSampledOverheadMaxPct) {
             violation("micro: sampled locality profiling overhead " +
                       fmt(current.micro->locality_sampled_overhead_pct) +
-                      "% exceeds ceiling " +
-                      fmt(options.locality_sampled_overhead_max_pct) + "%");
+                      "% exceeds ceiling " + fmt(kGateSampledOverheadMaxPct) + "%");
         }
-        if (current.micro->locality_sampled_score_abs_err >
-            options.locality_sampled_score_err_max) {
+        if (current.micro->locality_sampled_score_abs_err > kGateSampledScoreErrMax) {
             violation("micro: sampled locality score error " +
                       fmt(current.micro->locality_sampled_score_abs_err) +
-                      " exceeds ceiling " + fmt(options.locality_sampled_score_err_max));
+                      " exceeds ceiling " + fmt(kGateSampledScoreErrMax));
         }
     }
 

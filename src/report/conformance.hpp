@@ -11,16 +11,18 @@
 ///  * a conformance check fails outright in the current report (a theorem's
 ///    verdict broke at head);
 ///  * a fitted exponent drifted from the baseline by more than
-///    `exponent_drift` (absolute, in exponent units);
+///    `kGateExponentDrift` (absolute, in exponent units);
 ///  * a band/min/max check's measured value drifted by more than
-///    `value_drift_rel` (relative);
+///    `kGateValueDriftRel` (relative);
 ///  * an experiment or check present in the baseline is missing from the
 ///    current report (unless `subset_ok`, for CI runs that exercise a fast
 ///    subset);
-///  * the microbenchmark words/sec dropped more than `perf_drop_pct` percent
-///    below the baseline (only when both sides carry micro data — model-cost
-///    conformance is deterministic, wall-clock is not, so the perf gate has
-///    its own, wider tolerance).
+///  * the microbenchmark words/sec dropped more than `kGatePerfDropPct`
+///    percent below the baseline (only when both sides carry micro data —
+///    model-cost conformance is deterministic, wall-clock is not, so the
+///    perf gate has its own, wider tolerance);
+///  * a gated boolean of the current micro data is false or missing, or a
+///    profiler overhead or the sampled score error exceeds its ceiling.
 
 #include <optional>
 #include <string>
@@ -84,28 +86,32 @@ struct CombinedReport {
     std::string markdown(const CombinedReport* baseline) const;
 };
 
+/// The gate's tolerances (see the file comment).
+inline constexpr double kGateExponentDrift = 0.05;
+/// Default relative drift allowance for band/min/max checks. A baseline
+/// check that declares its own non-zero tolerance is instead allowed that
+/// much *absolute* drift (see bench::Experiment::check_min) — the escape
+/// hatch for exact-but-fold-order-sensitive values like locality scores,
+/// whose third decimal moves whenever an engine change regroups the
+/// identical event stream.
+inline constexpr double kGateValueDriftRel = 0.25;
+inline constexpr double kGatePerfDropPct = 35.0;
+/// Absolute ceilings on the enabled-path locality overheads (percent
+/// throughput loss vs the untraced leg on bench_micro's E3 workload) and on
+/// the sampled-mode score error. The untraced leg charges bulk ops in closed
+/// form without touching their words (~1 ns per charged word), so any
+/// per-reference measurement is a large multiple of it; these ceilings are
+/// the measured paired-round medians (~1000% exact, ~250% sampled @0.01,
+/// ~0.21 score error) plus headroom for machine-to-machine variance —
+/// honest measured bounds, not aspirations. See EXPERIMENTS.md "Locality
+/// profiling cost" for the floor decomposition.
+inline constexpr double kGateExactOverheadMaxPct = 1500.0;
+inline constexpr double kGateSampledOverheadMaxPct = 400.0;
+inline constexpr double kGateSampledScoreErrMax = 0.5;
+
 struct GateOptions {
-    double exponent_drift = 0.05;
-    /// Default relative drift allowance for band/min/max checks. A baseline
-    /// check that declares its own non-zero tolerance is instead allowed
-    /// that much *absolute* drift (see bench::Experiment::check_min) — the
-    /// escape hatch for exact-but-fold-order-sensitive values like locality
-    /// scores, whose third decimal moves whenever an engine change regroups
-    /// the identical event stream.
-    double value_drift_rel = 0.25;
-    double perf_drop_pct = 35.0;
-    /// Absolute ceilings on the enabled-path locality overheads (percent
-    /// throughput loss vs the untraced leg on bench_micro's E3 workload) and
-    /// on the sampled-mode score error. The untraced leg charges bulk ops in
-    /// closed form without touching their words (~1 ns per charged word), so
-    /// any per-reference measurement is a large multiple of it; these
-    /// ceilings are the measured paired-round medians (~1000% exact, ~250%
-    /// sampled @0.01, ~0.21 score error) plus headroom for machine-to-
-    /// machine variance — honest measured bounds, not aspirations. See
-    /// EXPERIMENTS.md "Locality profiling cost" for the floor decomposition.
-    double locality_enabled_overhead_max_pct = 1500.0;
-    double locality_sampled_overhead_max_pct = 400.0;
-    double locality_sampled_score_err_max = 0.5;
+    /// Tolerate experiments and checks that the baseline has and the current
+    /// report lacks (dbsp_report --subset-ok).
     bool subset_ok = false;
 };
 

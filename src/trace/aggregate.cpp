@@ -32,9 +32,6 @@ void AggregateSink::bucket(unsigned level, std::uint64_t words, double cost) {
     auto& p = phases_[current_()];
     p.words += words;
     p.cost += cost;
-    auto& pl = p.levels[level];
-    pl.words += words;
-    pl.cost += cost;
 }
 
 void AggregateSink::access(Addr x, double cost) { bucket(level_of(x), 1, cost); }

@@ -40,7 +40,6 @@ public:
         std::uint64_t scopes = 0;  ///< phase_begin count (kSuperstep: supersteps)
         std::uint64_t words = 0;
         double cost = 0.0;
-        std::map<unsigned, LevelStats> levels;
     };
 
     void access(Addr x, double cost) override;

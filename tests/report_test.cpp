@@ -389,16 +389,17 @@ TEST(Gate, PassesAgainstItselfAndCatchesEachRegressionKind) {
         subset.subset_ok = true;
         EXPECT_TRUE(report::gate_violations(cur, base, subset).empty());
     }
-    {  // perf drop beyond the wall-clock tolerance
-        CombinedReport cur = base;
-        std::string error;
-        cur.micro = *MicroData::from_json(micro_doc(1e6 * 0.5), &error);  // -50% < -35%
-        const auto v = report::gate_violations(cur, base, opts);
+    {  // perf drop beyond the wall-clock tolerance (35%)
+        const auto with_rate = [&](double words_per_sec) {
+            CombinedReport cur = base;
+            std::string error;
+            cur.micro = *MicroData::from_json(micro_doc(words_per_sec), &error);
+            return cur;
+        };
+        EXPECT_TRUE(report::gate_violations(with_rate(1e6 * 0.66), base, opts).empty());
+        const auto v = report::gate_violations(with_rate(1e6 * 0.64), base, opts);
         ASSERT_EQ(v.size(), 1u);
         EXPECT_NE(v[0].find("words/sec regressed"), std::string::npos);
-        GateOptions wide = opts;
-        wide.perf_drop_pct = 60.0;
-        EXPECT_TRUE(report::gate_violations(cur, base, wide).empty());
     }
     {  // broken cost invariants in the micro artifact
         CombinedReport cur = base;
@@ -437,7 +438,7 @@ TEST(Gate, MinCheckHonorsItsDeclaredAbsoluteDriftTolerance) {
     // A min/max check that declares a non-zero tolerance opts out of the
     // default relative-drift rule in favor of that absolute allowance — the
     // escape hatch for exact but fold-order-sensitive values like locality
-    // scores (see GateOptions).
+    // scores (see report::kGateValueDriftRel).
     CombinedReport base = sample_report();
     Check& bc = base.experiments[0].checks[0];
     bc.kind = "min";
@@ -503,11 +504,11 @@ TEST(Gate, LocalityOverheadCeilingsAreAbsoluteBoundsOnHead) {
         ASSERT_EQ(v.size(), 1u);
         EXPECT_NE(v[0].find("score error"), std::string::npos);
     }
-    // The ceilings are configurable like every other gate knob.
-    GateOptions tight = opts;
-    tight.locality_enabled_overhead_max_pct = 500.0;
+    // The exact ceiling is 1500%: just below passes, just above fails.
+    EXPECT_TRUE(
+        report::gate_violations(with_locality(1499, 250, 0.2), base, opts).empty());
     EXPECT_EQ(
-        report::gate_violations(with_locality(1000, 250, 0.2), base, tight).size(), 1u);
+        report::gate_violations(with_locality(1501, 250, 0.2), base, opts).size(), 1u);
 }
 
 TEST(Check, WaivedChecksRoundTripAndRejectContradictions) {

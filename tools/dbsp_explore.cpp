@@ -50,7 +50,6 @@
 /// The serve conformance check compares a daemon reply byte-for-byte against
 /// this output.
 
-#include <charconv>
 #include <complex>
 #include <cstdio>
 #include <cstdlib>
@@ -82,11 +81,13 @@
 #include "trace/chrome_trace.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace dbsp;
+
+constexpr const char* kTool = "dbsp_explore";
 
 [[noreturn]] void usage(const char* self) {
     std::fprintf(stderr,
@@ -110,24 +111,6 @@ using namespace dbsp;
                  self,
                  self);
     std::exit(2);
-}
-
-[[noreturn]] void bad_arg(const char* flag, const char* value, const char* expected) {
-    std::fprintf(stderr, "dbsp_explore: invalid %s \"%s\" (expected %s)\n", flag, value,
-                 expected);
-    std::exit(2);
-}
-
-/// Strict base-10 unsigned parse: the whole string must be digits, no sign,
-/// no trailing garbage, no empty string. Exits 2 on violation.
-std::uint64_t parse_u64(const char* flag, const char* value) {
-    std::uint64_t n = 0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, n, 10);
-    if (ec != std::errc{} || ptr != end || value == end) {
-        bad_arg(flag, value, "an unsigned integer");
-    }
-    return n;
 }
 
 std::unique_ptr<model::Program> make_program(const std::string& name, std::uint64_t v,
@@ -228,7 +211,7 @@ std::vector<locality::CacheGeometry> artifact_geometries(
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_explore")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     std::string program_name = "bitonic";
     std::string model_name = "both";
     std::uint64_t v = 256;
@@ -255,8 +238,8 @@ int main(int argc, char** argv) {
         } else if (arg == "--spec") {
             spec_path = next();
         } else if (arg == "--v") {
-            v = parse_u64("--v", next());
-            if (v == 0) bad_arg("--v", "0", "a positive power of two");
+            v = tools::parse_u64(kTool, "--v", next());
+            if (v == 0) tools::bad_arg(kTool, "--v", "0", "a positive power of two");
         } else if (arg == "--f") {
             std::string error;
             auto parsed = serve::parse_function(next(), &error);
@@ -268,13 +251,15 @@ int main(int argc, char** argv) {
         } else if (arg == "--model") {
             model_name = next();
         } else if (arg == "--seed") {
-            seed = parse_u64("--seed", next());
+            seed = tools::parse_u64(kTool, "--seed", next());
         } else if (arg == "--trace") {
             trace_enabled = true;
         } else if (arg.rfind("--trace=", 0) == 0) {
             trace_enabled = true;
             trace_path = arg.substr(std::strlen("--trace="));
-            if (trace_path.empty()) bad_arg("--trace", arg.c_str(), "a file path");
+            if (trace_path.empty()) {
+                tools::bad_arg(kTool, "--trace", arg.c_str(), "a file path");
+            }
         } else if (arg.rfind("--locality", 0) == 0) {
             // --locality[=path][:sampled[@rate]] — optional JSON output path,
             // optional SHARDS-sampled engine with an optional explicit rate.
@@ -292,16 +277,16 @@ int main(int argc, char** argv) {
                         (*rate_str == '@') ? std::strtod(rate_str + 1, &end) : 0.0;
                     if (*rate_str != '@' || rate_str[1] == '\0' || end == nullptr ||
                         *end != '\0' || !serve::valid_sample_rate(rate)) {
-                        bad_arg("--locality", arg.c_str(),
-                                ":sampled or :sampled@R with R in (0, 1]");
+                        tools::bad_arg(kTool, "--locality", arg.c_str(),
+                                       ":sampled or :sampled@R with R in (0, 1]");
                     }
                     locality_options.sample_rate = rate;
                 }
             }
             if (!rest.empty()) {
                 if (rest[0] != '=' || rest.size() == 1) {
-                    bad_arg("--locality", arg.c_str(),
-                            "--locality[=path][:sampled[@rate]]");
+                    tools::bad_arg(kTool, "--locality", arg.c_str(),
+                                   "--locality[=path][:sampled[@rate]]");
                 }
                 locality_path = rest.substr(1);
             }
@@ -310,7 +295,9 @@ int main(int argc, char** argv) {
         } else if (arg.rfind("--counters=", 0) == 0) {
             counters_enabled = true;
             counters_path = arg.substr(std::strlen("--counters="));
-            if (counters_path.empty()) bad_arg("--counters", arg.c_str(), "a file path");
+            if (counters_path.empty()) {
+                tools::bad_arg(kTool, "--counters", arg.c_str(), "a file path");
+            }
         } else if (arg == "--rational") {
             rational = true;
         } else {
@@ -324,7 +311,7 @@ int main(int argc, char** argv) {
     }
     if (model_name != "hmm" && model_name != "bt" && model_name != "both" &&
         model_name != "none") {
-        bad_arg("--model", model_name.c_str(), "hmm, bt, both, or none");
+        tools::bad_arg(kTool, "--model", model_name.c_str(), "hmm, bt, both, or none");
     }
 
     if (!spec_path.empty()) {
@@ -360,14 +347,16 @@ int main(int argc, char** argv) {
 
     // Program-specific sizes; each rule is the program class's own.
     if (program_name == "matmul" && !algo::MatMulProgram::valid_size(v)) {
-        bad_arg("--v", std::to_string(v).c_str(), "a power of 4 for --program matmul");
+        tools::bad_arg(kTool, "--v", std::to_string(v).c_str(),
+                       "a power of 4 for --program matmul");
     }
     if (program_name == "fft-rec" && !algo::FftRecursiveProgram::valid_size(v)) {
-        bad_arg("--v", std::to_string(v).c_str(),
-                "2^(2^k) or at most 4 for --program fft-rec");
+        tools::bad_arg(kTool, "--v", std::to_string(v).c_str(),
+                       "2^(2^k) or at most 4 for --program fft-rec");
     }
     if (program_name == "oddeven" && !algo::OddEvenTranspositionSortProgram::valid_size(v)) {
-        bad_arg("--v", std::to_string(v).c_str(), "at least 2 for --program oddeven");
+        tools::bad_arg(kTool, "--v", std::to_string(v).c_str(),
+                       "at least 2 for --program oddeven");
     }
     auto program = make_program(program_name, v, seed);
     if (!program) usage(argv[0]);

@@ -48,12 +48,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <algorithm>
 #include <string>
 #include <thread>
@@ -68,11 +66,13 @@
 #include "serve/protocol.hpp"
 #include "serve/runner.hpp"
 #include "telemetry/telemetry.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace dbsp;
+
+constexpr const char* kTool = "dbsp_loadgen";
 
 [[noreturn]] void usage(const char* self) {
     std::fprintf(stderr,
@@ -80,22 +80,6 @@ using namespace dbsp;
                  "          [--distinct K] [--batch B] [--out FILE] [--telemetry]\n",
                  self);
     std::exit(2);
-}
-
-[[noreturn]] void bad_arg(const char* flag, const char* value, const char* expected) {
-    std::fprintf(stderr, "dbsp_loadgen: invalid %s \"%s\" (expected %s)\n", flag, value,
-                 expected);
-    std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* flag, const char* value) {
-    std::uint64_t n = 0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, n, 10);
-    if (ec != std::errc{} || ptr != end || value == end) {
-        bad_arg(flag, value, "an unsigned integer");
-    }
-    return n;
 }
 
 std::string run_line(const check::ProgramSpec& spec) {
@@ -252,7 +236,7 @@ std::vector<std::string> malformed_lines(const std::string& valid_spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_loadgen")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     std::string socket_path;
     std::string spawn_bin;
     std::string out_path;
@@ -272,14 +256,14 @@ int main(int argc, char** argv) {
         } else if (arg == "--spawn") {
             spawn_bin = next();
         } else if (arg == "--requests") {
-            requests = parse_u64("--requests", next());
-            if (requests == 0) bad_arg("--requests", "0", "a positive count");
+            requests = tools::parse_u64(kTool, "--requests", next());
+            if (requests == 0) tools::bad_arg(kTool, "--requests", "0", "a positive count");
         } else if (arg == "--distinct") {
-            distinct = parse_u64("--distinct", next());
-            if (distinct == 0) bad_arg("--distinct", "0", "a positive count");
+            distinct = tools::parse_u64(kTool, "--distinct", next());
+            if (distinct == 0) tools::bad_arg(kTool, "--distinct", "0", "a positive count");
         } else if (arg == "--batch") {
-            batch = parse_u64("--batch", next());
-            if (batch == 0) bad_arg("--batch", "0", "a positive count");
+            batch = tools::parse_u64(kTool, "--batch", next());
+            if (batch == 0) tools::bad_arg(kTool, "--batch", "0", "a positive count");
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--telemetry") {
@@ -292,30 +276,16 @@ int main(int argc, char** argv) {
 
     pid_t daemon_pid = -1;
     if (!spawn_bin.empty()) {
-        daemon_pid = ::fork();
+        daemon_pid = spawn_daemon(spawn_bin, socket_path, {});
         if (daemon_pid < 0) {
             std::perror("dbsp_loadgen: fork");
             return 1;
-        }
-        if (daemon_pid == 0) {
-            ::execl(spawn_bin.c_str(), spawn_bin.c_str(), "--socket",
-                    socket_path.c_str(), static_cast<char*>(nullptr));
-            std::perror("dbsp_loadgen: exec dbsp_serve");
-            ::_exit(127);
         }
     }
 
     serve::Client client;
     std::string error;
-    bool connected = false;
-    for (int attempt = 0; attempt < 500; ++attempt) {
-        if (client.connect(socket_path, &error)) {
-            connected = true;
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    if (!connected) {
+    if (!connect_with_retry(&client, socket_path, &error)) {
         std::fprintf(stderr, "dbsp_loadgen: cannot connect to \"%s\": %s\n",
                      socket_path.c_str(), error.c_str());
         return 1;

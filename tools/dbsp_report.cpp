@@ -10,8 +10,8 @@
 ///
 /// Usage:
 ///   dbsp_report [options] [experiment.json ...]
-///     --run DIR          run every bench_eNN binary found in DIR and ingest
-///                        its artifact (skips binaries that do not exist)
+///     --run DIR          run every bench_e<N>_* executable in DIR, in
+///                        ascending N, and ingest its artifact
 ///     --micro FILE       ingest a BENCH_micro.json perf artifact
 ///     --in FILE          load an existing combined report as the current one
 ///                        (exclusive with positional files, --run, --micro)
@@ -21,7 +21,7 @@
 ///     --baseline FILE    committed combined report to gate / diff against
 ///     --subset-ok        gate: tolerate experiments/checks missing vs baseline
 ///
-/// The gate's tolerances are report::GateOptions' defaults (conformance.hpp).
+/// The gate's tolerances are the report::kGate* constants (conformance.hpp).
 ///
 /// --run writes the artifacts into a fresh directory under the temp
 /// directory (TMPDIR) and removes it before exiting; a binary that writes no
@@ -44,22 +44,11 @@
 #include "report/experiment.hpp"
 #include "report/json.hpp"
 #include "report/provenance.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace dbsp;
-
-/// The experiment binaries --run looks for, in report order (mirrors
-/// DBSP_EXPERIMENTS in bench/CMakeLists.txt).
-const char* const kExperimentBinaries[] = {
-    "bench_e1_hmm_touching",  "bench_e2_bt_touching",       "bench_e3_hmm_simulation",
-    "bench_e4_matmul",        "bench_e5_fft",               "bench_e6_sorting",
-    "bench_e7_brent",         "bench_e8_bt_simulation",     "bench_e9_bt_matmul",
-    "bench_e10_bt_fft",       "bench_e11_rational_perm",    "bench_e12_smoothing",
-    "bench_e13_locality_ablation", "bench_e14_locality_profile",
-    "bench_e15_hardware_locality",
-};
 
 [[noreturn]] void usage(const char* self) {
     std::fprintf(stderr,
@@ -108,6 +97,35 @@ public:
 private:
     std::filesystem::path path_;
 };
+
+/// The experiment binaries --run runs: every regular executable in \p dir
+/// named bench_e<N>_*, in ascending N (bench_micro does not match); nullopt
+/// when \p dir cannot be read.
+std::optional<std::vector<std::filesystem::path>> experiment_binaries(
+    const std::string& dir) {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    fs::directory_iterator it(dir, ec);
+    if (ec) return std::nullopt;
+    std::vector<std::pair<int, fs::path>> found;
+    for (const fs::directory_entry& entry : it) {
+        char digits[10];
+        char sep = 0;
+        const std::string name = entry.path().filename().string();
+        if (std::sscanf(name.c_str(), "bench_e%9[0-9]%c", digits, &sep) != 2 || sep != '_') {
+            continue;
+        }
+        const fs::file_status status = entry.status(ec);
+        if (fs::is_regular_file(status) &&
+            (status.permissions() & fs::perms::owner_exec) != fs::perms::none) {
+            found.emplace_back(std::atoi(digits), entry.path());
+        }
+    }
+    std::sort(found.begin(), found.end());
+    std::vector<fs::path> binaries;
+    for (auto& [n, path] : found) binaries.push_back(std::move(path));
+    return binaries;
+}
 
 std::optional<report::ExperimentResult> load_experiment(const std::string& path) {
     std::string error;
@@ -203,24 +221,26 @@ int main(int argc, char** argv) {
                              "temp directory\n");
                 return 2;
             }
-            for (const char* name : kExperimentBinaries) {
-                const auto binary = std::filesystem::path(run_dir) / name;
-                std::error_code ec;
-                if (!std::filesystem::exists(binary, ec)) {
-                    std::fprintf(stderr, "dbsp_report: skipping %s (not built)\n", name);
-                    continue;
-                }
-                const auto artifact = artifact_dir.path() / (std::string(name) + ".json");
+            const auto binaries = experiment_binaries(run_dir);
+            if (!binaries) {
+                std::fprintf(stderr, "dbsp_report: cannot read --run directory \"%s\"\n",
+                             run_dir.c_str());
+                return 2;
+            }
+            for (const std::filesystem::path& binary : *binaries) {
+                const std::string name = binary.filename().string();
+                const auto artifact = artifact_dir.path() / (name + ".json");
                 const std::string cmd = "\"" + binary.string() + "\" --json \"" +
                                         artifact.string() + "\" > /dev/null";
-                std::printf("running %s ...\n", name);
+                std::printf("running %s ...\n", name.c_str());
                 std::fflush(stdout);
                 // A conformance failure (exit 1) still writes the artifact —
                 // the failed verdicts belong in the report. Only a missing /
                 // unparsable artifact is fatal here.
                 (void)std::system(cmd.c_str());
+                std::error_code ec;
                 if (!std::filesystem::exists(artifact, ec)) {
-                    std::fprintf(stderr, "dbsp_report: %s wrote no artifact\n", name);
+                    std::fprintf(stderr, "dbsp_report: %s wrote no artifact\n", name.c_str());
                     return 2;
                 }
                 run_artifacts.push_back(artifact.string());

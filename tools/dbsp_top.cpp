@@ -19,17 +19,19 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "report/json.hpp"
 #include "serve/client.hpp"
-#include "version.hpp"
+#include "cli.hpp"
 
 namespace {
+
+namespace tools = dbsp::tools;
+
+constexpr const char* kTool = "dbsp_top";
 
 [[noreturn]] void usage(const char* self) {
     std::fprintf(stderr,
@@ -37,22 +39,6 @@ namespace {
                  "          [--json] [--spans N] [--version]\n",
                  self);
     std::exit(2);
-}
-
-[[noreturn]] void bad_arg(const char* flag, const char* value, const char* expected) {
-    std::fprintf(stderr, "dbsp_top: invalid %s \"%s\" (expected %s)\n", flag, value,
-                 expected);
-    std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* flag, const char* value) {
-    std::uint64_t n = 0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, n, 10);
-    if (ec != std::errc{} || ptr != end || value == end) {
-        bad_arg(flag, value, "an unsigned integer");
-    }
-    return n;
 }
 
 void render_window(const char* name, const dbsp::report::Json& w) {
@@ -126,7 +112,7 @@ void render_frame(const std::string& socket_path, const dbsp::report::Json& f) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (dbsp::tools::handle_version_flag(argc, argv, "dbsp_top")) return 0;
+    if (dbsp::tools::handle_version_flag(argc, argv, kTool)) return 0;
     std::string socket_path;
     std::uint64_t interval_ms = 1000;
     std::uint64_t count = 0;  // 0 = stream until the daemon goes away
@@ -142,20 +128,22 @@ int main(int argc, char** argv) {
         if (arg == "--socket") {
             socket_path = next();
         } else if (arg == "--interval-ms") {
-            interval_ms = parse_u64("--interval-ms", next());
+            const char* value = next();
+            interval_ms = tools::parse_u64(kTool, "--interval-ms", value);
             if (interval_ms > 60000) {
-                bad_arg("--interval-ms", "(value)", "at most 60000");
+                tools::bad_arg(kTool, "--interval-ms", value, "at most 60000");
             }
         } else if (arg == "--count") {
-            count = parse_u64("--count", next());
+            count = tools::parse_u64(kTool, "--count", next());
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--spans") {
-            spans = parse_u64("--spans", next());
+            const char* value = next();
+            spans = tools::parse_u64(kTool, "--spans", value);
             if (spans == 0 || spans > 1024) {
-                bad_arg("--spans", "(value)", "a count in [1, 1024]");
+                tools::bad_arg(kTool, "--spans", value, "a count in [1, 1024]");
             }
         } else {
             usage(argv[0]);
