@@ -145,15 +145,10 @@ public:
     }
     void block_op(std::span<const double>, double, unsigned touches,
                   std::initializer_list<trace::AddrRange> ranges) override {
-        // The machines pass one range (charge_range) or two (swap, copy).
-        DBSP_REQUIRE(ranges.size() == 1 || ranges.size() == 2);
+        // The machines' block ops (swap, copy) pass two ranges.
+        DBSP_REQUIRE(ranges.size() == 2);
         const trace::AddrRange* r = ranges.begin();
-        if (ranges.size() == 1) {
-            events_.push_back({Kind::kBlockOp1, touches, r[0].begin, r[0].end});
-        } else {
-            events_.push_back(
-                {Kind::kBlockOp2, touches, r[0].begin, r[0].end, r[1].begin, r[1].end});
-        }
+        events_.push_back({Kind::kBlockOp, touches, r[0].begin, r[0].end, r[1].begin, r[1].end});
     }
     void block_transfer(trace::Addr src, trace::Addr dst, std::uint64_t len, double,
                         double) override {
@@ -170,10 +165,7 @@ public:
                     sink.access_log({}, e.a, std::span(logs_).subspan(e.b, e.c));
                     break;
                 case Kind::kRange: sink.access_range({}, e.a, e.b); break;
-                case Kind::kBlockOp1:
-                    sink.block_op({}, 0.0, e.touches, {{e.a, e.b}});
-                    break;
-                case Kind::kBlockOp2:
+                case Kind::kBlockOp:
                     sink.block_op({}, 0.0, e.touches, {{e.a, e.b}, {e.c, e.d}});
                     break;
                 case Kind::kTransfer: sink.block_transfer(e.a, e.b, e.c, 0.0, 0.0); break;
@@ -182,9 +174,7 @@ public:
     }
 
 private:
-    enum class Kind : unsigned char {
-        kAccess, kLog, kRange, kBlockOp1, kBlockOp2, kTransfer
-    };
+    enum class Kind : unsigned char { kAccess, kLog, kRange, kBlockOp, kTransfer };
     struct Event {
         Kind kind;
         unsigned touches;

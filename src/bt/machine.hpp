@@ -125,14 +125,15 @@ public:
     const model::CostTable& table() const { return *table_; }
     const AccessFunction& function() const { return table_->function(); }
 
-    /// Uncharged raw access for test setup/verification only.
+    /// Uncharged raw access: loading inputs and reading results, and the
+    /// simulators' in-place step execution, whose touch log COMPUTE prices.
     std::span<Word> raw() { return memory_; }
     std::span<const Word> raw() const { return memory_; }
 
 private:
-    /// Out-of-line cold tails for the per-word trace hook; see the note in
-    /// hmm::Machine — the traced path finishes the operation in a tail call
-    /// so the null-sink read()/write() stay leaf functions.
+    /// Out-of-line cold tails for the per-word trace hook: the traced path
+    /// finishes the operation in a tail call so the null-sink read()/write()
+    /// stay leaf functions. This is the only per-word trace on a machine.
     [[gnu::cold]] [[gnu::noinline]] Word traced_read_tail(Addr x);
     [[gnu::cold]] [[gnu::noinline]] void traced_write_tail(Addr x, Word value);
 

@@ -59,24 +59,6 @@ void Machine::write(Addr x, Word value) {
     memory_[x] = value;
 }
 
-Word Machine::read_traced(Addr x) {
-    DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    ++words_touched_;
-    if (trace_ != nullptr) trace_->access(x, delta);
-    return memory_[x];
-}
-
-void Machine::write_traced(Addr x, Word value) {
-    DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    ++words_touched_;
-    if (trace_ != nullptr) trace_->access(x, delta);
-    memory_[x] = value;
-}
-
 void Machine::read_range(Addr x, std::span<Word> out) {
     if (out.empty()) return;
     DBSP_REQUIRE(x + out.size() <= capacity());
@@ -120,15 +102,6 @@ void Machine::copy_block(Addr src, Addr dst, std::uint64_t len) {
     std::copy(memory_.begin() + static_cast<std::ptrdiff_t>(src),
               memory_.begin() + static_cast<std::ptrdiff_t>(src + len),
               memory_.begin() + static_cast<std::ptrdiff_t>(dst));
-}
-
-void Machine::charge_range(Addr begin, Addr end) {
-    DBSP_REQUIRE(begin <= end && end <= capacity());
-    const double delta = table_->range_cost(begin, end);
-    cost_ += delta;
-    words_touched_ += end - begin;
-    if (trace_ != nullptr) trace_->block_op(table_->prefix(), delta, 1, {{begin, end}});
-    if (end > begin) note_bulk(end - 1, end - begin);
 }
 
 void Machine::charge(double c) {

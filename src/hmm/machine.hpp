@@ -13,8 +13,8 @@
 ///  * read/write of address x: f(x);
 ///  * an n-ary operation on cells x1..xn: 1 + sum f(xi) — expressed by the
 ///    caller as the accesses plus charge(1);
-///  * bulk helpers (swap_blocks, copy_block, charge_scan) charge the exact
-///    per-cell sum of f over every range they touch, once per touch;
+///  * bulk helpers (swap_blocks, copy_block, charge_swap_blocks) charge the
+///    exact per-cell sum of f over every range they touch, once per touch;
 ///  * read_range/write_range charge the identical per-cell sum as a
 ///    read()/write() loop, accumulated in the same ascending order — the
 ///    charged total is bit-for-bit the per-word path's — while moving the
@@ -81,17 +81,14 @@ public:
     Machine(AccessFunction f, std::uint64_t capacity);
 
     /// --- charged word accesses ---------------------------------------------
-    /// read()/write() deliberately carry NO trace hook: they are the
-    /// innermost few-cycle operations of every simulation loop, and even a
-    /// never-taken branch on the sink pointer measurably slows the untraced
-    /// harness (bench_micro). read_traced()/write_traced() charge
-    /// identically (same delta, same fold order) and also emit the per-word
-    /// trace event; the simulators' traced word traffic goes through the
-    /// traced step runner and delivery accessor (core/hmm_shard.hpp) instead.
+    /// read()/write() carry no trace hook: even a never-taken branch on the
+    /// sink pointer measurably slows the untraced harness (bench_micro). No
+    /// simulator issues them on a machine with a sink attached: the HMM
+    /// simulators' word traffic goes through the step runner and delivery
+    /// accessor (core/hmm_shard.hpp), which charge a shard account and, when
+    /// traced, emit the events themselves.
     Word read(Addr x);
     void write(Addr x, Word value);
-    Word read_traced(Addr x);
-    void write_traced(Addr x, Word value);
 
     /// --- charged bulk accesses ---------------------------------------------
     /// Read [x, x + out.size()) into \p out; cost-equivalent (bit for bit) to
@@ -111,11 +108,6 @@ public:
     /// Copy [src, src+len) onto [dst, dst+len) (ranges may not overlap).
     /// Charges sum f over source (reads) plus sum f over destination (writes).
     void copy_block(Addr src, Addr dst, std::uint64_t len);
-
-    /// Charge the cost of touching every cell of [begin, end) once, without
-    /// moving data (used for read-only scans whose values the caller already
-    /// holds, e.g. re-reading a just-written buffer).
-    void charge_range(Addr begin, Addr end);
 
     /// Charge \p c units of pure computation (unit-cost operations).
     void charge(double c);
@@ -141,9 +133,7 @@ public:
 
     /// Attach (or detach, with nullptr) a charge-trace sink. The machine does
     /// not own the sink. Bulk operations guard their (per-op, amortized) trace
-    /// hook with one branch on this pointer; per-word events come only from
-    /// read_traced()/write_traced(), so a detached machine pays no tracing
-    /// overhead at all.
+    /// hook with one branch on this pointer; read()/write() have none.
     void set_trace(trace::Sink* sink) { trace_ = sink; }
     trace::Sink* trace() const { return trace_; }
 
@@ -155,7 +145,9 @@ public:
     const model::CostTable& table() const { return *table_; }
     const AccessFunction& function() const { return table_->function(); }
 
-    /// Uncharged raw access for test setup/verification only.
+    /// Uncharged raw access: loading inputs and reading results, and the
+    /// simulators' in-place step execution, whose touch log the step runner
+    /// prices (core/hmm_shard.hpp).
     std::span<Word> raw() { return memory_; }
     std::span<const Word> raw() const { return memory_; }
 

@@ -13,16 +13,6 @@ Word touch_all(Machine& m, std::uint64_t n) {
     return acc;
 }
 
-Word sum_range(Machine& m, std::uint64_t n) {
-    DBSP_REQUIRE(n <= m.capacity());
-    Word acc = 0;
-    for (std::uint64_t x = 0; x < n; ++x) {
-        acc += m.read(x);
-        m.charge(1.0);
-    }
-    return acc;
-}
-
 namespace {
 
 void merge_runs(Machine& m, std::uint64_t lo, std::uint64_t mid, std::uint64_t hi,

@@ -5,7 +5,7 @@
 ///  * touch_all — the touching problem of Fact 1/Fact 2: bring each of the
 ///    first n cells to the top of memory. On HMM there is no block transfer,
 ///    so the best possible is a plain scan costing Theta(n f(n)).
-///  * oblivious kernels (sum, sorted merge pass, naive matrix multiply) that
+///  * oblivious kernels (merge sort, naive matrix multiply) that
 ///    ignore the hierarchy; they supply the "flat-memory algorithm run on a
 ///    hierarchical machine" baselines that the introduction argues against.
 
@@ -16,9 +16,6 @@ namespace dbsp::hmm {
 /// Touch cells [0, n): read each once. Cost: sum_{x<n} f(x) = Theta(n f(n)).
 /// Returns the XOR of the touched words (forces real reads).
 Word touch_all(Machine& m, std::uint64_t n);
-
-/// Sum of words [0, n) as unsigned values; same Theta(n f(n)) cost shape.
-Word sum_range(Machine& m, std::uint64_t n);
 
 /// Hierarchy-oblivious comparison-based merge sort of cells [0, n), using
 /// [n, 2n) as scratch; every compare touches the cells where they live, so

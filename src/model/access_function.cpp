@@ -49,33 +49,11 @@ AccessFunction AccessFunction::constant(double c) {
         [](double) { return 0.0; });
 }
 
-AccessFunction AccessFunction::linear(double scale) {
-    DBSP_REQUIRE(scale > 0.0);
-    return AccessFunction(
-        "linear", Kind::kLinear, scale, [scale](double x) { return scale * (x + 1.0); },
-        [scale](double x) { return scale * x; });
-}
-
 AccessFunction AccessFunction::custom(std::string name,
                                       std::function<double(double)> charged,
                                       std::function<double(double)> pure) {
     return AccessFunction(std::move(name), Kind::kCustom, 0.0, std::move(charged),
                           std::move(pure));
-}
-
-bool AccessFunction::same_function(const AccessFunction& other) const {
-    if (kind_ != other.kind_ || name_ != other.name_) return false;
-    if (kind_ != Kind::kCustom) {
-        return std::bit_cast<std::uint64_t>(param_) ==
-               std::bit_cast<std::uint64_t>(other.param_);
-    }
-    for (double x : kProbes) {
-        if (std::bit_cast<std::uint64_t>(charged_(x)) !=
-            std::bit_cast<std::uint64_t>(other.charged_(x))) {
-            return false;
-        }
-    }
-    return true;
 }
 
 std::string AccessFunction::key() const {

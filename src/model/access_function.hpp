@@ -30,7 +30,7 @@ public:
     /// loop on this tag so the O(capacity) build runs on the raw expression
     /// instead of a std::function call per address; kCustom falls back to the
     /// type-erased path.
-    enum class Kind { kPolynomial, kLogarithmic, kConstant, kLinear, kCustom };
+    enum class Kind { kPolynomial, kLogarithmic, kConstant, kCustom };
 
     /// f(x) = (x+1)^alpha, the paper's polynomial case study; 0 < alpha < 1.
     static AccessFunction polynomial(double alpha);
@@ -40,10 +40,6 @@ public:
 
     /// f(x) = c for all x (flat memory / RAM baseline).
     static AccessFunction constant(double c = 1.0);
-
-    /// f(x) = scale * (x+1); not (2,c)-uniform-friendly for large scale but
-    /// useful in tests of the uniformity checker.
-    static AccessFunction linear(double scale = 1.0);
 
     /// Arbitrary user-supplied function. \p charged is used for cost
     /// accounting (must be positive, nondecreasing, defined at 0); \p pure is
@@ -83,7 +79,7 @@ public:
     const std::string& name() const { return name_; }
 
     /// Family tag and its numeric parameter (alpha for kPolynomial, c for
-    /// kConstant, scale for kLinear; unused otherwise).
+    /// kConstant; unused otherwise).
     Kind kind() const { return kind_; }
     double param() const { return param_; }
 
@@ -91,14 +87,10 @@ public:
     /// cost-table builder for kCustom functions.
     const std::function<double(double)>& charged_fn() const { return charged_; }
 
-    /// True iff \p other is observably the same cost function: same family
-    /// tag and parameter for closed-form kinds; same name and bit-identical
-    /// charged values on a fixed probe set for kCustom. Used by the cost-table
-    /// cache to key shared prefix arrays safely.
-    bool same_function(const AccessFunction& other) const;
-
-    /// Stable identity string (name + family/probe fingerprint) suitable as a
-    /// cache key; two functions with equal key() satisfy same_function().
+    /// Stable identity string, the cost-table cache's key: name, family tag
+    /// and parameter for closed-form kinds; name and the bits of the charged
+    /// values on a fixed probe set for kCustom. Two functions with equal keys
+    /// are observably the same cost function.
     std::string key() const;
 
 private:

@@ -41,12 +41,6 @@ CostTable::CostTable(AccessFunction f, std::uint64_t capacity)
             build_prefix(prefix, capacity_, [c](double) { return c; });
             break;
         }
-        case AccessFunction::Kind::kLinear: {
-            const double scale = f_.param();
-            build_prefix(prefix, capacity_,
-                         [scale](double x) { return scale * (x + 1.0); });
-            break;
-        }
         case AccessFunction::Kind::kCustom: {
             const auto& fn = f_.charged_fn();
             build_prefix(prefix, capacity_, [&fn](double x) { return fn(x); });

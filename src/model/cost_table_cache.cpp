@@ -80,11 +80,6 @@ void CostTableCache::clear() {
     lru_.clear();
 }
 
-std::size_t CostTableCache::size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tables_.size();
-}
-
 void CostTableCache::touch(std::unordered_map<std::string, Entry>::iterator it) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
 }

@@ -64,9 +64,6 @@ public:
     /// Drop all cached tables (stats are kept).
     void clear();
 
-    /// Number of tables currently held.
-    std::size_t size() const;
-
     /// LRU bound on distinct cached keys: far above the handful of access
     /// functions any single experiment uses, small enough that a serve
     /// process hosting adversarially many distinct custom functions stays
@@ -81,7 +78,7 @@ private:
 
     /// Mark \p it most-recently-used. Caller holds mutex_.
     void touch(std::unordered_map<std::string, Entry>::iterator it);
-    /// Evict least-recently-used entries until size() <= kMaxEntries.
+    /// Evict least-recently-used entries until at most kMaxEntries remain.
     /// Caller holds mutex_.
     void enforce_cap();
 

@@ -8,22 +8,6 @@
 
 namespace dbsp::model {
 
-std::uint64_t Trace::total_messages() const {
-    std::uint64_t n = 0;
-    for (const auto& step : events) {
-        for (const auto& ev : step) n += ev.messages.size();
-    }
-    return n;
-}
-
-std::uint64_t Trace::total_ops() const {
-    std::uint64_t n = 0;
-    for (const auto& step : events) {
-        for (const auto& ev : step) n += ev.ops;
-    }
-    return n;
-}
-
 Trace record(Program& program) {
     const std::uint64_t v = program.num_processors();
     const ClusterTree tree(v);

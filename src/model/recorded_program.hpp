@@ -42,10 +42,6 @@ struct Trace {
     std::size_t data_words = 2;                ///< context D to replay with (>= 2)
     std::vector<unsigned> labels;              ///< per superstep
     std::vector<std::vector<Event>> events;    ///< [superstep][processor]
-
-    /// Aggregate statistics (for reports and tests).
-    std::uint64_t total_messages() const;
-    std::uint64_t total_ops() const;
 };
 
 /// Run \p program to completion on flat contexts, capturing its trace.

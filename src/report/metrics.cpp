@@ -100,11 +100,6 @@ unsigned Histogram::populated_buckets() const {
     return last;
 }
 
-void Histogram::reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    total_.store(0, std::memory_order_relaxed);
-}
-
 /// Instruments are stored behind unique_ptr in name-keyed maps: rehashing or
 /// rebalancing moves the pointers, never the atomics, so references handed to
 /// call sites stay valid forever.
@@ -115,7 +110,6 @@ struct Registry::Impl {
 };
 
 Registry::Registry() : impl_(new Impl) {}
-Registry::~Registry() { delete impl_; }
 
 Registry& Registry::global() {
     // Leaked intentionally: instrumentation sites in static destructors must
@@ -166,17 +160,6 @@ std::vector<MetricValue> Registry::snapshot() const {
     std::sort(out.begin(), out.end(),
               [](const MetricValue& a, const MetricValue& b) { return a.name < b.name; });
     return out;
-}
-
-void Registry::reset_values() {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (auto& [name, c] : impl_->counters) c->reset();
-    for (auto& [name, h] : impl_->histograms) h->reset();
-}
-
-std::size_t Registry::size() const {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->counters.size() + impl_->histograms.size();
 }
 
 }  // namespace dbsp::report

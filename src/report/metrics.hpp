@@ -16,9 +16,8 @@
 /// (name lookup) happens once per call site through a function-local static
 /// reference, so the hot path never touches the registry mutex.
 ///
-/// reset_values() zeroes every instrument but keeps registrations (and the
-/// references call sites already hold) valid — instruments are never
-/// deallocated once registered.
+/// Instruments are never deallocated once registered, so the references call
+/// sites hold stay valid for the process lifetime.
 ///
 /// Windowed instruments (WindowedCounter / WindowedHistogram) add the time
 /// dimension the monotonic registry lacks: a ring of per-second slots over
@@ -44,7 +43,6 @@ class Counter {
 public:
     void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
     std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
 
 private:
     std::atomic<std::uint64_t> value_{0};
@@ -87,8 +85,6 @@ public:
 
     /// Index of the last non-empty bucket plus one (0 when empty).
     unsigned populated_buckets() const;
-
-    void reset();
 
 private:
     std::atomic<std::uint64_t> buckets_[kBuckets]{};
@@ -187,17 +183,10 @@ public:
     /// Ordered (by name) snapshot of every registered instrument.
     std::vector<MetricValue> snapshot() const;
 
-    /// Zero every instrument; registrations (and outstanding references)
-    /// survive. Used by tests and by bench binaries that want per-phase
-    /// deltas.
-    void reset_values();
-
-    std::size_t size() const;
-
 private:
     struct Impl;
     Registry();
-    ~Registry();
+    ~Registry() = delete;  ///< global() leaks its one instance on purpose
     Impl* impl_;
 };
 

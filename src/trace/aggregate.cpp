@@ -85,14 +85,6 @@ void AggregateSink::phase_end(Phase /*phase*/) {
     if (!stack_.empty()) stack_.pop_back();
 }
 
-double AggregateSink::phase_cost(Phase p) const {
-    double c = 0.0;
-    for (const auto& [key, stats] : phases_) {
-        if (key.phase == p) c += stats.cost;
-    }
-    return c;
-}
-
 namespace {
 
 /// Right-aligned (left for the first column when \p left_first) text block
@@ -192,18 +184,6 @@ void AggregateSink::print(std::FILE* out, double charged_cost) const {
         }
         block.print(out);
     }
-}
-
-std::string AggregateSink::to_string(double charged_cost) const {
-    char* buf = nullptr;
-    std::size_t size = 0;
-    std::FILE* mem = open_memstream(&buf, &size);
-    if (mem == nullptr) return {};
-    print(mem, charged_cost);
-    std::fclose(mem);
-    std::string s(buf, size);
-    std::free(buf);
-    return s;
 }
 
 }  // namespace dbsp::trace

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "trace/sink.hpp"
@@ -73,13 +72,9 @@ public:
     /// charged cost only up to floating-point reassociation.
     double attributed_cost() const { return attributed_; }
 
-    /// Cost attributed to a phase, over all labels.
-    double phase_cost(Phase p) const;
-
     /// Paper-style report; shares are of \p charged_cost, the executor's own
     /// total, which the header prints next to the attributed sum.
     void print(std::FILE* out, double charged_cost) const;
-    std::string to_string(double charged_cost) const;
 
 private:
     void bucket(unsigned level, std::uint64_t words, double cost);

@@ -1,7 +1,5 @@
 #include "trace/chrome_trace.hpp"
 
-#include <cstdlib>
-
 namespace dbsp::trace {
 
 void ChromeTraceSink::phase_begin(Phase phase, unsigned label) {
@@ -55,19 +53,6 @@ bool ChromeTraceSink::write_merged(std::span<const ChromeTraceSink* const> sinks
     write_merged(sinks, f);
     std::fclose(f);
     return true;
-}
-
-std::string ChromeTraceSink::to_json() const {
-    char* buf = nullptr;
-    std::size_t size = 0;
-    std::FILE* mem = open_memstream(&buf, &size);
-    if (mem == nullptr) return {};
-    const ChromeTraceSink* const self[] = {this};
-    write_merged(self, mem);
-    std::fclose(mem);
-    std::string s(buf, size);
-    std::free(buf);
-    return s;
 }
 
 }  // namespace dbsp::trace

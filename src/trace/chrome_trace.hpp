@@ -23,12 +23,9 @@ public:
     /// \p track names the timeline row ("tid" in the trace).
     explicit ChromeTraceSink(std::string track = "model") : track_(std::move(track)) {}
 
-    /// The collected events as a `{"traceEvents": [...]}` document.
-    std::string to_json() const;
-
-    /// Serialise several sinks into one document; each sink's track becomes
-    /// its own timeline row. Used by dbsp_explore to put the D-BSP, HMM and
-    /// BT legs of one run side by side.
+    /// Serialise several sinks into one `{"traceEvents": [...]}` document;
+    /// each sink's track becomes its own timeline row. Used by dbsp_explore
+    /// to put the D-BSP, HMM and BT legs of one run side by side.
     static void write_merged(std::span<const ChromeTraceSink* const> sinks,
                              std::FILE* out);
     static bool write_merged(std::span<const ChromeTraceSink* const> sinks,

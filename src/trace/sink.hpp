@@ -104,10 +104,10 @@ public:
     /// Pure-computation charge (unit ops; no memory level).
     virtual void charge(double /*cost*/) {}
 
-    /// Bulk HMM operation over \p ranges (swap_blocks, copy_block,
-    /// charge_range), charged \p delta in total; \p touches is the per-cell
-    /// touch multiplicity (2 for a swap: one read + one write per cell of
-    /// each range).
+    /// Bulk HMM operation over \p ranges (swap_blocks and charge_swap_blocks
+    /// pass their two blocks, copy_block its source and destination), charged
+    /// \p delta in total; \p touches is the per-cell touch multiplicity (2
+    /// for a swap: one read + one write per cell of each range).
     virtual void block_op(std::span<const double> /*prefix*/, double /*delta*/,
                           unsigned /*touches*/, std::initializer_list<AddrRange> /*ranges*/) {}
 

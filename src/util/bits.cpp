@@ -15,25 +15,10 @@ std::uint64_t spread_bits(std::uint64_t x) noexcept {
     return x;
 }
 
-/// Inverse of spread_bits: compact every other bit into the low 32 bits.
-std::uint32_t compact_bits(std::uint64_t x) noexcept {
-    x &= 0x5555555555555555ull;
-    x = (x | (x >> 1)) & 0x3333333333333333ull;
-    x = (x | (x >> 2)) & 0x0f0f0f0f0f0f0f0full;
-    x = (x | (x >> 4)) & 0x00ff00ff00ff00ffull;
-    x = (x | (x >> 8)) & 0x0000ffff0000ffffull;
-    x = (x | (x >> 16)) & 0x00000000ffffffffull;
-    return static_cast<std::uint32_t>(x);
-}
-
 }  // namespace
 
 std::uint64_t morton_encode(std::uint32_t row, std::uint32_t col) noexcept {
     return (spread_bits(row) << 1) | spread_bits(col);
-}
-
-RowCol morton_decode(std::uint64_t code) noexcept {
-    return RowCol{compact_bits(code >> 1), compact_bits(code)};
 }
 
 }  // namespace dbsp

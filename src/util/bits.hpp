@@ -44,13 +44,6 @@ constexpr std::uint64_t reverse_bits(std::uint64_t x, unsigned bits) noexcept {
 /// bit 2k of the result is bit k of \p col, bit 2k+1 is bit k of \p row.
 std::uint64_t morton_encode(std::uint32_t row, std::uint32_t col) noexcept;
 
-/// Inverse of morton_encode.
-struct RowCol {
-    std::uint32_t row;
-    std::uint32_t col;
-};
-RowCol morton_decode(std::uint64_t code) noexcept;
-
 /// Integer power base^exp (no overflow checking; callers use small values).
 constexpr std::uint64_t ipow(std::uint64_t base, unsigned exp) noexcept {
     std::uint64_t r = 1;

@@ -52,23 +52,6 @@ LogLogFit fit_loglog(const std::vector<double>& xs, const std::vector<double>& y
     return fit;
 }
 
-double mean(const std::vector<double>& v) {
-    DBSP_REQUIRE(!v.empty());
-    double s = 0;
-    for (double x : v) s += x;
-    return s / static_cast<double>(v.size());
-}
-
-double geometric_mean(const std::vector<double>& v) {
-    DBSP_REQUIRE(!v.empty());
-    double s = 0;
-    for (double x : v) {
-        DBSP_REQUIRE(x > 0.0);
-        s += std::log(x);
-    }
-    return std::exp(s / static_cast<double>(v.size()));
-}
-
 double spread(const std::vector<double>& v) {
     DBSP_REQUIRE(!v.empty());
     const auto [lo, hi] = std::minmax_element(v.begin(), v.end());

@@ -3,7 +3,7 @@
 /// \file stats.hpp
 /// Small statistics helpers used by the benchmark harness to compare measured
 /// simulated costs against the paper's closed-form predictions: log-log slope
-/// fits (growth-exponent estimation), ratio summaries, and geometric means.
+/// fits (growth-exponent estimation) and max/min ratio summaries.
 
 #include <cstddef>
 #include <vector>
@@ -29,12 +29,6 @@ struct LogLogFit {
 /// horizontal line through the mean of log(ys) with r_squared = 0 instead of
 /// returning NaNs.
 LogLogFit fit_loglog(const std::vector<double>& xs, const std::vector<double>& ys);
-
-/// Arithmetic mean; requires non-empty input.
-double mean(const std::vector<double>& v);
-
-/// Geometric mean; requires non-empty input of positive values.
-double geometric_mean(const std::vector<double>& v);
 
 /// max(v) / min(v); requires non-empty input of positive values. A spread
 /// close to 1 across a parameter sweep is the empirical signature of a

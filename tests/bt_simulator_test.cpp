@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "algos/bitonic_sort.hpp"
-#include "algos/collectives.hpp"
 #include "algos/fft_direct.hpp"
 #include "algos/fft_recursive.hpp"
 #include "algos/matmul.hpp"
@@ -15,6 +14,7 @@
 #include "model/dbsp_machine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "workloads/collectives.hpp"
 
 namespace dbsp::core {
 namespace {

@@ -4,19 +4,19 @@
 #include <memory>
 
 #include "algos/bitonic_sort.hpp"
-#include "algos/collectives.hpp"
 #include "algos/fft_direct.hpp"
 #include "algos/fft_recursive.hpp"
 #include "algos/matmul.hpp"
 #include "algos/odd_even_sort.hpp"
 #include "algos/permutation.hpp"
-#include "algos/transpose_program.hpp"
 #include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
 #include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
 #include "model/dbsp_machine.hpp"
 #include "util/rng.hpp"
+#include "workloads/collectives.hpp"
+#include "workloads/transpose_program.hpp"
 
 namespace dbsp {
 namespace {

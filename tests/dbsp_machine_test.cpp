@@ -2,10 +2,10 @@
 
 #include <numeric>
 
-#include "algos/collectives.hpp"
 #include "algos/permutation.hpp"
 #include "model/dbsp_machine.hpp"
 #include "util/rng.hpp"
+#include "workloads/collectives.hpp"
 
 namespace dbsp {
 namespace {

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <complex>
+#include <span>
 
-#include "algos/collectives.hpp"
 #include "algos/permutation.hpp"
 #include "algos/serial_reference.hpp"
 #include "bt/machine.hpp"
@@ -15,6 +15,7 @@
 #include "model/dbsp_machine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "workloads/collectives.hpp"
 
 namespace dbsp {
 namespace {
@@ -29,7 +30,7 @@ TEST(EdgeCases, HmmZeroLengthBulkOpsAreFree) {
     hmm::Machine m(AccessFunction::polynomial(0.5), 64);
     m.swap_blocks(0, 32, 0);
     m.copy_block(0, 32, 0);
-    m.charge_range(10, 10);
+    m.read_range(10, std::span<Word>{});
     EXPECT_DOUBLE_EQ(m.cost(), 0.0);
 }
 

@@ -68,12 +68,6 @@ TEST(HmmMachine, TouchAllMatchesFact1) {
     }
 }
 
-TEST(HmmMachine, SumRangeComputes) {
-    Machine m(AccessFunction::logarithmic(), 256);
-    for (int i = 0; i < 100; ++i) m.raw()[i] = i;
-    EXPECT_EQ(sum_range(m, 100), 4950u);
-}
-
 TEST(HmmMachine, ObliviousMergeSortSorts) {
     SplitMix64 rng(4);
     const std::uint64_t n = 500;

@@ -6,7 +6,6 @@
 #include "util/stats.hpp"
 
 #include "algos/bitonic_sort.hpp"
-#include "algos/collectives.hpp"
 #include "algos/fft_direct.hpp"
 #include "algos/fft_recursive.hpp"
 #include "algos/matmul.hpp"
@@ -17,6 +16,7 @@
 #include "core/smoothing.hpp"
 #include "model/dbsp_machine.hpp"
 #include "util/rng.hpp"
+#include "workloads/collectives.hpp"
 
 namespace dbsp::core {
 namespace {

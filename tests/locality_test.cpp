@@ -16,6 +16,7 @@
 #include "algos/fft_direct.hpp"
 #include "check/per_word_locality.hpp"
 #include "core/bt_simulator.hpp"
+#include "core/hmm_shard.hpp"
 #include "core/hmm_simulator.hpp"
 #include "core/naive_hmm_simulator.hpp"
 #include "core/smoothing.hpp"
@@ -459,19 +460,26 @@ TEST(Profile, Log2TableHoldsTheLibraryBits) {
     }
 }
 
-/// Drive the same deterministic mix of traced machine operations (every
-/// charged kind: single words, ranges, block ops, charge-only sweeps) so two
-/// sinks under different options see the identical reference stream.
+/// Drive the same deterministic mix of machine operations (every charged
+/// kind: single words, ranges, block ops, charge-only swaps) so two sinks
+/// under different options see the identical reference stream. Single words
+/// go through the simulators' delivery accessor, folded into one account
+/// that merge_shard adds to the machine; the traced instantiation also sends
+/// each word to the machine's sink.
+template <bool Traced>
 void drive_machine(hmm::Machine& machine) {
+    hmm::ShardAccount account;
+    core::HmmShardAccessor<Traced> words(machine, account, machine.trace(), 0, 0,
+                                         machine.capacity());
     SplitMix64 rng(11);
     std::vector<model::Word> buf(64, 5);
     for (int i = 0; i < 500; ++i) {
         switch (rng.next_below(7)) {
             case 0:
-                machine.write_traced(rng.next_below(2048), rng.next());
+                words.set(rng.next_below(2048), rng.next());
                 break;
             case 1:
-                (void)machine.read_traced(rng.next_below(2048));
+                (void)words.get(rng.next_below(2048));
                 break;
             case 2:
                 machine.write_range(rng.next_below(2048 - 64), buf);
@@ -487,12 +495,14 @@ void drive_machine(hmm::Machine& machine) {
                 machine.copy_block(rng.next_below(512), 1024 + rng.next_below(512), 32);
                 break;
             case 6: {
-                const std::uint64_t begin = rng.next_below(1024);
-                machine.charge_range(begin, begin + 1 + rng.next_below(128));
+                const model::Addr a = rng.next_below(512);
+                const model::Addr b = 1024 + rng.next_below(512);
+                machine.charge_swap_blocks(a, b, 1 + rng.next_below(128));
                 break;
             }
         }
     }
+    machine.merge_shard(account);
 }
 
 TEST(LocalitySink, BatchedAndPerWordPathsAreBitIdentical) {
@@ -503,14 +513,18 @@ TEST(LocalitySink, BatchedAndPerWordPathsAreBitIdentical) {
     const auto f = model::AccessFunction::polynomial(0.5);
     LocalitySink fast;
     check::PerWordLocalitySink slow;
-    hmm::Machine m_fast(f, 2048), m_slow(f, 2048);
+    hmm::Machine m_fast(f, 2048), m_slow(f, 2048), untraced(f, 2048);
     m_fast.set_trace(&fast);
     m_slow.set_trace(&slow);
-    drive_machine(m_fast);
-    drive_machine(m_slow);
+    drive_machine<true>(m_fast);
+    drive_machine<true>(m_slow);
+    drive_machine<false>(untraced);
     EXPECT_EQ(fast.recorded_accesses(), slow.profile().accesses);
     EXPECT_EQ(fast.recorded_accesses(), m_fast.words_touched());
     EXPECT_TRUE(fast.profile().identical(slow.profile()));
+    // The sinks only observe: the traced runs charge the untraced twin's bits.
+    EXPECT_EQ(m_fast.cost(), untraced.cost());
+    EXPECT_EQ(m_fast.words_touched(), untraced.words_touched());
 }
 
 TEST(LocalitySink, TouchLogsAreBitIdenticalToThePerWordProfiler) {
@@ -569,8 +583,8 @@ TEST(LocalitySink, SampledRateOneIsBitIdenticalToExact) {
     hmm::Machine m_exact(f, 2048), m_sampled(f, 2048);
     m_exact.set_trace(&exact);
     m_sampled.set_trace(&sampled);
-    drive_machine(m_exact);
-    drive_machine(m_sampled);
+    drive_machine<true>(m_exact);
+    drive_machine<true>(m_sampled);
     EXPECT_TRUE(exact.profile().identical(sampled.profile()));
 }
 
@@ -582,7 +596,7 @@ TEST(LocalitySink, SampledModeStillCountsEveryReference) {
     LocalitySink sink(opts);
     hmm::Machine machine(f, 2048);
     machine.set_trace(&sink);
-    drive_machine(machine);
+    drive_machine<true>(machine);
     // The clock is exact in sampled mode; only the distance measurements
     // are subsampled.
     EXPECT_EQ(sink.recorded_accesses(), machine.words_touched());
@@ -594,37 +608,37 @@ TEST(LocalitySink, SampledModeStillCountsEveryReference) {
     EXPECT_GT(p.locality_score(), 0.0);
 }
 
+/// A mix of every charged operation kind. With a sink attached the
+/// simulators send single words through the traced delivery accessor, and
+/// that is the contract being tested; the untraced twin runs the untraced
+/// accessor instead. Both fold the words into an account that merge_shard
+/// adds to the machine.
+template <bool Traced>
+void every_charge_kind(hmm::Machine& m) {
+    hmm::ShardAccount account;
+    core::HmmShardAccessor<Traced> words(m, account, m.trace(), 0, 0, m.capacity());
+    words.set(5, 7);
+    words.set(900, 1);
+    EXPECT_EQ(words.get(5), 7u);
+    m.merge_shard(account);
+    std::vector<model::Word> buf(64, 3);
+    m.write_range(0, buf);
+    m.read_range(32, std::span<model::Word>(buf.data(), 32));
+    m.swap_blocks(0, 512, 64);           // 4 * 64 touches
+    m.copy_block(0, 256, 32);            // 2 * 32 touches
+    m.charge_swap_blocks(100, 600, 25);  // 4 * 25 touches, no data moved
+    m.charge(17.0);                      // pure computation: no references
+}
+
 TEST(LocalitySink, CountsAndCostsMatchTheMachine) {
     const auto f = model::AccessFunction::polynomial(0.5);
     hmm::Machine machine(f, 1024), untraced(f, 1024);
     LocalitySink sink;
     machine.set_trace(&sink);
 
-    // A mix of every charged operation kind. With a sink attached the
-    // simulators route all word traffic through the traced variants, and
-    // that is the contract being tested; the untraced machine runs the
-    // hook-free read()/write() instead.
-    const auto ops = [](hmm::Machine& m, bool traced) {
-        if (traced) {
-            m.write_traced(5, 7);
-            m.write_traced(900, 1);
-            EXPECT_EQ(m.read_traced(5), 7u);
-        } else {
-            m.write(5, 7);
-            m.write(900, 1);
-            EXPECT_EQ(m.read(5), 7u);
-        }
-        std::vector<model::Word> buf(64, 3);
-        m.write_range(0, buf);
-        m.read_range(32, std::span<model::Word>(buf.data(), 32));
-        m.swap_blocks(0, 512, 64);  // 4 * 64 touches
-        m.copy_block(0, 256, 32);   // 2 * 32 touches
-        m.charge_range(100, 200);   // 100 touches
-        m.charge(17.0);             // pure computation: no references
-    };
-    ops(machine, true);
-    ops(untraced, false);
-    const std::uint64_t expected_refs = 3 + 64 + 32 + 4 * 64 + 2 * 32 + 100;
+    every_charge_kind<true>(machine);
+    every_charge_kind<false>(untraced);
+    const std::uint64_t expected_refs = 3 + 64 + 32 + 4 * 64 + 2 * 32 + 4 * 25;
 
     EXPECT_EQ(sink.recorded_accesses(), expected_refs);
     EXPECT_EQ(sink.recorded_accesses(), machine.words_touched());

@@ -3,7 +3,6 @@
 #include <complex>
 
 #include "algos/bitonic_sort.hpp"
-#include "algos/collectives.hpp"
 #include "algos/fft_direct.hpp"
 #include "algos/matmul.hpp"
 #include "algos/permutation.hpp"
@@ -12,6 +11,7 @@
 #include "model/dbsp_machine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "workloads/collectives.hpp"
 
 namespace dbsp::core {
 namespace {

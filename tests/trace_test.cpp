@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <complex>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "algos/permutation.hpp"
 #include "bt/machine.hpp"
 #include "core/bt_simulator.hpp"
+#include "core/hmm_shard.hpp"
 #include "core/hmm_simulator.hpp"
 #include "core/self_simulator.hpp"
 #include "core/smoothing.hpp"
@@ -64,11 +66,57 @@ bool has_dummy_step(const model::Program& program) {
     return false;
 }
 
+/// Cost \p sink attributed to phase \p p, over all labels.
+double phase_cost(const trace::AggregateSink& sink, trace::Phase p) {
+    double c = 0.0;
+    for (const auto& [key, stats] : sink.phases()) {
+        if (key.phase == p) c += stats.cost;
+    }
+    return c;
+}
+
+/// What \p write prints to a stream, as a string.
+template <class Write>
+std::string capture(const Write& write) {
+    char* buf = nullptr;
+    std::size_t size = 0;
+    std::FILE* mem = open_memstream(&buf, &size);
+    if (mem == nullptr) return {};
+    write(mem);
+    std::fclose(mem);
+    std::string s(buf, size);
+    std::free(buf);
+    return s;
+}
+
 // ---------------------------------------------------------------------------
 // Machine level: tracing never perturbs the charged cost, and what the sink
 // attributes through every kind of charge event equals the machine's own
 // counters.
 // ---------------------------------------------------------------------------
+
+/// Every kind of HMM charge event. Single words go through the simulators'
+/// delivery accessor, folded into one account that merge_shard adds to the
+/// machine; the traced instantiation also emits each word's access event.
+template <bool Traced>
+void hmm_workload(hmm::Machine& m) {
+    hmm::ShardAccount account;
+    core::HmmShardAccessor<Traced> words(m, account, m.trace(), 0, 0, m.capacity());
+    SplitMix64 rng(99);
+    for (int i = 0; i < 200; ++i) {
+        const model::Addr x = rng.next_below(4096);
+        words.set(x, rng.next());
+        (void)words.get(x / 2 + 1);
+    }
+    m.merge_shard(account);
+    std::vector<Word> buf(64);
+    m.read_range(100, buf);
+    m.write_range(700, buf);
+    m.swap_blocks(0, 2048, 512);
+    m.copy_block(64, 1024, 128);
+    m.charge_swap_blocks(10, 3000, 290);
+    m.charge(7.0);
+}
 
 TEST(TraceSink, HmmMachineAttributionMatchesCounters) {
     for (const auto& f : case_study_functions()) {
@@ -77,32 +125,11 @@ TEST(TraceSink, HmmMachineAttributionMatchesCounters) {
         trace::AggregateSink sink;
         traced.set_trace(&sink);
 
-        // Per-word accesses go through read_traced/write_traced on the traced
-        // machine and the hook-free read/write on the untraced one — the
-        // charged streams must be identical (the simulators select the path
-        // the same way).
-        const auto workload = [](hmm::Machine& m, bool use_traced) {
-            SplitMix64 rng(99);
-            for (int i = 0; i < 200; ++i) {
-                const model::Addr x = rng.next_below(4096);
-                if (use_traced) {
-                    m.write_traced(x, rng.next());
-                    (void)m.read_traced(x / 2 + 1);
-                } else {
-                    m.write(x, rng.next());
-                    (void)m.read(x / 2 + 1);
-                }
-            }
-            std::vector<Word> buf(64);
-            m.read_range(100, buf);
-            m.write_range(700, buf);
-            m.swap_blocks(0, 2048, 512);
-            m.copy_block(64, 1024, 128);
-            m.charge_range(10, 300);
-            m.charge(7.0);
-        };
-        workload(traced, true);
-        workload(untraced, false);
+        // The traced accessor on the traced machine, the untraced one on its
+        // twin: the charged streams must be identical (the simulators select
+        // the instantiation the same way).
+        hmm_workload<true>(traced);
+        hmm_workload<false>(untraced);
 
         // Tracing never perturbs the charge stream...
         EXPECT_EQ(traced.cost(), untraced.cost()) << f.name();
@@ -217,7 +244,7 @@ TEST(TraceTotals, BtRationalPermutationDeliveryMatchesChargedCost) {
         EXPECT_EQ(sink.block_transfers(), res.block_transfers) << f.name();
         EXPECT_NEAR(sink.attributed_cost(), res.bt_cost, 1e-9 * res.bt_cost) << f.name();
         ASSERT_GT(res.transpose_invocations, 0u) << f.name();
-        EXPECT_GT(sink.phase_cost(trace::Phase::kDeliverTranspose), 0.0) << f.name();
+        EXPECT_GT(phase_cost(sink, trace::Phase::kDeliverTranspose), 0.0) << f.name();
     }
 }
 
@@ -244,7 +271,7 @@ TEST(TraceTotals, DirectDbspRunMatchesChargedTime) {
         }
         EXPECT_EQ(supersteps, result.supersteps.size()) << f.name();
         EXPECT_NEAR(sink.attributed_cost(), result.time, 1e-9 * result.time) << f.name();
-        EXPECT_NEAR(sink.phase_cost(trace::Phase::kSuperstep), sink.attributed_cost(),
+        EXPECT_NEAR(phase_cost(sink, trace::Phase::kSuperstep), sink.attributed_cost(),
                     1e-12 * result.time);
     }
 }
@@ -325,10 +352,10 @@ TEST(TraceAggregate, HmmAttributionCoversSimulationPhases) {
     // Every unit of charge is attributed somewhere; the bucket sum re-adds
     // the same charges in per-bucket order, so it matches to roundoff.
     EXPECT_NEAR(sink.attributed_cost(), res.hmm_cost, 1e-9 * res.hmm_cost);
-    EXPECT_GT(sink.phase_cost(trace::Phase::kStepExec), 0.0);
-    EXPECT_GT(sink.phase_cost(trace::Phase::kContextMove), 0.0);
-    EXPECT_GT(sink.phase_cost(trace::Phase::kDeliver), 0.0);
-    EXPECT_EQ(sink.phase_cost(trace::Phase::kDummyStep) > 0.0, smoothing_inserted_dummies);
+    EXPECT_GT(phase_cost(sink, trace::Phase::kStepExec), 0.0);
+    EXPECT_GT(phase_cost(sink, trace::Phase::kContextMove), 0.0);
+    EXPECT_GT(phase_cost(sink, trace::Phase::kDeliver), 0.0);
+    EXPECT_EQ(phase_cost(sink, trace::Phase::kDummyStep) > 0.0, smoothing_inserted_dummies);
     EXPECT_GT(sink.message_count(), 0u);
     EXPECT_FALSE(sink.levels().empty());
 
@@ -338,7 +365,8 @@ TEST(TraceAggregate, HmmAttributionCoversSimulationPhases) {
     EXPECT_LE(sink.levels().begin()->first, 4u);
 
     // The human-readable report mentions every active phase.
-    const std::string report = sink.to_string(res.hmm_cost);
+    const std::string report =
+        capture([&](std::FILE* out) { sink.print(out, res.hmm_cost); });
     EXPECT_NE(report.find("step-exec"), std::string::npos);
     EXPECT_NE(report.find("context-move"), std::string::npos);
     EXPECT_NE(report.find("deliver"), std::string::npos);
@@ -355,11 +383,11 @@ TEST(TraceAggregate, SelfSimulationPhasesArePartitioned) {
     const auto host = sim.simulate(prog);
 
     EXPECT_NEAR(sink.attributed_cost(), host.host_time, 1e-9 * host.host_time);
-    EXPECT_GT(sink.phase_cost(trace::Phase::kLocalRun), 0.0);
-    EXPECT_GT(sink.phase_cost(trace::Phase::kGlobalStep), 0.0);
+    EXPECT_GT(phase_cost(sink, trace::Phase::kLocalRun), 0.0);
+    EXPECT_GT(phase_cost(sink, trace::Phase::kGlobalStep), 0.0);
     // Local runs + global supersteps partition the host time.
-    EXPECT_NEAR(sink.phase_cost(trace::Phase::kLocalRun) +
-                    sink.phase_cost(trace::Phase::kGlobalStep),
+    EXPECT_NEAR(phase_cost(sink, trace::Phase::kLocalRun) +
+                    phase_cost(sink, trace::Phase::kGlobalStep),
                 host.host_time, 1e-9 * host.host_time);
 }
 
@@ -379,7 +407,9 @@ TEST(TraceChrome, WriterRecordsScopesWithExactTotal) {
     const auto res = core::HmmSimulator(f, options).simulate(*smoothed);
 
     EXPECT_GT(sink.event_count(), 0u);
-    const std::string json = sink.to_json();
+    const trace::ChromeTraceSink* const sinks[] = {&sink};
+    const std::string json =
+        capture([&](std::FILE* out) { trace::ChromeTraceSink::write_merged(sinks, out); });
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"tid\":\"hmm\""), std::string::npos);
     EXPECT_NE(json.find("step-exec"), std::string::npos);

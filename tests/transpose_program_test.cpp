@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include "algos/transpose_program.hpp"
 #include "core/bt_simulator.hpp"
 #include "core/hmm_simulator.hpp"
 #include "core/smoothing.hpp"
 #include "model/dbsp_machine.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
+#include "workloads/transpose_program.hpp"
 
 namespace dbsp::algo {
 namespace {

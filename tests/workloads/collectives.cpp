@@ -1,4 +1,4 @@
-#include "algos/collectives.hpp"
+#include "workloads/collectives.hpp"
 
 #include "util/bits.hpp"
 #include "util/contracts.hpp"

@@ -3,9 +3,9 @@
 /// \file collectives.hpp
 /// Elementary tree-structured D-BSP programs: broadcast, sum-reduction and
 /// exclusive prefix sums. They are not case studies from the paper's
-/// evaluation, but they exercise the full label range 0..log v - 1 with
-/// h = 1 relations and serve as simple workloads for tests, examples and the
-/// Brent's-lemma experiment (E7).
+/// evaluation, and no shipped binary runs them; the tests use them because
+/// they exercise the full label range 0..log v - 1 with h = 1 relations and
+/// have answers that are easy to check.
 
 #include "model/program.hpp"
 

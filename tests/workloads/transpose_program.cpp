@@ -1,4 +1,4 @@
-#include "algos/transpose_program.hpp"
+#include "workloads/transpose_program.hpp"
 
 #include "util/bits.hpp"
 #include "util/contracts.hpp"

@@ -5,8 +5,8 @@
 /// hold one element each in row-major order; processor r*s + c sends its
 /// value to processor c*s + r. This is the paper's canonical rational
 /// permutation (Section 6) in isolation — the minimal program whose BT
-/// simulation can choose between sort-based and transpose-based delivery,
-/// used by tests and as a microscope on the E11 effect.
+/// simulation can choose between sort-based and transpose-based delivery.
+/// Only the tests run it, as a microscope on the E11 effect.
 
 #include "model/program.hpp"
 

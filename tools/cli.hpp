@@ -7,10 +7,11 @@
 ///    from the report::provenance envelope (the same identity stamped onto
 ///    every JSON artifact). Handled before any other flag parsing so
 ///    `dbsp_x --version` never requires the tool's mandatory arguments.
-///  * bad_arg / parse_u64: a bad value prints
+///  * bad_arg / parse_u64 / parse_f64: a bad value prints
 ///    `<tool>: invalid <flag> "<value>" (expected ...)` and exits 2.
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +61,20 @@ inline std::uint64_t parse_u64(const char* tool, const char* flag, const char* v
         bad_arg(tool, flag, value, "an unsigned integer");
     }
     return n;
+}
+
+/// Strict decimal floating-point parse: the whole string must be one number
+/// in fixed or scientific form. A space, a '+', trailing text, an empty
+/// string, a hex form, a value out of range, NaN or an infinity goes to
+/// bad_arg. Callers check their own range after it, as with parse_u64.
+inline double parse_f64(const char* tool, const char* flag, const char* value) {
+    double x = 0.0;
+    const char* end = value + std::strlen(value);
+    const auto [ptr, ec] = std::from_chars(value, end, x);
+    if (ec != std::errc{} || ptr != end || value == end || !std::isfinite(x)) {
+        bad_arg(tool, flag, value, "a finite decimal number");
+    }
+    return x;
 }
 
 }  // namespace dbsp::tools

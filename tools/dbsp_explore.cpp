@@ -271,12 +271,12 @@ int main(int argc, char** argv) {
                 rest = rest.substr(0, colon);
                 locality_options.mode = locality::LocalityOptions::Mode::kSampled;
                 if (mode != "sampled") {
+                    // Anything but "@R" after ":sampled" reads as rate 0.
                     const char* rate_str = mode.c_str() + std::strlen("sampled");
-                    char* end = nullptr;
                     const double rate =
-                        (*rate_str == '@') ? std::strtod(rate_str + 1, &end) : 0.0;
-                    if (*rate_str != '@' || rate_str[1] == '\0' || end == nullptr ||
-                        *end != '\0' || !serve::valid_sample_rate(rate)) {
+                        *rate_str == '@' ? tools::parse_f64(kTool, "--locality", rate_str + 1)
+                                         : 0.0;
+                    if (!serve::valid_sample_rate(rate)) {
                         tools::bad_arg(kTool, "--locality", arg.c_str(),
                                        ":sampled or :sampled@R with R in (0, 1]");
                     }

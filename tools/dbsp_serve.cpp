@@ -98,9 +98,8 @@ int main(int argc, char** argv) {
             options.log_max_bytes = tools::parse_u64(kTool, "--log-max-bytes", next());
         } else if (arg == "--slow-ms") {
             const char* value = next();
-            char* end = nullptr;
-            options.slow_ms = std::strtod(value, &end);
-            if (end == value || *end != '\0' || options.slow_ms < 0.0) {
+            options.slow_ms = tools::parse_f64(kTool, "--slow-ms", value);
+            if (options.slow_ms < 0.0) {
                 tools::bad_arg(kTool, "--slow-ms", value, "a nonnegative number");
             }
         } else if (arg == "--span-ring") {
