@@ -54,10 +54,7 @@ void Machine::traced_write_tail(Addr x, Word value) {
 void Machine::read_range(Addr x, std::span<Word> out) {
     if (out.empty()) return;
     DBSP_REQUIRE(x + out.size() <= capacity());
-    // The two accumulators are independent in the per-word loop, so folding
-    // each one separately reproduces its value bit for bit.
     cost_ = table_->accumulate(x, x + out.size(), cost_);
-    word_access_ = table_->accumulate(x, x + out.size(), word_access_);
     ++range_ops_;
     range_words_ += out.size();
     if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + out.size());
@@ -68,7 +65,6 @@ void Machine::write_range(Addr x, std::span<const Word> values) {
     if (values.empty()) return;
     DBSP_REQUIRE(x + values.size() <= capacity());
     cost_ = table_->accumulate(x, x + values.size(), cost_);
-    word_access_ = table_->accumulate(x, x + values.size(), word_access_);
     ++range_ops_;
     range_words_ += values.size();
     if (trace_ != nullptr) trace_->access_range(table_->prefix(), x, x + values.size());
@@ -86,7 +82,6 @@ void Machine::block_copy(Addr src, Addr dst, std::uint64_t len) {
 void Machine::charge(double c) {
     DBSP_REQUIRE(c >= 0.0);
     cost_ += c;
-    unit_ops_ += c;
     if (trace_ != nullptr) trace_->charge(c);
 }
 
@@ -97,7 +92,6 @@ void Machine::charge_transfer(Addr src, Addr dst, std::uint64_t len) {
     const double latency = std::max(table_->cost(src + len - 1), table_->cost(dst + len - 1));
     const double delta = latency + static_cast<double>(len);
     cost_ += delta;
-    transfer_latency_ += latency;
     transfer_volume_ += static_cast<double>(len);
     ++block_transfers_;
     transfer_words_ += len;
@@ -105,10 +99,6 @@ void Machine::charge_transfer(Addr src, Addr dst, std::uint64_t len) {
     if (trace_ != nullptr) trace_->block_transfer(src, dst, len, latency, delta);
 }
 
-void Machine::merge_shard(const ShardAccount& account) {
-    cost_ += account.cost;
-    word_access_ += account.word_access;
-    unit_ops_ += account.unit_ops;
-}
+void Machine::merge_shard(const ShardAccount& account) { cost_ += account.cost; }
 
 }  // namespace dbsp::bt

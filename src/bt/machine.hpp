@@ -33,21 +33,11 @@ using model::Word;
 
 /// Cost accumulator for one context execution in COMPUTE — the BT
 /// counterpart of hmm::ShardAccount (see there for why the fold unit
-/// matters). cost and word_access fold independently, the same
-/// decomposition Machine::read_range documents.
+/// matters).
 struct ShardAccount {
     double cost = 0.0;
-    double word_access = 0.0;
-    double unit_ops = 0.0;
 
     void clear() { *this = ShardAccount{}; }
-
-    /// Mirror of Machine::charge into the account.
-    void charge(double c) {
-        DBSP_REQUIRE(c >= 0.0);
-        cost += c;
-        unit_ops += c;
-    }
 };
 
 class Machine {
@@ -71,9 +61,8 @@ public:
     void write(Addr x, Word value);
 
     /// --- charged bulk accesses ---------------------------------------------
-    /// Read [x, x + out.size()) into \p out; cost-equivalent (bit for bit,
-    /// including the word-access decomposition) to a read() loop in ascending
-    /// address order.
+    /// Read [x, x + out.size()) into \p out; cost-equivalent (bit for bit) to
+    /// a read() loop in ascending address order.
     void read_range(Addr x, std::span<Word> out);
 
     /// Write \p values onto [x, x + values.size()); cost-equivalent to a
@@ -88,22 +77,20 @@ public:
     /// Charge \p c units of pure computation.
     void charge(double c);
 
-    /// Charge exactly what block_copy(src, dst, len) would charge — cost
-    /// decomposition, transfer telemetry, and the trace event — WITHOUT
+    /// Charge exactly what block_copy(src, dst, len) would charge — cost,
+    /// transfer volume and telemetry, and the trace event — WITHOUT
     /// copying any data. The BT simulator's COMPUTE walk charges its
     /// movement schedule, a net identity on memory, through this while the
     /// contexts execute in place.
     void charge_transfer(Addr src, Addr dst, std::uint64_t len);
 
-    /// Fold one account into the machine with a single add per accumulator.
+    /// Fold one account into the machine with the single add
+    /// `cost_ += account.cost`.
     void merge_shard(const ShardAccount& account);
 
     /// --- accounting --------------------------------------------------------
     double cost() const { return cost_; }
-    void reset_cost() {
-        cost_ = 0.0;
-        transfer_latency_ = transfer_volume_ = word_access_ = unit_ops_ = 0.0;
-    }
+    void reset_cost() { cost_ = transfer_volume_ = 0.0; }
 
     /// Attach (or detach, with nullptr) a charge-trace sink. Not owned; every
     /// charge site is guarded by one branch on this pointer.
@@ -113,13 +100,9 @@ public:
     /// Number of block_copy operations issued (for diagnostics/tests).
     std::uint64_t block_transfers() const { return block_transfers_; }
 
-    /// Cost decomposition (sums to cost()): the max(f(x), f(y)) latency part
-    /// of block transfers, their per-cell part, charged single-word accesses,
-    /// and explicit unit-op charges. Diagnostics for the E8 analysis.
-    double transfer_latency_cost() const { return transfer_latency_; }
+    /// The per-cell part of block transfers: the sum of their lengths, as
+    /// charged (BtSimResult::transfer_volume).
     double transfer_volume_cost() const { return transfer_volume_; }
-    double word_access_cost() const { return word_access_; }
-    double unit_op_cost() const { return unit_ops_; }
 
     std::uint64_t capacity() const { return table_->capacity(); }
     const model::CostTable& table() const { return *table_; }
@@ -140,10 +123,7 @@ private:
     std::shared_ptr<const model::CostTable> table_;
     std::vector<Word> memory_;
     double cost_ = 0.0;
-    double transfer_latency_ = 0.0;
     double transfer_volume_ = 0.0;
-    double word_access_ = 0.0;
-    double unit_ops_ = 0.0;
     std::uint64_t block_transfers_ = 0;
     trace::Sink* trace_ = nullptr;  ///< not owned; nullptr = tracing off
     std::uint64_t range_ops_ = 0;
@@ -156,18 +136,14 @@ private:
 
 inline Word Machine::read(Addr x) {
     DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    word_access_ += delta;
+    cost_ += table_->cost(x);
     if (trace_ != nullptr) [[unlikely]] return traced_read_tail(x);
     return memory_[x];
 }
 
 inline void Machine::write(Addr x, Word value) {
     DBSP_REQUIRE(x < capacity());
-    const double delta = table_->cost(x);
-    cost_ += delta;
-    word_access_ += delta;
+    cost_ += table_->cost(x);
     if (trace_ != nullptr) [[unlikely]] { traced_write_tail(x, value); return; }
     memory_[x] = value;
 }

@@ -455,25 +455,21 @@ DiffReport check_program(model::Program& program, const DiffConfig& config) {
                                  traced.contexts);
                 rep.check_count("locality-counts", "LocalitySink range words vs bt.range_words",
                                 ranged, sink.range_words());
+                // Phase coverage: every BT charge lands inside a phase scope,
+                // so the attribution accounts for the whole bt_cost.
+                for (const auto& [key, stats] : aggregate.phases()) {
+                    if (key.phase == trace::Phase::kNone &&
+                        (stats.words != 0 || stats.cost != 0.0)) {
+                        std::ostringstream os;
+                        os.precision(17);
+                        os << stats.words << " words, cost " << stats.cost
+                           << " charged outside every phase scope";
+                        rep.fail("bt-phase-coverage", os.str());
+                    }
+                }
                 if (config.check_locality) {
                     check_locality_modes(rep, "bt-locality-modes", sink.profile(),
                                          [&](trace::Sink& s) { (void)run_bt(&s); });
-                }
-            }
-            {
-                // Component attribution must account for the whole charge.
-                // The components are window differences of one accumulator
-                // summed in separate buckets, so allow only fp re-association
-                // noise, not a structural gap.
-                const double components =
-                    bt.compute_cost + bt.deliver_cost + bt.layout_cost;
-                const double tol = 1e-9 * std::max(1.0, bt.bt_cost);
-                if (!(std::abs(components - bt.bt_cost) <= tol)) {
-                    std::ostringstream os;
-                    os.precision(17);
-                    os << "compute+deliver+layout = " << components << " vs bt_cost "
-                       << bt.bt_cost;
-                    rep.fail("bt-components", os.str());
                 }
             }
             if (v >= kBoundMinProcessors) {

@@ -23,6 +23,9 @@
 ///    own integer counters — words touched (HMM), block transfers and
 ///    transfer words (BT), supersteps (direct) — and the attributed cost
 ///    matches the charged cost to 1e-9 relative;
+///  * phase coverage: no charge of the traced BT run lands outside every
+///    phase scope (Phase::kNone), so its phase attribution accounts for the
+///    whole bt_cost;
 ///  * locality modes: the profiler's batched fast path reproduces the
 ///    per-word reference profiler (per_word_locality.hpp) bit for bit,
 ///    SHARDS sampling at rate 1.0
@@ -30,9 +33,8 @@
 ///    a generous error band of the exact analytics;
 ///  * model invariants: per-superstep direct costs are >= 1 and fold exactly
 ///    to the total (monotone accumulation); smoothed relabelings satisfy
-///    Definition 3 (is_smooth); BT component attribution
-///    (compute + deliver + layout) accounts for the full bt_cost; recorded
-///    traces replay with identical structure (labels, h per superstep);
+///    Definition 3 (is_smooth); recorded traces replay with identical
+///    structure (labels, h per superstep);
 ///  * theorem bounds: simulator cost stays below a generously slacked
 ///    Theorem-5 (HMM) / Theorem-12 (BT) prediction — a gross-regression
 ///    tripwire, not a tight constant check, and only applied for v >= 8

@@ -45,20 +45,17 @@ constexpr std::int64_t kEmptySlot = -1;
 
 /// Prices a step's touch log for COMPUTE's base case into a shard account
 /// (and trace sink when Traced) with exactly bt::Machine's per-word
-/// accounting — cost and word_access fold independently, entry by entry in
-/// log order — at the *virtual* address vbase + i (vbase 0: the top of
-/// memory, where the schedule executes the context) while the data stays in
-/// place at the context's entry slot. When Traced, the sink then sees the
-/// whole log as one access_log event.
+/// accounting — f(vbase + i) per entry, in log order — at the *virtual*
+/// address vbase + i (vbase 0: the top of memory, where the schedule executes
+/// the context) while the data stays in place at the context's entry slot.
+/// When Traced, the sink then sees the whole log as one access_log event.
 template <bool Traced>
 void price_touches(const bt::Machine& m, trace::Sink* sink, const model::TouchLog& touches,
                    Addr vbase, std::size_t mu, bt::ShardAccount& account) {
     const model::CostTable& table = m.table();
     for (const std::uint32_t i : touches) {
         DBSP_REQUIRE(i < mu);
-        const double delta = table.cost(vbase + i);
-        account.cost += delta;
-        account.word_access += delta;
+        account.cost += table.cost(vbase + i);
     }
     if constexpr (Traced) sink->access_log(table.prefix(), vbase, touches);
 }
@@ -262,7 +259,7 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
         } else {
             price_touches<false>(machine_, nullptr, touches_, 0, mu_, account_);
         }
-        account_.charge(static_cast<double>(out.ops));
+        account_.cost += static_cast<double>(out.ops);  // unit op costs
         machine_.merge_shard(account_);
         account_.clear();
         machine_.charge_transfer(0, slot_addr(0), mu_);
@@ -596,12 +593,10 @@ BtSimResult BtSim::run() {
             slot_of_proc_[p] = p;
         }
     }
-    const double cload = machine_.cost();
     {
         trace::PhaseScope move(phases_, trace::Phase::kContextMove, 0);
         unpack(0);  // Step 0 of Fig. 5
     }
-    result_.layout_cost += machine_.cost() - cload;
 
     while (true) {
         const std::int64_t top = proc_of_slot_[0];
@@ -625,7 +620,6 @@ BtSimResult BtSim::run() {
             return dummy_round ? trace::Phase::kDummyStep : p;
         };
 
-        const double c0 = machine_.cost();
         {
             trace::PhaseScope move(phases_, ph(trace::Phase::kContextMove), label);
             pack(label);  // Step 1.a
@@ -637,14 +631,10 @@ BtSimResult BtSim::run() {
         }
 
         // Step 2: local computation, then communication.
-        const double c1 = machine_.cost();
-        result_.layout_cost += c1 - c0;
         {
             trace::PhaseScope exec(phases_, ph(trace::Phase::kStepExec), label);
             compute(s, csize);
         }
-        const double c2 = machine_.cost();
-        result_.compute_cost += c2 - c1;
         bool transposed = false;
         if (options_.use_rational_permutations &&
             program_.permutation_class(s) == model::PermutationClass::kTranspose) {
@@ -662,17 +652,12 @@ BtSimResult BtSim::run() {
         metric_delivered.add(last_outgoing_);
         metric_batch.observe(last_outgoing_);
         if (options_.trace != nullptr) options_.trace->messages(last_outgoing_);
-        result_.deliver_cost += machine_.cost() - c2;
 
         for (ProcId p = first; p < first + csize; ++p) sigma_[p] = s + 1;
 
-        // Step 4 swaps and the Step 5 unpack are both layout maintenance;
-        // everything charged from here to the end of the round goes to
-        // layout_cost, closing the component attribution (compute_cost +
-        // deliver_cost + layout_cost folds back to the full bt_cost).
-        const double c3 = machine_.cost();
-
         // Step 4: rotate sibling clusters when the next label is coarser.
+        // Like the Step 5 unpack, it is layout maintenance and charges inside
+        // a context-move scope: no charge of a round falls outside a phase.
         if (s + 1 < steps) {
             const unsigned next_label = program_.label(s + 1);
             if (next_label < label) {
@@ -696,13 +681,10 @@ BtSimResult BtSim::run() {
             trace::PhaseScope move(phases_, ph(trace::Phase::kContextMove), label);
             unpack(label);  // Step 5
         }
-        result_.layout_cost += machine_.cost() - c3;
     }
 
     result_.bt_cost = machine_.cost();
-    result_.transfer_latency = machine_.transfer_latency_cost();
     result_.transfer_volume = machine_.transfer_volume_cost();
-    result_.word_access = machine_.word_access_cost();
     result_.block_transfers = machine_.block_transfers();
     result_.contexts.resize(v_);
     const auto raw = machine_.raw();

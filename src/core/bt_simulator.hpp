@@ -38,15 +38,10 @@
 namespace dbsp::core {
 
 struct BtSimResult {
-    double bt_cost = 0.0;       ///< total charged f(x)-BT time
-    double transfer_latency = 0.0;  ///< f()-latency part of block transfers
-    double transfer_volume = 0.0;   ///< per-cell part of block transfers
-    double word_access = 0.0;       ///< charged single-word accesses
+    double bt_cost = 0.0;          ///< total charged f(x)-BT time
+    double transfer_volume = 0.0;  ///< per-cell part of block transfers
     std::uint64_t block_transfers = 0;
-    double compute_cost = 0.0;   ///< COMPUTE phases (Fig. 6)
-    double deliver_cost = 0.0;   ///< message delivery (sort or transpose)
-    double layout_cost = 0.0;    ///< PACK/UNPACK/Step-4 swaps
-    std::uint64_t rounds = 0;   ///< simulation rounds
+    std::uint64_t rounds = 0;      ///< simulation rounds
     std::size_t data_words = 0;
     std::uint64_t sort_invocations = 0;       ///< general (sort) deliveries
     std::uint64_t transpose_invocations = 0;  ///< rational-permutation deliveries

@@ -85,7 +85,8 @@ private:
 
 /// Delivery accessor charging into a shard account (and trace sink when
 /// Traced) instead of the machine. Mirrors hmm::Machine's read/write/
-/// read_range/write_range accounting bit for bit, at the virtual address.
+/// read_range/write_range accounting bit for bit, at the virtual address;
+/// a range notes its bulk op on the machine itself.
 template <bool Traced>
 class HmmShardAccessor {
 public:
@@ -125,7 +126,7 @@ public:
         account_.cost = m_.table().accumulate(vx, vx + out.size(), account_.cost);
         account_.words_touched += out.size();
         if constexpr (Traced) sink_->access_range(m_.table().prefix(), vx, vx + out.size());
-        account_.note_bulk(vx + out.size() - 1, out.size());
+        m_.note_bulk(vx + out.size() - 1, out.size());
         const auto raw = m_.raw();
         std::copy_n(raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index), out.size(),
                     out.begin());
@@ -142,7 +143,7 @@ public:
         if constexpr (Traced) {
             sink_->access_range(m_.table().prefix(), vx, vx + values.size());
         }
-        account_.note_bulk(vx + values.size() - 1, values.size());
+        m_.note_bulk(vx + values.size() - 1, values.size());
         const auto raw = m_.raw();
         std::copy_n(values.begin(), values.size(),
                     raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index));

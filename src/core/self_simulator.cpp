@@ -150,7 +150,6 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
                 local_max = std::max(local_max, res.hmm_cost);
             }
             const double t = local_max + 1.0;
-            result.local_time += t;
             result.host_time += t;
             if (sink != nullptr) sink->charge(t);
             s = s_end;
@@ -257,8 +256,6 @@ SelfSimResult SelfSimulator::simulate(model::Program& program) const {
             static_cast<double>(h_host) *
             (g_.at(static_cast<double>(mu) * static_cast<double>(tree.cluster_size(label))) +
              g_.at(static_cast<double>(mu) * static_cast<double>(w)));
-        result.local_time += phase1_max + phase2_max;
-        result.communication_time += comm;
         const double t = phase1_max + phase2_max + comm + 1.0;
         result.host_time += t;
         if (sink != nullptr) sink->charge(t);

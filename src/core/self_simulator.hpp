@@ -33,9 +33,7 @@
 namespace dbsp::core {
 
 struct SelfSimResult {
-    double host_time = 0.0;          ///< total simulated host D-BSP time
-    double local_time = 0.0;         ///< sum of max-local-HMM components
-    double communication_time = 0.0; ///< sum of h_host * g(...) components
+    double host_time = 0.0;  ///< total simulated host D-BSP time
     std::size_t global_supersteps = 0;
     std::size_t local_runs = 0;
     std::size_t data_words = 0;

@@ -127,14 +127,6 @@ void Machine::charge_swap_blocks(Addr a, Addr b, std::uint64_t len) {
 void Machine::merge_shard(const ShardAccount& account) {
     cost_ += account.cost;
     words_touched_ += account.words_touched;
-    // Only note_bulk fills the bulk fields, and it counts every op: an account
-    // without one (every step execution's) has nothing more to add.
-    if (account.bulk_ops == 0) return;
-    bulk_ops_ += account.bulk_ops;
-    bulk_words_ += account.bulk_words;
-    for (unsigned b = 0; b < account.bulk_words_by_level.size(); ++b) {
-        bulk_words_by_level_[b] += account.bulk_words_by_level[b];
-    }
 }
 
 }  // namespace dbsp::hmm

@@ -28,7 +28,6 @@
 /// O(capacity) prefix array once.
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -46,33 +45,18 @@ using model::AccessFunction;
 using model::Addr;
 using model::Word;
 
-/// Cost/telemetry accumulator for one fold unit of a simulation round — one
-/// context's step execution, or one delivery group. The unit's charges fold
-/// here from zero with exactly the machine's accumulation procedure, and
+/// Cost accumulator for one fold unit of a simulation round — one context's
+/// step execution, or one delivery group. The unit's charges fold here from
+/// zero with exactly the machine's accumulation procedure, and
 /// Machine::merge_shard then adds the account to the machine once. That
 /// grouping of the floating-point additions is part of the charging
-/// structure: the charged cost bits depend on it.
+/// structure: the charged cost bits depend on it. Bulk telemetry is integer
+/// counts, which commute, so it goes straight to the machine (note_bulk).
 struct ShardAccount {
     double cost = 0.0;
     std::uint64_t words_touched = 0;
-    std::uint64_t bulk_ops = 0;
-    std::uint64_t bulk_words = 0;
-    std::array<std::uint64_t, 65> bulk_words_by_level{};
 
     void clear() { *this = ShardAccount{}; }
-
-    /// Mirror of Machine::charge into the account.
-    void charge(double c) {
-        DBSP_REQUIRE(c >= 0.0);
-        cost += c;
-    }
-
-    /// Mirror of Machine::note_bulk into the account.
-    void note_bulk(Addr deepest, std::uint64_t words) {
-        ++bulk_ops;
-        bulk_words += words;
-        bulk_words_by_level[std::bit_width(deepest)] += words;
-    }
 };
 
 class Machine {
@@ -120,9 +104,15 @@ public:
     void charge_swap_blocks(Addr a, Addr b, std::uint64_t len);
 
     /// Fold one account into the machine: the cost fold is the single
-    /// `cost_ += account.cost`. The 65 level buckets are added only when the
-    /// account holds a bulk op.
+    /// `cost_ += account.cost`.
     void merge_shard(const ShardAccount& account);
+
+    /// Telemetry accumulator for one bulk operation touching \p words words
+    /// whose deepest (highest) address is \p deepest — the level that
+    /// dominates the op's HMM cost. Three plain adds, no atomics. The
+    /// machine's own bulk operations call it, and so do the delivery
+    /// accessor's ranges (core/hmm_shard.hpp), which charge an account.
+    void note_bulk(Addr deepest, std::uint64_t words);
 
     /// --- accounting --------------------------------------------------------
     double cost() const { return cost_; }
@@ -166,11 +156,6 @@ public:
     ~Machine();
 
 private:
-    /// Telemetry accumulator for one bulk operation touching \p words words
-    /// whose deepest (highest) address is \p deepest — the level that
-    /// dominates the op's HMM cost. Three plain adds, no atomics.
-    void note_bulk(Addr deepest, std::uint64_t words);
-
     std::shared_ptr<const model::CostTable> table_;
     std::vector<Word> memory_;
     double cost_ = 0.0;

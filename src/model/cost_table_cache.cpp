@@ -1,28 +1,36 @@
 #include "model/cost_table_cache.hpp"
 
+#include <string_view>
+
 #include "report/metrics.hpp"
 
 namespace dbsp::model {
 
 namespace {
 
-// The registry mirror of stats_: survives stats-struct resets and feeds the
-// "metrics" section of JSON artifacts. Updated while mutex_ is already held,
-// so the relaxed adds cost nothing measurable.
+// The cache's only event counts: stats() reads them, and they feed the
+// "metrics" section of JSON artifacts. Each registers at its first event, so
+// a count that never fired stays out of artifacts. Updated while mutex_ is
+// already held, so the relaxed adds cost nothing measurable.
+constexpr std::string_view kBuilds = "cost_table.builds";
+constexpr std::string_view kHits = "cost_table.hits";
+constexpr std::string_view kSlices = "cost_table.slices";
+constexpr std::string_view kEvictions = "cost_table.evictions";
+
 report::Counter& builds_metric() {
-    static auto& c = report::metric_counter("cost_table.builds");
+    static auto& c = report::metric_counter(kBuilds);
     return c;
 }
 report::Counter& hits_metric() {
-    static auto& c = report::metric_counter("cost_table.hits");
+    static auto& c = report::metric_counter(kHits);
     return c;
 }
 report::Counter& slices_metric() {
-    static auto& c = report::metric_counter("cost_table.slices");
+    static auto& c = report::metric_counter(kSlices);
     return c;
 }
 report::Counter& evictions_metric() {
-    static auto& c = report::metric_counter("cost_table.evictions");
+    static auto& c = report::metric_counter(kEvictions);
     return c;
 }
 
@@ -41,15 +49,12 @@ std::shared_ptr<const CostTable> CostTableCache::get(const AccessFunction& f,
         if (it != tables_.end() && it->second.table->capacity() >= capacity) {
             touch(it);
             if (it->second.table->capacity() == capacity) {
-                ++stats_.hits;
                 hits_metric().add();
                 return it->second.table;
             }
-            ++stats_.slices;
             slices_metric().add();
             return std::make_shared<CostTable>(*it->second.table, capacity);
         }
-        ++stats_.builds;
         builds_metric().add();
     }
     // Build outside the lock: prefix construction is O(capacity) and must not
@@ -70,8 +75,15 @@ std::shared_ptr<const CostTable> CostTableCache::get(const AccessFunction& f,
 }
 
 CostTableCache::Stats CostTableCache::stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    // Read from a snapshot: looking a counter up by name would register it.
+    Stats s;
+    for (const report::MetricValue& m : report::Registry::global().snapshot()) {
+        if (m.name == kBuilds) s.builds = m.count;
+        if (m.name == kHits) s.hits = m.count;
+        if (m.name == kSlices) s.slices = m.count;
+        if (m.name == kEvictions) s.evictions = m.count;
+    }
+    return s;
 }
 
 void CostTableCache::clear() {
@@ -88,7 +100,6 @@ void CostTableCache::enforce_cap() {
     while (tables_.size() > kMaxEntries) {
         tables_.erase(lru_.back());
         lru_.pop_back();
-        ++stats_.evictions;
         evictions_metric().add();
     }
 }

@@ -44,7 +44,7 @@ namespace dbsp::model {
 
 class CostTableCache {
 public:
-    /// The singleton used by hmm::Machine / bt::Machine.
+    /// The one instance, used by hmm::Machine / bt::Machine.
     static CostTableCache& global();
 
     /// A table for \p f over [0, capacity): cached, sliced from a larger
@@ -59,9 +59,11 @@ public:
         /// Table builds a cacheless implementation would have performed.
         std::uint64_t builds_avoided() const { return hits + slices; }
     };
+    /// The process-wide cost_table.{builds,hits,slices,evictions} registry
+    /// counters, which count this instance's events since process start.
     Stats stats() const;
 
-    /// Drop all cached tables (stats are kept).
+    /// Drop all cached tables (the counters are kept).
     void clear();
 
     /// LRU bound on distinct cached keys: far above the handful of access
@@ -71,6 +73,8 @@ public:
     static constexpr std::size_t kMaxEntries = 64;
 
 private:
+    CostTableCache() = default;
+
     struct Entry {
         std::shared_ptr<const CostTable> table;
         std::list<std::string>::iterator lru_pos;  ///< position in lru_
@@ -83,7 +87,6 @@ private:
     void enforce_cap();
 
     mutable std::mutex mutex_;
-    Stats stats_;
     /// Keys ordered most- to least-recently used; back() evicts first.
     std::list<std::string> lru_;
     std::unordered_map<std::string, Entry> tables_;

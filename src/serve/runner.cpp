@@ -13,6 +13,7 @@
 #include "model/dbsp_machine.hpp"
 #include "report/json.hpp"
 #include "telemetry/clock.hpp"
+#include "util/parse.hpp"
 
 namespace dbsp::serve {
 
@@ -64,12 +65,11 @@ bool valid_sample_rate(double rate) {
 std::optional<model::AccessFunction> parse_function(const std::string& text,
                                                     std::string* error) {
     if (text == "log") return model::AccessFunction::logarithmic();
-    if (text.rfind("x^", 0) == 0 && text.size() > 2) {
-        char* end = nullptr;
-        const double alpha = std::strtod(text.c_str() + 2, &end);
-        // The paper's polynomial case study: 0 < A < 1 (NaN fails both).
-        if (end != nullptr && *end == '\0' && alpha > 0.0 && alpha < 1.0) {
-            return model::AccessFunction::polynomial(alpha);
+    if (text.rfind("x^", 0) == 0) {
+        // The paper's polynomial case study: 0 < A < 1.
+        const auto alpha = util::parse_decimal(std::string_view(text).substr(2));
+        if (alpha && *alpha > 0.0 && *alpha < 1.0) {
+            return model::AccessFunction::polynomial(*alpha);
         }
     }
     if (error != nullptr) {

@@ -54,8 +54,9 @@ struct RunOptions {
 bool valid_sample_rate(double rate);
 
 /// The one access-function grammar, shared by the dbsp_explore `--f` flag
-/// and the serve request schema: "log" or "x^A" with A a full
-/// floating-point literal, no trailing garbage, and 0 < A < 1 (the range
+/// and the serve request schema: "log" or "x^A" with A read by
+/// util::parse_decimal (the whole rest of the string one decimal number: no
+/// space, '+', hex form or trailing text) and 0 < A < 1 (the range
 /// AccessFunction::polynomial requires). Returns nullopt (and a message) on
 /// violation; never exits.
 std::optional<model::AccessFunction> parse_function(const std::string& text,

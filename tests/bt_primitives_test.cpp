@@ -162,23 +162,17 @@ TEST(BtSort, ChargesMatchPinnedBits) {
         Word key_range;             ///< key0 and key1 drawn below this
         std::size_t tower_levels;   ///< levels of the merge tower the case reaches
         const char* cost;
-        const char* latency;
         const char* volume;
-        const char* word_access;
-        const char* unit_ops;
         std::uint64_t block_transfers;
     };
     const Pin pins[] = {
         // (a) one-level merge towers.
-        {64, 512, 1u << 20, 1, "0x1.b55005a4a70c6p+15", "0x1.b38e49bd911bp+13", "0x1.ep+11",
-         "0x1.2814733542c46p+15", "0x1.2cp+8", 210},
+        {64, 512, 1u << 20, 1, "0x1.b55005a4a70c6p+15", "0x1.ep+11", 210},
         // (b) two-level merge towers.
-        {2048, 2048, 1u << 20, 2, "0x1.55c2b5eb43af4p+21", "0x1.0b7707df8e8fcp+20",
-         "0x1.c2p+18", "0x1.2aad53f6f7e53p+20", "0x1.3844p+14", 25754},
+        {2048, 2048, 1u << 20, 2, "0x1.55c2b5eb43af4p+21", "0x1.c2p+18", 25754},
         // (c) n not a power of two (odd-tail copies at width 4) and nine
         // distinct keys, so most comparisons take the key1/stability branch.
-        {1500, 2048, 3, 2, "0x1.eddd6813bbdf3p+20", "0x1.6638484cd4ce7p+19", "0x1.4226p+18",
-         "0x1.c889c7da9f56dp+19", "0x1.7cb8p+14", 18464},
+        {1500, 2048, 3, 2, "0x1.eddd6813bbdf3p+20", "0x1.4226p+18", 18464},
     };
     const auto f = AccessFunction::polynomial(0.5);
     const std::uint64_t r = 5;
@@ -201,10 +195,7 @@ TEST(BtSort, ChargesMatchPinnedBits) {
 
         merge_sort_records(m, base, pin.n, r, scratch, /*stage=*/0, pin.stage_words);
         EXPECT_EQ(hex(m.cost()), pin.cost);
-        EXPECT_EQ(hex(m.transfer_latency_cost()), pin.latency);
         EXPECT_EQ(hex(m.transfer_volume_cost()), pin.volume);
-        EXPECT_EQ(hex(m.word_access_cost()), pin.word_access);
-        EXPECT_EQ(hex(m.unit_op_cost()), pin.unit_ops);
         EXPECT_EQ(m.block_transfers(), pin.block_transfers);
 
         std::stable_sort(ref.begin(), ref.end(), [](const auto& a, const auto& b) {

