@@ -41,14 +41,14 @@ void Machine::publish_metrics() {
 
 Machine::~Machine() { publish_metrics(); }
 
-Word Machine::traced_read_tail(Addr x) {
+double Machine::traced_access(Addr x, double total) {
     trace_->access(x, table_->cost(x));
-    return memory_[x];
+    return total;
 }
 
-void Machine::traced_write_tail(Addr x, Word value) {
-    trace_->access(x, table_->cost(x));
-    memory_[x] = value;
+double Machine::traced_charge(double c, double total) {
+    trace_->charge(c);
+    return total;
 }
 
 void Machine::read_range(Addr x, std::span<Word> out) {
@@ -77,12 +77,6 @@ void Machine::block_copy(Addr src, Addr dst, std::uint64_t len) {
     std::copy(memory_.begin() + static_cast<std::ptrdiff_t>(src),
               memory_.begin() + static_cast<std::ptrdiff_t>(src + len),
               memory_.begin() + static_cast<std::ptrdiff_t>(dst));
-}
-
-void Machine::charge(double c) {
-    DBSP_REQUIRE(c >= 0.0);
-    cost_ += c;
-    if (trace_ != nullptr) trace_->charge(c);
 }
 
 void Machine::charge_transfer(Addr src, Addr dst, std::uint64_t len) {

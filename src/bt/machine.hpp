@@ -11,6 +11,16 @@
 /// As with hmm::Machine, the instance stores real words and meters the exact
 /// model cost of every operation, and it is the only place that cost is
 /// summed: an attached trace::Sink observes each charge's delta.
+///
+/// Folding loops. A loop that charges word by word (the staged streams'
+/// callers: the merge sort, the simulator's serialize/parse/rebuild passes)
+/// may carry the machine's cost total in a local, so the compiler keeps it in
+/// a register instead of loading and storing cost_ on every word: take it
+/// with cost(), pass it to the read/write/charge overloads that take a
+/// running total, and hand it back with set_cost() before any out-of-line
+/// operation that charges the machine (block_copy, charge_transfer, a
+/// stream's refill or spill), reloading it afterwards. The additions and
+/// their order are the machine's own, so the charged bits do not move.
 
 #include <array>
 #include <bit>
@@ -36,8 +46,6 @@ using model::Word;
 /// matters).
 struct ShardAccount {
     double cost = 0.0;
-
-    void clear() { *this = ShardAccount{}; }
 };
 
 class Machine {
@@ -57,8 +65,12 @@ public:
 
     /// --- charged word accesses (HMM-style) ---------------------------------
     /// Defined below, in this header: the staged streams issue one per word.
-    Word read(Addr x);
-    void write(Addr x, Word value);
+    /// The overloads with \p total add to a folding loop's running copy of
+    /// the cost total (see the file comment); the others add to cost().
+    Word read(Addr x, double& total);
+    void write(Addr x, Word value, double& total);
+    Word read(Addr x) { return read(x, cost_); }
+    void write(Addr x, Word value) { write(x, value, cost_); }
 
     /// --- charged bulk accesses ---------------------------------------------
     /// Read [x, x + out.size()) into \p out; cost-equivalent (bit for bit) to
@@ -75,7 +87,8 @@ public:
     void block_copy(Addr src, Addr dst, std::uint64_t len);
 
     /// Charge \p c units of pure computation.
-    void charge(double c);
+    void charge(double c, double& total);
+    void charge(double c) { charge(c, cost_); }
 
     /// Charge exactly what block_copy(src, dst, len) would charge — cost,
     /// transfer volume and telemetry, and the trace event — WITHOUT
@@ -91,6 +104,10 @@ public:
     /// --- accounting --------------------------------------------------------
     double cost() const { return cost_; }
     void reset_cost() { cost_ = transfer_volume_ = 0.0; }
+
+    /// Hand back a folding loop's running total, taken from cost() and
+    /// advanced only by the total-taking overloads (see the file comment).
+    void set_cost(double total) { cost_ = total; }
 
     /// Attach (or detach, with nullptr) a charge-trace sink. Not owned; every
     /// charge site is guarded by one branch on this pointer.
@@ -114,11 +131,14 @@ public:
     std::span<const Word> raw() const { return memory_; }
 
 private:
-    /// Out-of-line cold tails for the per-word trace hook: the traced path
-    /// finishes the operation in a tail call so the null-sink read()/write()
-    /// stay leaf functions. This is the only per-word trace on a machine.
-    [[gnu::cold]] [[gnu::noinline]] Word traced_read_tail(Addr x);
-    [[gnu::cold]] [[gnu::noinline]] void traced_write_tail(Addr x, Word value);
+    /// Out-of-line cold hooks for the per-word trace: read()/write() emit
+    /// the access event of \p x, charge() the charge event of \p c. This is
+    /// the only per-word trace on a machine. A hook charges nothing and
+    /// returns the caller's running \p total unchanged: passed through by
+    /// value, the total is never live across the call, so a folding loop
+    /// keeps it in a register on the untraced path.
+    [[gnu::cold]] [[gnu::noinline]] double traced_access(Addr x, double total);
+    [[gnu::cold]] [[gnu::noinline]] double traced_charge(double c, double total);
 
     std::shared_ptr<const model::CostTable> table_;
     std::vector<Word> memory_;
@@ -134,18 +154,24 @@ private:
     std::array<std::uint64_t, 65> transfer_size_by_bucket_{};
 };
 
-inline Word Machine::read(Addr x) {
+inline Word Machine::read(Addr x, double& total) {
     DBSP_REQUIRE(x < capacity());
-    cost_ += table_->cost(x);
-    if (trace_ != nullptr) [[unlikely]] return traced_read_tail(x);
+    total += table_->cost(x);
+    if (trace_ != nullptr) [[unlikely]] total = traced_access(x, total);
     return memory_[x];
 }
 
-inline void Machine::write(Addr x, Word value) {
+inline void Machine::write(Addr x, Word value, double& total) {
     DBSP_REQUIRE(x < capacity());
-    cost_ += table_->cost(x);
-    if (trace_ != nullptr) [[unlikely]] { traced_write_tail(x, value); return; }
+    total += table_->cost(x);
+    if (trace_ != nullptr) [[unlikely]] total = traced_access(x, total);
     memory_[x] = value;
+}
+
+inline void Machine::charge(double c, double& total) {
+    DBSP_REQUIRE(c >= 0.0);
+    total += c;
+    if (trace_ != nullptr) [[unlikely]] total = traced_charge(c, total);
 }
 
 }  // namespace dbsp::bt

@@ -97,16 +97,21 @@ void StagedReader::reset(Addr begin, std::uint64_t len) {
     pos_ = 0;
     std::fill(lo_.begin(), lo_.end(), 0);
     std::fill(hi_.begin(), hi_.end(), 0);
+    inner_lo_ = inner_hi_ = 0;
 }
 
-void StagedReader::refill_to_pos() {
+double StagedReader::refill_to_pos(double total) {
     // A record never straddles windows when every capacity is a multiple of
     // the record size and advance() moves in whole records, so a miss always
     // lands exactly at the consumption point.
     DBSP_ASSERT(pos_ >= hi_[inner_]);
+    m_.set_cost(total);
     for (std::size_t k = 0; k <= inner_; ++k) {
         if (pos_ >= hi_[k]) refill(k);
     }
+    inner_lo_ = lo_[inner_];
+    inner_hi_ = hi_[inner_];
+    return m_.cost();
 }
 
 void StagedReader::refill(std::size_t level) {
@@ -123,7 +128,7 @@ StagedWriter::StagedWriter(Machine& m, const StageTower& tower, std::uint64_t la
                            Addr begin, std::uint64_t len)
     : m_(m), tower_(tower), lane_(lane), inner_(tower.levels.size() - 1),
       inner_addr_(tower.addr(inner_, lane)),
-      inner_capacity_(tower.levels.back().capacity), fill_(tower.levels.size(), 0) {
+      inner_capacity_(tower.levels.back().capacity), fill_(inner_, 0) {
     DBSP_REQUIRE(lane < tower.lanes);
     reset(begin, len);
 }
@@ -140,26 +145,32 @@ void StagedWriter::reset(Addr begin, std::uint64_t len) {
     flushed_ = 0;
 }
 
+double StagedWriter::spill_inner(double total) {
+    m_.set_cost(total);
+    spill(inner_);
+    return m_.cost();
+}
+
 void StagedWriter::spill(std::size_t level) {
-    if (fill_[level] == 0) return;
+    std::uint64_t& fill = (level == inner_) ? inner_fill_ : fill_[level];
+    if (fill == 0) return;
     if (level == 0) {
-        m_.block_copy(tower_.addr(0, lane_), begin_ + flushed_, fill_[0]);
-        flushed_ += fill_[0];
-        fill_[0] = 0;
+        m_.block_copy(tower_.addr(0, lane_), begin_ + flushed_, fill);
+        flushed_ += fill;
+        fill = 0;
         return;
     }
     const std::size_t parent = level - 1;
-    if (tower_.levels[parent].capacity - fill_[parent] < fill_[level]) {
+    if (tower_.levels[parent].capacity - fill_[parent] < fill) {
         spill(parent);
     }
-    m_.block_copy(tower_.addr(level, lane_), tower_.addr(parent, lane_) + fill_[parent],
-                  fill_[level]);
-    fill_[parent] += fill_[level];
-    fill_[level] = 0;
+    m_.block_copy(tower_.addr(level, lane_), tower_.addr(parent, lane_) + fill_[parent], fill);
+    fill_[parent] += fill;
+    fill = 0;
 }
 
 void StagedWriter::flush() {
-    for (std::size_t k = fill_.size(); k-- > 0;) spill(k);
+    for (std::size_t k = inner_ + 1; k-- > 0;) spill(k);
 }
 
 }  // namespace dbsp::bt

@@ -17,6 +17,14 @@
 ///    buffer, down to O(1), so the per-word access cost is
 ///    O(f*(n))-amortized — this is what makes Theorem 12's f-independence
 ///    hold in the measurements, not just in the asymptotics.
+///
+/// The streams' per-word calls fold into the caller's running total (the
+/// rule in bt/machine.hpp): a loop takes the total with Machine::cost(),
+/// passes it to every peek() and push(), and hands it back with
+/// Machine::set_cost() before it flushes a writer, resets a stream, or
+/// charges the machine in any other way. A refill or spill inside peek() or
+/// push() takes the total by value, writes it back, charges its block
+/// transfers and returns the machine's new total.
 
 #include <vector>
 
@@ -89,15 +97,16 @@ public:
     /// True once every word of the region has been consumed.
     bool done() const { return pos_ == len_; }
 
-    /// Charged read of the word at (current position + offset); requires the
-    /// addressed word to lie within the innermost staged window, which holds
-    /// whenever offset < align and advance() moves in align units.
-    Word peek(std::uint64_t offset = 0) {
+    /// Charged read of the word at (current position + offset), folded into
+    /// the caller's running \p total; requires the addressed word to lie
+    /// within the innermost staged window, which holds whenever offset < align
+    /// and advance() moves in align units.
+    Word peek(std::uint64_t offset, double& total) {
         const std::uint64_t at = pos_ + offset;
         DBSP_REQUIRE(at < len_);
-        if (at >= hi_[inner_]) refill_to_pos();
-        DBSP_ASSERT(at >= lo_[inner_]);
-        return m_.read(inner_addr_ + (at - lo_[inner_]));
+        if (at >= inner_hi_) [[unlikely]] total = refill_to_pos(total);
+        DBSP_ASSERT(at >= inner_lo_);
+        return m_.read(inner_addr_ + (at - inner_lo_), total);
     }
 
     /// Consume \p words words.
@@ -107,7 +116,8 @@ public:
     }
 
 private:
-    void refill_to_pos();
+    /// Write \p total back, stage the consumption point, return the new total.
+    double refill_to_pos(double total);
     void refill(std::size_t level);
 
     Machine& m_;
@@ -119,6 +129,8 @@ private:
     std::uint64_t len_ = 0;
     std::uint64_t pos_ = 0;              ///< consumed words
     std::vector<std::uint64_t> lo_, hi_; ///< staged region-offset windows
+    std::uint64_t inner_lo_ = 0;         ///< lo_[inner_], read on every peek
+    std::uint64_t inner_hi_ = 0;         ///< hi_[inner_]
 };
 
 /// Sequential writer over the \p len words at [begin, begin+len); words are
@@ -137,12 +149,13 @@ public:
     /// [begin, begin+len).
     void reset(Addr begin, std::uint64_t len);
 
-    /// Append one word; requires fewer than len words pushed so far.
-    void push(Word w) {
+    /// Append one word, its charge folded into the caller's running
+    /// \p total; requires fewer than len words pushed so far.
+    void push(Word w, double& total) {
         DBSP_REQUIRE(pushed_ < len_);
         ++pushed_;
-        m_.write(inner_addr_ + fill_[inner_], w);
-        if (++fill_[inner_] == inner_capacity_) spill(inner_);
+        m_.write(inner_addr_ + inner_fill_, w, total);
+        if (++inner_fill_ == inner_capacity_) [[unlikely]] total = spill_inner(total);
     }
 
     /// Flush all buffered words to the destination. Also called by the
@@ -150,6 +163,9 @@ public:
     void flush();
 
 private:
+    /// Write \p total back, spill the full innermost level, return the new
+    /// total.
+    double spill_inner(double total);
     void spill(std::size_t level);  ///< move level's contents one step out
 
     Machine& m_;
@@ -162,7 +178,8 @@ private:
     std::uint64_t len_ = 0;
     std::uint64_t pushed_ = 0;         ///< words pushed since the last reset
     std::uint64_t flushed_ = 0;        ///< words already at the destination
-    std::vector<std::uint64_t> fill_;  ///< buffered words per level
+    std::vector<std::uint64_t> fill_;  ///< buffered words per outer level
+    std::uint64_t inner_fill_ = 0;     ///< buffered words in the innermost level
 };
 
 }  // namespace dbsp::bt

@@ -10,35 +10,38 @@ namespace dbsp::bt {
 namespace {
 
 /// Merge the sorted runs [a, a+la) and [b, b+lb) (word lengths, both multiples
-/// of r) into dst, re-aiming the sort's two readers and writer at them.
+/// of r) into dst, re-aiming the sort's two readers and writer at them. The
+/// merge carries the machine's cost total in a local (bt/machine.hpp).
 void merge_runs(Machine& m, StagedReader& ra, StagedReader& rb, StagedWriter& out, Addr a,
                 std::uint64_t la, Addr b, std::uint64_t lb, Addr dst, std::uint64_t r) {
     ra.reset(a, la);
     rb.reset(b, lb);
     out.reset(dst, la + lb);
 
+    double total = m.cost();
     auto take = [&](StagedReader& src) {
-        for (std::uint64_t t = 0; t < r; ++t) out.push(src.peek(t));
+        for (std::uint64_t t = 0; t < r; ++t) out.push(src.peek(t, total), total);
         src.advance(r);
     };
 
     while (!ra.done() && !rb.done()) {
-        const Word ka0 = ra.peek(0);
-        const Word kb0 = rb.peek(0);
-        m.charge(1.0);  // key comparison
+        const Word ka0 = ra.peek(0, total);
+        const Word kb0 = rb.peek(0, total);
+        m.charge(1.0, total);  // key comparison
         bool a_first;
         if (ka0 != kb0) {
             a_first = ka0 < kb0;
         } else {
-            const Word ka1 = ra.peek(1);
-            const Word kb1 = rb.peek(1);
-            m.charge(1.0);
+            const Word ka1 = ra.peek(1, total);
+            const Word kb1 = rb.peek(1, total);
+            m.charge(1.0, total);
             a_first = ka1 <= kb1;  // <=: stability, run A precedes run B
         }
         take(a_first ? ra : rb);
     }
     while (!ra.done()) take(ra);
     while (!rb.done()) take(rb);
+    m.set_cost(total);
     out.flush();
 }
 

@@ -43,30 +43,18 @@ Word msg_key1(Word prio, Word src, Word seq) {
 
 constexpr std::int64_t kEmptySlot = -1;
 
-/// Prices a step's touch log for COMPUTE's base case into a shard account
-/// (and trace sink when Traced) with exactly bt::Machine's per-word
-/// accounting — f(vbase + i) per entry, in log order — at the *virtual*
-/// address vbase + i (vbase 0: the top of memory, where the schedule executes
-/// the context) while the data stays in place at the context's entry slot.
-/// When Traced, the sink then sees the whole log as one access_log event.
-template <bool Traced>
-void price_touches(const bt::Machine& m, trace::Sink* sink, const model::TouchLog& touches,
-                   Addr vbase, std::size_t mu, bt::ShardAccount& account) {
-    const model::CostTable& table = m.table();
-    for (const std::uint32_t i : touches) {
-        DBSP_REQUIRE(i < mu);
-        account.cost += table.cost(vbase + i);
-    }
-    if constexpr (Traced) sink->access_log(table.prefix(), vbase, touches);
-}
-
 /// A parsed processor context (executor bookkeeping; all words it carries
 /// were charged when read from the machine). One instance serves a whole
-/// cluster pass: each parse reuses its storage.
+/// cluster pass: its storage is sized once, so a parse allocates nothing
+/// inside the pass's folding loop.
 struct ParsedContext {
+    ParsedContext(std::size_t d, std::size_t b) : data(d), outgoing(b), old_inbox(b) {}
+
     std::vector<Word> data;
-    std::vector<model::Message> outgoing;                  ///< dest/payloads
-    std::vector<std::array<Word, 3>> old_inbox;            ///< src, p0, p1
+    std::vector<model::Message> outgoing;        ///< dest/payloads; first n_out live
+    std::vector<std::array<Word, 3>> old_inbox;  ///< src, p0, p1; first n_in live
+    std::size_t n_out = 0;
+    std::size_t n_in = 0;
 };
 
 /// The whole simulation state for one run.
@@ -122,7 +110,10 @@ private:
     // --- streaming helpers --------------------------------------------------
     std::uint64_t stream_chunk(Addr deepest, std::uint64_t share,
                                std::uint64_t align) const;
-    void parse_context(bt::StagedReader& rd, ParsedContext& ctx) const;
+    /// Parse one context from \p rd into \p ctx; returns the pass's running
+    /// \p total with the context's reads folded in. The total goes in and
+    /// out by value, so it stays in a register across the call.
+    double parse_context(bt::StagedReader& rd, ParsedContext& ctx, double total) const;
     std::uint64_t serialize_cluster(ProcId first, std::uint64_t csize, Addr dst);
     void deserialize_cluster(ProcId first, std::uint64_t csize, Addr src,
                              std::uint64_t n_rec);
@@ -148,7 +139,6 @@ private:
     /// only charges its transfers and updates the slot maps, and each context
     /// runs in place at the slot it held when COMPUTE began.
     std::vector<std::uint64_t> entry_slot_;  ///< slot_of_proc_ at COMPUTE entry
-    bt::ShardAccount account_;               ///< one context execution's fold
     model::TouchLog touches_;                ///< the executing context's touch log
     bool walking_ = false;  ///< move_slot_run charges without copying
 
@@ -242,8 +232,9 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
         // The schedule hops the context over the staging pad to the true top
         // of memory (two block transfers), so the elementwise step execution
         // pays f(mu) = O(1)-ish per access instead of f(pad). The context
-        // runs in place, charged at address 0; its charges fold from zero
-        // and reach the machine in one add.
+        // runs in place, at its entry slot, charged at virtual address 0
+        // with bt::Machine's per-word accounting; its charges fold from zero
+        // (model::price_step) and reach the machine in one add.
         const auto proc = static_cast<ProcId>(p);
         const Addr pbase = slot_addr(entry_slot_[proc]);
         trace::Sink* const sink = machine_.trace();
@@ -253,15 +244,12 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
         DBSP_REQUIRE(mu_ <= machine_.capacity() && pbase + mu_ <= machine_.capacity());
         const model::StepOutcome out = model::run_processor_step(
             program_, layout_, tree_, s, proc, machine_.raw().subspan(pbase, mu_), touches_);
-        if (sink != nullptr) {
-            price_touches<true>(machine_, sink, touches_, 0, mu_, account_);
-            sink->charge(static_cast<double>(out.ops));
-        } else {
-            price_touches<false>(machine_, nullptr, touches_, 0, mu_, account_);
-        }
-        account_.cost += static_cast<double>(out.ops);  // unit op costs
-        machine_.merge_shard(account_);
-        account_.clear();
+        const double cost =
+            sink != nullptr
+                ? model::price_step<true>(0.0, machine_.table(), sink, touches_, 0, mu_, out.ops)
+                : model::price_step<false>(0.0, machine_.table(), nullptr, touches_, 0, mu_,
+                                           out.ops);
+        machine_.merge_shard(bt::ShardAccount{cost});
         machine_.charge_transfer(0, slot_addr(0), mu_);
         return;
     }
@@ -302,44 +290,29 @@ std::uint64_t BtSim::stream_chunk(Addr deepest, std::uint64_t share,
     return c;
 }
 
-void BtSim::parse_context(bt::StagedReader& rd, ParsedContext& ctx) const {
-    ctx.data.clear();
-    ctx.outgoing.clear();
-    ctx.old_inbox.clear();
-    for (std::size_t i = 0; i < d_; ++i) {
-        ctx.data.push_back(rd.peek());
+double BtSim::parse_context(bt::StagedReader& rd, ParsedContext& ctx, double total) const {
+    auto next = [&] {
+        const Word w = rd.peek(0, total);
         rd.advance(1);
-    }
-    const auto out_count = static_cast<std::size_t>(rd.peek());
-    rd.advance(1);
-    DBSP_ASSERT(out_count <= b_);
+        return w;
+    };
+    for (std::size_t i = 0; i < d_; ++i) ctx.data[i] = next();
+    ctx.n_out = static_cast<std::size_t>(next());
+    DBSP_ASSERT(ctx.n_out <= b_);
     for (std::size_t k = 0; k < b_; ++k) {
-        const Word dest = rd.peek();
-        rd.advance(1);
-        const Word p0 = rd.peek();
-        rd.advance(1);
-        const Word p1 = rd.peek();
-        rd.advance(1);
-        if (k < out_count) {
-            ctx.outgoing.push_back(model::Message{0, dest, p0, p1});
-        }
+        const Word dest = next();
+        const Word p0 = next();
+        const Word p1 = next();
+        if (k < ctx.n_out) ctx.outgoing[k] = model::Message{0, dest, p0, p1};
     }
     // All b inbox records are read (and charged); the count that follows
     // says how many of them are live.
     for (std::size_t k = 0; k < b_; ++k) {
-        std::array<Word, 3> rec{};
-        rec[0] = rd.peek();
-        rd.advance(1);
-        rec[1] = rd.peek();
-        rd.advance(1);
-        rec[2] = rd.peek();
-        rd.advance(1);
-        ctx.old_inbox.push_back(rec);
+        for (Word& w : ctx.old_inbox[k]) w = next();
     }
-    const auto in_count = static_cast<std::size_t>(rd.peek());
-    rd.advance(1);
-    DBSP_ASSERT(in_count <= b_);
-    ctx.old_inbox.resize(in_count);
+    ctx.n_in = static_cast<std::size_t>(next());
+    DBSP_ASSERT(ctx.n_in <= b_);
+    return total;
 }
 
 std::uint64_t BtSim::serialize_cluster(ProcId first, std::uint64_t csize, Addr dst) {
@@ -350,36 +323,38 @@ std::uint64_t BtSim::serialize_cluster(ProcId first, std::uint64_t csize, Addr d
     const bt::StageTower tower(machine_, /*stage=*/0, chunk, /*align=*/1, /*lanes=*/2);
     bt::StagedReader rd(machine_, tower, /*lane=*/0, slot_addr(0), ctx_words);
     bt::StagedWriter wr(machine_, tower, /*lane=*/1, dst, max_words);
+    ParsedContext ctx(d_, b_);
 
     std::uint64_t n_rec = 0;
     last_outgoing_ = 0;
+    double total = machine_.cost();  // the pass's fold (bt/machine.hpp)
     auto emit = [&](Word k0, Word k1, Word w0, Word w1, Word w2) {
-        wr.push(k0);
-        wr.push(k1);
-        wr.push(w0);
-        wr.push(w1);
-        wr.push(w2);
+        wr.push(k0, total);
+        wr.push(k1, total);
+        wr.push(w0, total);
+        wr.push(w1, total);
+        wr.push(w2, total);
         ++n_rec;
     };
 
-    ParsedContext ctx;
     for (ProcId p = first; p < first + csize; ++p) {
-        parse_context(rd, ctx);
+        total = parse_context(rd, ctx, total);
         for (std::uint64_t i = 0; i < dr_; ++i) {
             const Word w0 = ctx.data[2 * i];
             const Word w1 = (2 * i + 1 < d_) ? ctx.data[2 * i + 1] : 0;
             emit(p, data_key1(i), w0, w1, 0);
         }
-        for (std::size_t k = 0; k < ctx.old_inbox.size(); ++k) {
+        for (std::size_t k = 0; k < ctx.n_in; ++k) {
             const auto& rec = ctx.old_inbox[k];
             emit(p, msg_key1(0, 0, k), rec[0], rec[1], rec[2]);
         }
-        last_outgoing_ += ctx.outgoing.size();
-        for (std::size_t k = 0; k < ctx.outgoing.size(); ++k) {
+        last_outgoing_ += ctx.n_out;
+        for (std::size_t k = 0; k < ctx.n_out; ++k) {
             const auto& msg = ctx.outgoing[k];
             emit(msg.dest, msg_key1(1, p, k), p, msg.payload0, msg.payload1);
         }
     }
+    machine_.set_cost(total);
     wr.flush();
     return n_rec;
 }
@@ -394,8 +369,9 @@ void BtSim::deserialize_cluster(ProcId first, std::uint64_t csize, Addr src,
     bt::StagedReader rd(machine_, tower, /*lane=*/0, src, n_rec * kRecWords);
     bt::StagedWriter wr(machine_, tower, /*lane=*/1, slot_addr(0), ctx_words);
 
+    double total = machine_.cost();  // the pass's fold (bt/machine.hpp)
     auto read_rec = [&](Word out[kRecWords]) {
-        for (std::uint64_t t = 0; t < kRecWords; ++t) out[t] = rd.peek(t);
+        for (std::uint64_t t = 0; t < kRecWords; ++t) out[t] = rd.peek(t, total);
         rd.advance(kRecWords);
     };
 
@@ -406,30 +382,31 @@ void BtSim::deserialize_cluster(ProcId first, std::uint64_t csize, Addr src,
             read_rec(rec);
             DBSP_ASSERT(rec[0] == p);
             DBSP_ASSERT(rec[1] == data_key1(i));
-            wr.push(rec[2]);
-            if (2 * i + 1 < d_) wr.push(rec[3]);
+            wr.push(rec[2], total);
+            if (2 * i + 1 < d_) wr.push(rec[3], total);
         }
-        wr.push(0);  // out_count = 0
-        for (std::size_t k = 0; k < 3 * b_; ++k) wr.push(0);  // cleared out records
+        wr.push(0, total);  // out_count = 0
+        for (std::size_t k = 0; k < 3 * b_; ++k) wr.push(0, total);  // cleared out records
         // Message records: old inbox first, then newly delivered.
         std::size_t cnt = 0;
-        while (!rd.done() && rd.peek(0) == p) {
+        while (!rd.done() && rd.peek(0, total) == p) {
             read_rec(rec);
             DBSP_ASSERT((rec[1] >> kClassShift) == 1);
             DBSP_REQUIRE(cnt < b_);  // inbox capacity (h <= mu discipline)
-            wr.push(rec[2]);
-            wr.push(rec[3]);
-            wr.push(rec[4]);
+            wr.push(rec[2], total);
+            wr.push(rec[3], total);
+            wr.push(rec[4], total);
             ++cnt;
         }
         for (std::size_t k = cnt; k < b_; ++k) {
-            wr.push(0);
-            wr.push(0);
-            wr.push(0);
+            wr.push(0, total);
+            wr.push(0, total);
+            wr.push(0, total);
         }
-        wr.push(cnt);  // in_count
+        wr.push(cnt, total);  // in_count
     }
     DBSP_ASSERT(rd.done());
+    machine_.set_cost(total);
     wr.flush();
 }
 
@@ -495,16 +472,18 @@ bool BtSim::deliver_transpose(ProcId first, std::uint64_t csize, std::uint64_t g
         bt::StagedReader rd(machine_, tower, /*lane=*/0, slot_addr(0), csize * mu_);
         bt::StagedWriter wx(machine_, tower, /*lane=*/1, ax, csize);
         bt::StagedWriter wy(machine_, tower, /*lane=*/2, ay, csize);
-        ParsedContext ctx;
+        ParsedContext ctx(d_, b_);
+        double total = machine_.cost();  // the pass's fold (bt/machine.hpp)
         for (ProcId p = first; p < first + csize; ++p) {
-            parse_context(rd, ctx);
+            total = parse_context(rd, ctx, total);
             // The kTranspose promise: exactly one message, to the transposed
             // grid position.
-            DBSP_REQUIRE(ctx.outgoing.size() == 1);
+            DBSP_REQUIRE(ctx.n_out == 1);
             DBSP_REQUIRE(ctx.outgoing[0].dest == first + transpose_of(p - first));
-            wx.push(ctx.outgoing[0].payload0);
-            wy.push(ctx.outgoing[0].payload1);
+            wx.push(ctx.outgoing[0].payload0, total);
+            wy.push(ctx.outgoing[0].payload1, total);
         }
+        machine_.set_cost(total);
         wx.flush();
         wy.flush();
     }
@@ -528,21 +507,23 @@ bool BtSim::deliver_transpose(ProcId first, std::uint64_t csize, std::uint64_t g
             const std::uint64_t nctx = std::min(ctx_per_chunk, csize - q0);
             const Addr chunk_addr = slot_addr(q0);
             machine_.block_copy(chunk_addr, 0, nctx * mu_);
+            double total = machine_.cost();  // the chunk's fold (bt/machine.hpp)
             for (std::uint64_t t = 0; t < nctx; ++t) {
                 const std::uint64_t q = q0 + t;
                 const Addr base = t * mu_;
-                const auto in_count =
-                    static_cast<std::size_t>(machine_.read(base + layout_.in_count_offset()));
+                const auto in_count = static_cast<std::size_t>(
+                    machine_.read(base + layout_.in_count_offset(), total));
                 DBSP_REQUIRE(in_count < b_);
                 const std::size_t off = layout_.in_record_offset(in_count);
-                machine_.write(base + off, first + transpose_of(q));  // src
-                machine_.write(base + off + 1, rx.peek());
-                machine_.write(base + off + 2, ry.peek());
+                machine_.write(base + off, first + transpose_of(q), total);  // src
+                machine_.write(base + off + 1, rx.peek(0, total), total);
+                machine_.write(base + off + 2, ry.peek(0, total), total);
                 rx.advance(1);
                 ry.advance(1);
-                machine_.write(base + layout_.in_count_offset(), in_count + 1);
-                machine_.write(base + layout_.out_count_offset(), 0);
+                machine_.write(base + layout_.in_count_offset(), in_count + 1, total);
+                machine_.write(base + layout_.out_count_offset(), 0, total);
             }
+            machine_.set_cost(total);
             machine_.block_copy(0, chunk_addr, nctx * mu_);
         }
     }

@@ -10,19 +10,29 @@
 /// bits are defined by. An attached sink sees every charge as it happens,
 /// with the delta the account folds; it sums nothing itself.
 ///
-/// Charging and data placement are decoupled: charges use the *virtual*
-/// base address (where the paper's schedule would have placed the context,
-/// e.g. block 0 for step execution) while the data moves at the *physical*
-/// base (where the context actually sits). The schedule's swap-to-top/run/
-/// swap-back is a net identity on memory, so a simulation round executes
-/// each context in place and charges the moves without performing them
-/// (Machine::charge_swap_blocks).
+/// Folding loops. A fold unit's running total lives in a local that the
+/// compiler keeps in a register: the step runner folds a touch log into a
+/// local double, and each delivery group's accessor is a local of the
+/// group's loop that holds its account and bulk counts by value. A loop may
+/// carry a fold's total in a local, but must write it back (merge it) before
+/// any out-of-line charge, and must not call out of line while the total is
+/// live: a total live across a call is kept on the stack for the whole loop.
+///
+/// Step execution decouples charging from data placement: charges use the
+/// *virtual* base address (where the paper's schedule would have placed the
+/// context, block 0) while the step runs at the *physical* base (where the
+/// context actually sits). The schedule's swap-to-top/run/swap-back is a net
+/// identity on memory, so a simulation round executes each context in place
+/// and charges the moves without performing them (Machine::charge_swap_blocks).
+/// Delivery charges where the data sits.
 ///
 /// Traced or untraced is a template parameter: a simulator instantiates its
 /// round loop once per mode, so the untraced loop carries no sink test.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hmm/machine.hpp"
@@ -33,12 +43,13 @@
 namespace dbsp::core {
 
 /// Runs processors' steps in place on hmm::Machine memory. A step reads and
-/// writes its context as a plain span; afterwards its touch log is priced in
-/// log order into the caller's account — f(vbase + i) per entry, the fold
-/// HmmShardAccessor::get/set apply — followed by the unit-op charge. When
-/// Traced, the sink sees the whole log as one access_log event and then the
-/// op charge. Nothing else can charge or emit an event while a step runs,
-/// so the log's entries are in the order the step touched its words.
+/// writes its context as a plain span; afterwards model::price_step prices
+/// its touch log in log order into the caller's account — f(vbase + i) per
+/// entry, the fold HmmShardAccessor::get/set apply — followed by the unit-op
+/// charge. When Traced, the sink sees the whole log as one access_log event
+/// and then the op charge. Nothing else can charge or emit an event while a
+/// step runs, so the log's entries are in the order the step touched its
+/// words.
 template <bool Traced>
 class HmmStepRunner {
 public:
@@ -58,18 +69,9 @@ public:
         DBSP_REQUIRE(vbase + mu_ <= m_.capacity() && pbase + mu_ <= m_.capacity());
         const model::StepOutcome out = model::run_processor_step(
             program_, layout_, tree_, s, p, m_.raw().subspan(pbase, mu_), touches_);
-        const model::CostTable& table = m_.table();
-        for (const std::uint32_t i : touches_) {
-            DBSP_REQUIRE(i < mu_);
-            account.cost += table.cost(vbase + i);
-        }
+        account.cost = model::price_step<Traced>(account.cost, m_.table(), sink_, touches_,
+                                                 vbase, mu_, out.ops);
         account.words_touched += touches_.size();
-        const auto ops = static_cast<double>(out.ops);
-        if constexpr (Traced) {
-            sink_->access_log(table.prefix(), vbase, touches_);
-            sink_->charge(ops);
-        }
-        account.cost += ops;  // unit op costs
         return out;
     }
 
@@ -83,117 +85,130 @@ private:
     model::TouchLog touches_;  ///< reused by every step of the run
 };
 
-/// Delivery accessor charging into a shard account (and trace sink when
-/// Traced) instead of the machine. Mirrors hmm::Machine's read/write/
-/// read_range/write_range accounting bit for bit, at the virtual address;
-/// a range notes its bulk op on the machine itself.
+/// The accessor of one delivery group (model::deliver_messages): a local of
+/// the group's loop, opened by HmmShardSource::open_group. It charges into
+/// its own ShardAccount (and, when Traced, sends each charge to the machine's
+/// sink) instead of the machine, mirroring hmm::Machine's read/write/
+/// read_range/write_range accounting bit for bit, and counts its ranges' bulk
+/// ops and words; merge() adds all of it to the machine once. It holds the
+/// account, the counts and the cost table's prefix and memory pointers by
+/// value, so the group's fold stays in registers. Processor p's context sits
+/// at block_of_proc[p] * mu (block p when \p block_of_proc is nullptr).
 template <bool Traced>
 class HmmShardAccessor {
 public:
-    HmmShardAccessor(hmm::Machine& m, hmm::ShardAccount& account, trace::Sink* sink,
-                     model::Addr vbase, model::Addr pbase, std::size_t mu)
-        : m_(m), account_(account), sink_(sink), vbase_(vbase), pbase_(pbase),
-          mu_(mu) {}
+    HmmShardAccessor(hmm::Machine& m, std::size_t mu,
+                     const std::vector<std::uint64_t>* block_of_proc = nullptr)
+        : m_(&m), prefix_(m.table().prefix().data()), memory_(m.raw().data()),
+          capacity_(m.capacity()), mu_(mu), block_of_proc_(block_of_proc),
+          sink_(Traced ? m.trace() : nullptr) {
+        DBSP_REQUIRE(!Traced || sink_ != nullptr);
+    }
 
-    model::Word get(std::size_t index) const {
-        DBSP_REQUIRE(index < mu_);
-        const model::Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
-        const double delta = m_.table().cost(vx);
-        account_.cost += delta;
-        ++account_.words_touched;
-        if constexpr (Traced) sink_->access(vx, delta);
-        return m_.raw()[pbase_ + index];
+    /// Aim the accessor at processor \p p's context.
+    void select(model::ProcId p) {
+        base_ = (block_of_proc_ != nullptr ? (*block_of_proc_)[p] : p) * mu_;
+    }
+
+    model::Word get(std::size_t index) {
+        const model::Addr x = addr(index, 1);
+        fold_word(x);
+        return memory_[x];
     }
 
     void set(std::size_t index, model::Word value) {
-        DBSP_REQUIRE(index < mu_);
-        const model::Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx < m_.capacity() && pbase_ + index < m_.capacity());
-        const double delta = m_.table().cost(vx);
-        account_.cost += delta;
-        ++account_.words_touched;
-        if constexpr (Traced) sink_->access(vx, delta);
-        m_.raw()[pbase_ + index] = value;
+        const model::Addr x = addr(index, 1);
+        fold_word(x);
+        memory_[x] = value;
     }
 
-    void get_range(std::size_t index, std::span<model::Word> out) const {
-        DBSP_REQUIRE(index + out.size() <= mu_);
+    void get_range(std::size_t index, std::span<model::Word> out) {
         if (out.empty()) return;
-        const model::Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx + out.size() <= m_.capacity() &&
-                     pbase_ + index + out.size() <= m_.capacity());
-        account_.cost = m_.table().accumulate(vx, vx + out.size(), account_.cost);
-        account_.words_touched += out.size();
-        if constexpr (Traced) sink_->access_range(m_.table().prefix(), vx, vx + out.size());
-        m_.note_bulk(vx + out.size() - 1, out.size());
-        const auto raw = m_.raw();
-        std::copy_n(raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index), out.size(),
-                    out.begin());
+        const model::Addr x = addr(index, out.size());
+        fold_range(x, out.size());
+        std::copy_n(memory_ + x, out.size(), out.begin());
     }
 
     void set_range(std::size_t index, std::span<const model::Word> values) {
-        DBSP_REQUIRE(index + values.size() <= mu_);
         if (values.empty()) return;
-        const model::Addr vx = vbase_ + index;
-        DBSP_REQUIRE(vx + values.size() <= m_.capacity() &&
-                     pbase_ + index + values.size() <= m_.capacity());
-        account_.cost = m_.table().accumulate(vx, vx + values.size(), account_.cost);
-        account_.words_touched += values.size();
-        if constexpr (Traced) {
-            sink_->access_range(m_.table().prefix(), vx, vx + values.size());
-        }
-        m_.note_bulk(vx + values.size() - 1, values.size());
-        const auto raw = m_.raw();
-        std::copy_n(values.begin(), values.size(),
-                    raw.begin() + static_cast<std::ptrdiff_t>(pbase_ + index));
+        const model::Addr x = addr(index, values.size());
+        fold_range(x, values.size());
+        std::copy_n(values.begin(), values.size(), memory_ + x);
     }
 
-    void rebind(model::Addr vbase, model::Addr pbase) {
-        vbase_ = vbase;
-        pbase_ = pbase;
+    /// Add the group's account and bulk counts to the machine, once, and
+    /// start over from zero.
+    void merge() {
+        m_->merge_shard(account_);
+        m_->note_bulk_ops(bulk_ops_, bulk_words_);
+        account_ = hmm::ShardAccount{};
+        bulk_ops_ = 0;
+        bulk_words_ = 0;
     }
 
 private:
-    hmm::Machine& m_;
-    hmm::ShardAccount& account_;
-    trace::Sink* sink_;  ///< non-null iff Traced
-    model::Addr vbase_;  ///< charged addresses
-    model::Addr pbase_;  ///< data addresses
+    /// The address of context word \p index, checking that the \p n words
+    /// from there lie in the context and in memory.
+    model::Addr addr(std::size_t index, std::size_t n) const {
+        DBSP_REQUIRE(index + n <= mu_);
+        const model::Addr x = base_ + index;
+        DBSP_REQUIRE(x + n <= capacity_);
+        return x;
+    }
+
+    /// One word's charge f(x): CostTable::cost, from the cached prefix.
+    void fold_word(model::Addr x) {
+        const double delta = prefix_[x + 1] - prefix_[x];
+        account_.cost += delta;
+        ++account_.words_touched;
+        if constexpr (Traced) sink_->access(x, delta);
+    }
+
+    /// A range's charges, folded cell by cell in ascending order exactly as
+    /// CostTable::accumulate folds them, plus its bulk telemetry.
+    void fold_range(model::Addr x, std::size_t n) {
+        double cost = account_.cost;
+        for (model::Addr y = x; y < x + n; ++y) cost += prefix_[y + 1] - prefix_[y];
+        account_.cost = cost;
+        account_.words_touched += n;
+        ++bulk_ops_;
+        bulk_words_ += n;
+        m_->note_level(x + n - 1, n);
+        if constexpr (Traced) sink_->access_range(m_->table().prefix(), x, x + n);
+    }
+
+    hmm::Machine* m_;
+    const double* prefix_;  ///< the cost table's prefix sums
+    model::Word* memory_;   ///< the machine's memory
+    model::Addr capacity_;
     std::size_t mu_;
+    const std::vector<std::uint64_t>* block_of_proc_;  ///< nullptr = identity
+    trace::Sink* sink_;  ///< non-null iff Traced
+    model::Addr base_ = 0;
+    hmm::ShardAccount account_;
+    std::uint64_t bulk_ops_ = 0;
+    std::uint64_t bulk_words_ = 0;
 };
 
-/// Context source over HMM memory for model::deliver_messages. Processor p's
-/// context lives at block_of_proc[p] * mu (or identity blocks when
-/// \p block_of_proc is nullptr — the pinned naive layout); delivery traffic
-/// charges at the physical address, so vbase == pbase here. Each delivery
-/// group folds into one account and is added to the machine at group_end.
+/// Context source over HMM memory for model::deliver_messages: it opens each
+/// delivery group's accessor and merges it into the machine at group_end.
 template <bool Traced>
 class HmmShardSource {
 public:
     HmmShardSource(hmm::Machine& m, std::size_t mu,
                    const std::vector<std::uint64_t>* block_of_proc)
-        : m_(m), mu_(mu), block_of_proc_(block_of_proc),
-          acc_(m, account_, Traced ? m.trace() : nullptr, 0, 0, mu) {}
+        : m_(m), mu_(mu), block_of_proc_(block_of_proc) {}
 
-    HmmShardAccessor<Traced>& at(model::ProcId p) {
-        const model::Addr base =
-            (block_of_proc_ != nullptr ? (*block_of_proc_)[p] : p) * mu_;
-        acc_.rebind(base, base);
-        return acc_;
+    HmmShardAccessor<Traced> open_group() const {
+        return HmmShardAccessor<Traced>(m_, mu_, block_of_proc_);
     }
 
-    void group_end() {
-        m_.merge_shard(account_);
-        account_.clear();
-    }
+    void group_end(HmmShardAccessor<Traced>& group) const { group.merge(); }
 
 private:
     hmm::Machine& m_;
     std::size_t mu_;
     const std::vector<std::uint64_t>* block_of_proc_;  ///< nullptr = identity
-    hmm::ShardAccount account_;
-    HmmShardAccessor<Traced> acc_;
 };
 
 }  // namespace dbsp::core

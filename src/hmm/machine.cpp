@@ -1,7 +1,6 @@
 #include "hmm/machine.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "model/cost_table_cache.hpp"
 #include "report/metrics.hpp"
@@ -15,14 +14,9 @@ Machine::Machine(AccessFunction f, std::uint64_t capacity)
 // Telemetry discipline: the bulk delivery path often moves single message
 // records (a handful of words), leaving only ~15 cycles of real work per op —
 // even one relaxed atomic RMW per op costs tens of percent there (measured on
-// the bench_micro E3 workload). So the hot path does three plain member adds
-// and the registry sees one batched update per machine lifetime, here.
-void Machine::note_bulk(Addr deepest, std::uint64_t words) {
-    ++bulk_ops_;
-    bulk_words_ += words;
-    bulk_words_by_level_[std::bit_width(deepest)] += words;
-}
-
+// the bench_micro E3 workload). So the hot path does plain member adds
+// (note_bulk_ops, note_level) and the registry sees one batched update per
+// machine lifetime, here.
 void Machine::publish_metrics() {
     if (words_touched_ != 0) {
         static auto& touched = report::metric_counter("hmm.words_touched");
@@ -122,11 +116,6 @@ void Machine::charge_swap_blocks(Addr a, Addr b, std::uint64_t len) {
         trace_->block_op(table_->prefix(), delta, 2, {{a, a + len}, {b, b + len}});
     }
     note_bulk(std::max(a, b) + len - 1, 4 * len);
-}
-
-void Machine::merge_shard(const ShardAccount& account) {
-    cost_ += account.cost;
-    words_touched_ += account.words_touched;
 }
 
 }  // namespace dbsp::hmm

@@ -28,6 +28,7 @@
 /// O(capacity) prefix array once.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -51,7 +52,8 @@ using model::Word;
 /// Machine::merge_shard then adds the account to the machine once. That
 /// grouping of the floating-point additions is part of the charging
 /// structure: the charged cost bits depend on it. Bulk telemetry is integer
-/// counts, which commute, so it goes straight to the machine (note_bulk).
+/// counts, which commute, so it goes to the machine apart from the account
+/// (note_bulk_ops, note_level).
 struct ShardAccount {
     double cost = 0.0;
     std::uint64_t words_touched = 0;
@@ -105,14 +107,25 @@ public:
 
     /// Fold one account into the machine: the cost fold is the single
     /// `cost_ += account.cost`.
-    void merge_shard(const ShardAccount& account);
+    void merge_shard(const ShardAccount& account) {
+        cost_ += account.cost;
+        words_touched_ += account.words_touched;
+    }
 
-    /// Telemetry accumulator for one bulk operation touching \p words words
-    /// whose deepest (highest) address is \p deepest — the level that
-    /// dominates the op's HMM cost. Three plain adds, no atomics. The
-    /// machine's own bulk operations call it, and so do the delivery
-    /// accessor's ranges (core/hmm_shard.hpp), which charge an account.
-    void note_bulk(Addr deepest, std::uint64_t words);
+    /// Bulk telemetry, plain adds with no atomics (see machine.cpp): \p ops
+    /// bulk operations that moved \p words words in all, and one operation's
+    /// \p words filed under the level of its deepest (highest) address
+    /// \p deepest, the level that dominates its HMM cost. The machine's own
+    /// bulk operations note both per op (note_bulk); the delivery accessor
+    /// (core/hmm_shard.hpp) files each range's level as it goes and hands its
+    /// group's op and word counts over once, when the group ends.
+    void note_bulk_ops(std::uint64_t ops, std::uint64_t words) {
+        bulk_ops_ += ops;
+        bulk_words_ += words;
+    }
+    void note_level(Addr deepest, std::uint64_t words) {
+        bulk_words_by_level_[std::bit_width(deepest)] += words;
+    }
 
     /// --- accounting --------------------------------------------------------
     double cost() const { return cost_; }
@@ -156,6 +169,11 @@ public:
     ~Machine();
 
 private:
+    void note_bulk(Addr deepest, std::uint64_t words) {
+        note_bulk_ops(1, words);
+        note_level(deepest, words);
+    }
+
     std::shared_ptr<const model::CostTable> table_;
     std::vector<Word> memory_;
     double cost_ = 0.0;

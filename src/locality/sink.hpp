@@ -23,7 +23,7 @@
 /// executes zero locality-profiling instructions; the touch-log and per-word
 /// events this sink consumes exist only on the traced instantiations the
 /// simulators select once per run (HmmStepRunner<true>,
-/// HmmShardAccessor<true>, BT COMPUTE's price_touches<true>).
+/// HmmShardAccessor<true>, BT COMPUTE's model::price_step<true>).
 
 #include <cstdint>
 

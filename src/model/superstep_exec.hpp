@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "model/context_layout.hpp"
+#include "model/cost_table.hpp"
 #include "model/program.hpp"
+#include "trace/sink.hpp"
 #include "util/contracts.hpp"
 
 namespace dbsp::model {
@@ -48,18 +50,43 @@ inline StepOutcome run_processor_step(Program& program, const ContextLayout& lay
     return StepOutcome{ctx.ops(), ctx.sent(), ctx.read_inbox()};
 }
 
+/// The charge fold of one step, shared by the HMM step runner and BT
+/// COMPUTE: returns \p cost plus f(vbase + i) for each entry i of
+/// \p touches, in log order — the machines' per-word fold, at the virtual
+/// base where the schedule executes the context — and then the step's \p ops
+/// unit charges. The fold runs in a local, so its total stays in a register.
+/// When Traced, \p sink sees the log as one access_log event and then the op
+/// charge.
+template <bool Traced>
+double price_step(double cost, const CostTable& table, trace::Sink* sink,
+                  const TouchLog& touches, Addr vbase, std::size_t mu, std::uint64_t ops) {
+    for (const std::uint32_t i : touches) {
+        DBSP_REQUIRE(i < mu);
+        cost += table.cost(vbase + i);
+    }
+    const auto unit_ops = static_cast<double>(ops);
+    if constexpr (Traced) {
+        sink->access_log(table.prefix(), vbase, touches);
+        sink->charge(unit_ops);
+    }
+    return cost + unit_ops;
+}
+
 /// Context source over per-processor flat word vectors — the direct
 /// machine's storage shape, shared by trace recording and the unit tests. Its
 /// accessor moves words and charges nothing.
 ///
-/// A context source is what deliver_messages runs on: `at(p)` returns an
-/// accessor for processor p's context, valid until the next at() call, with
-/// get/set/get_range/set_range on context word indices; `group_end()` closes
-/// one delivery group (see kDeliveryGroupProcs).
+/// A context source is what deliver_messages runs on: `open_group()` returns
+/// the accessor of one delivery group (see kDeliveryGroupProcs) by value, a
+/// local of the group's loop; `select(p)` aims it at processor p's context,
+/// and get/set/get_range/set_range work on context word indices;
+/// `group_end(acc)` closes the group.
 class VectorAccessorSource {
 public:
     class Accessor {
     public:
+        void select(ProcId p) { words_ = std::span<Word>((*contexts_)[p].data(), mu_); }
+
         Word get(std::size_t i) const {
             DBSP_REQUIRE(i < words_.size());
             return words_[i];
@@ -81,29 +108,30 @@ public:
 
     private:
         friend class VectorAccessorSource;
+        Accessor(std::vector<std::vector<Word>>& contexts, std::size_t mu)
+            : contexts_(&contexts), mu_(mu) {}
+
+        std::vector<std::vector<Word>>* contexts_;
+        std::size_t mu_;
         std::span<Word> words_;
     };
 
     VectorAccessorSource(std::vector<std::vector<Word>>& contexts, std::size_t mu)
         : contexts_(contexts), mu_(mu) {}
 
-    Accessor& at(ProcId p) {
-        acc_.words_ = std::span<Word>(contexts_[p].data(), mu_);
-        return acc_;
-    }
-    void group_end() {}
+    Accessor open_group() { return Accessor(contexts_, mu_); }
+    void group_end(Accessor&) {}
 
 private:
     std::vector<std::vector<Word>>& contexts_;
     std::size_t mu_;
-    Accessor acc_;
 };
 
 /// Group width of the delivery protocol: senders (phase 1) and destination
 /// inboxes (phase 2) are visited in runs of this many processors, and a
-/// charged source folds each run's charges separately (closing each with
-/// group_end). The grouping is part of the charging structure: the charged
-/// cost bits depend on it.
+/// charged source folds each run's charges separately, in the run's own
+/// accessor (closing each with group_end). The grouping is part of the
+/// charging structure: the charged cost bits depend on it.
 inline constexpr std::uint64_t kDeliveryGroupProcs = 64;
 
 /// Reusable scratch space for deliver_messages. Executors that deliver every
@@ -111,7 +139,8 @@ inline constexpr std::uint64_t kDeliveryGroupProcs = 64;
 /// vectors and the bulk-read staging buffer stop being reallocated per step.
 struct DeliveryScratch {
     std::vector<Message> pending;
-    std::vector<Word> words;
+    std::vector<Word> words;        ///< one sender group's outgoing records
+    std::vector<std::size_t> sent;  ///< one sender group's outgoing counts
     std::vector<std::size_t> received;
     std::vector<std::vector<Message>> by_group;  ///< phase 2 destination buckets
 };
@@ -134,8 +163,10 @@ void note_delivery(std::size_t messages);
 /// Phase 1 walks the senders in ascending order, one kDeliveryGroupProcs
 /// group at a time; phase 2 buckets the canonical (src, send-order) message
 /// sequence by destination group (stable, so every inbox still receives its
-/// messages in canonical order) and appends group by group. Each group ends
-/// with contexts.group_end().
+/// messages in canonical order) and appends group by group. Each group runs
+/// on its own accessor, opened with contexts.open_group() and closed with
+/// contexts.group_end(acc), and its loop calls nothing out of line, so a
+/// charged accessor's fold stays in registers (core/hmm_shard.hpp).
 template <class Source>
 std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uint64_t count,
                              Source& contexts, ProcId id_base = 0,
@@ -153,19 +184,34 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
     // message moved directly between buffers.
     std::vector<Message>& pending = sc.pending;
     pending.clear();
+    const std::size_t max_words = ContextLayout::kRecordWords * layout.max_messages;
+    sc.words.resize(kDeliveryGroupProcs * max_words);
+    sc.sent.resize(kDeliveryGroupProcs);
     for (ProcId lo = first; lo < end; lo += kDeliveryGroupProcs) {
         const ProcId hi = std::min<ProcId>(end, lo + kDeliveryGroupProcs);
+        auto acc = contexts.open_group();
+        Word* words = sc.words.data();
         for (ProcId p = lo; p < hi; ++p) {
-            auto& acc = contexts.at(p);
+            acc.select(p);
             const auto sent = static_cast<std::size_t>(acc.get(layout.out_count_offset()));
             DBSP_ASSERT(sent <= layout.max_messages);
             // One range read covers the whole outgoing record block: the
             // records are contiguous, and the accessor's range fold charges
             // the same ascending cells, bit for bit, as a get() per word.
-            sc.words.resize(ContextLayout::kRecordWords * sent);
-            acc.get_range(layout.out_record_offset(0), sc.words);
-            for (std::size_t k = 0; k < sent; ++k) {
-                const Word* rec = sc.words.data() + ContextLayout::kRecordWords * k;
+            sc.sent[p - lo] = sent;
+            acc.get_range(layout.out_record_offset(0),
+                          std::span<Word>(words, ContextLayout::kRecordWords * sent));
+            words += ContextLayout::kRecordWords * sent;
+            if (sent > 0) {
+                acc.set(layout.out_count_offset(), 0);
+            }
+        }
+        contexts.group_end(acc);
+        // The group's records become messages after its fold has ended, so
+        // the fold loop above never reaches push_back's allocator.
+        const Word* rec = sc.words.data();
+        for (ProcId p = lo; p < hi; ++p) {
+            for (std::size_t k = 0; k < sc.sent[p - lo]; ++k) {
                 Message m;
                 m.src = id_base + p;  // inboxes carry global source ids
                 m.dest = rec[0];
@@ -173,12 +219,9 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
                 m.payload1 = rec[2];
                 DBSP_ASSERT(m.dest >= first && m.dest < end);
                 pending.push_back(m);
-            }
-            if (sent > 0) {
-                acc.set(layout.out_count_offset(), 0);
+                rec += ContextLayout::kRecordWords;
             }
         }
-        contexts.group_end();
     }
     note_delivery(pending.size());
 
@@ -194,8 +237,9 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
     std::size_t max_received = 0;
     sc.received.assign(count, 0);
     for (std::size_t g = 0; g < ngroups; ++g) {
+        auto acc = contexts.open_group();
         for (const Message& m : sc.by_group[g]) {
-            auto& acc = contexts.at(m.dest);
+            acc.select(m.dest);
             auto in_count = static_cast<std::size_t>(acc.get(layout.in_count_offset()));
             DBSP_REQUIRE(in_count < layout.max_messages);
             const std::size_t off = layout.in_record_offset(in_count);
@@ -204,7 +248,7 @@ std::size_t deliver_messages(const ContextLayout& layout, ProcId first, std::uin
             acc.set(layout.in_count_offset(), in_count + 1);
             max_received = std::max(max_received, ++sc.received[m.dest - first]);
         }
-        contexts.group_end();
+        contexts.group_end(acc);
     }
     return max_received;
 }

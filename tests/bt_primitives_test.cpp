@@ -60,10 +60,12 @@ TEST(BtPrimitives, StagedReaderStreamsInOrder) {
     for (int i = 0; i < 100; ++i) m.raw()[1000 + i] = 5 * i;
     const StageTower tower(m, /*stage=*/0, /*chunk=*/16, /*align=*/1);
     StagedReader rd(m, tower, /*lane=*/0, 1000, 100);
+    double total = m.cost();
     for (int i = 0; i < 100; ++i) {
-        EXPECT_EQ(rd.peek(), static_cast<Word>(5 * i));
+        EXPECT_EQ(rd.peek(0, total), static_cast<Word>(5 * i));
         rd.advance(1);
     }
+    m.set_cost(total);
     EXPECT_TRUE(rd.done());
 }
 
@@ -72,12 +74,14 @@ TEST(BtPrimitives, StagedReaderPeeksWithinRecord) {
     for (int i = 0; i < 40; ++i) m.raw()[512 + i] = i;
     const StageTower tower(m, 0, /*chunk=*/8, /*align=*/1);  // records of 4, chunk 8
     StagedReader rd(m, tower, 0, 512, 40);
+    double total = m.cost();
     for (int r = 0; r < 10; ++r) {
         for (int t = 0; t < 4; ++t) {
-            EXPECT_EQ(rd.peek(t), static_cast<Word>(4 * r + t));
+            EXPECT_EQ(rd.peek(t, total), static_cast<Word>(4 * r + t));
         }
         rd.advance(4);
     }
+    m.set_cost(total);
 }
 
 TEST(BtPrimitives, StagedWriterFlushesAll) {
@@ -85,7 +89,9 @@ TEST(BtPrimitives, StagedWriterFlushesAll) {
     {
         const StageTower tower(m, /*stage=*/0, /*chunk=*/16, /*align=*/1);
         StagedWriter wr(m, tower, /*lane=*/0, 2000, 77);
-        for (int i = 0; i < 77; ++i) wr.push(i * 3);
+        double total = m.cost();
+        for (int i = 0; i < 77; ++i) wr.push(i * 3, total);
+        m.set_cost(total);
     }  // destructor flushes
     for (int i = 0; i < 77; ++i) EXPECT_EQ(m.raw()[2000 + i], static_cast<Word>(i * 3));
 }

@@ -472,11 +472,13 @@ TEST(RangeAccessFuzz, BtRangeMatchesPerWordAtBlockEdges) {
 }
 
 /// core::HmmShardAccessor moves every delivered message record. Its
-/// set_range/get_range on one account must fold what per-word set/get fold
-/// on another: the same cost bits, words_touched and moved words, and when
-/// Traced the same attributed words. The context's charged (virtual) and
-/// data (physical) bases sit in different halves of memory and swap every
-/// trial, so a range that charges or moves at the wrong base diverges.
+/// set_range/get_range must fold what per-word set/get fold on a twin: the
+/// same cost bits, words_touched and moved words, and when Traced the same
+/// attributed words. Each half of a trial runs on fresh accessors whose
+/// merge() lands on a zeroed machine, so the machines' totals are the two
+/// accounts' bits. The context sits in the lower or the upper half of
+/// memory, alternating by trial, so a range that charges or moves at the
+/// wrong base diverges.
 template <bool Traced>
 void check_shard_accessor_ranges(std::uint64_t seed) {
     constexpr std::uint64_t mu = 1 << 12;
@@ -485,44 +487,56 @@ void check_shard_accessor_ranges(std::uint64_t seed) {
                           AccessFunction::logarithmic()}) {
         hmm::Machine bulk_m(f, capacity);
         hmm::Machine word_m(f, capacity);
-        hmm::ShardAccount bulk_account, word_account;
         trace::AggregateSink bulk_sink, word_sink;
-        core::HmmShardAccessor<Traced> bulk(bulk_m, bulk_account,
-                                            Traced ? &bulk_sink : nullptr, 0, mu, mu);
-        core::HmmShardAccessor<Traced> word(word_m, word_account,
-                                            Traced ? &word_sink : nullptr, 0, mu, mu);
+        if constexpr (Traced) {
+            bulk_m.set_trace(&bulk_sink);
+            word_m.set_trace(&word_sink);
+        }
+        std::uint64_t touched = 0;  // words over all trials, for the sinks
+        // Fold each side's pending charges into its zeroed machine, so the
+        // machines' totals are the two accounts.
+        auto merge_both = [&](core::HmmShardAccessor<Traced>& bulk,
+                              core::HmmShardAccessor<Traced>& word) {
+            bulk_m.reset_cost();
+            word_m.reset_cost();
+            bulk.merge();
+            word.merge();
+            touched += bulk_m.words_touched();
+        };
         SplitMix64 rng(seed);
         for (int trial = 0; trial < 200; ++trial) {
-            const model::Addr vbase = trial % 2 == 0 ? 0 : mu;
-            const model::Addr pbase = mu - vbase;
-            bulk.rebind(vbase, pbase);
-            word.rebind(vbase, pbase);
+            const model::ProcId p = trial % 2;  // base 0 or mu
+            core::HmmShardAccessor<Traced> bulk(bulk_m, mu), word(word_m, mu);
+            bulk.select(p);
+            word.select(p);
             const auto [index, len] = boundary_range(rng, mu);
             std::vector<Word> values(len);
             for (auto& w : values) w = rng.next();
 
             bulk.set_range(index, values);
             for (std::size_t i = 0; i < len; ++i) word.set(index + i, values[i]);
-            ASSERT_EQ(bulk_account.cost, word_account.cost)
-                << f.name() << " set [" << vbase + index << ", " << vbase + index + len
+            merge_both(bulk, word);
+            ASSERT_EQ(bulk_m.cost(), word_m.cost())
+                << f.name() << " set [" << p * mu + index << ", " << p * mu + index + len
                 << ")";
-            ASSERT_EQ(bulk_account.words_touched, word_account.words_touched);
+            ASSERT_EQ(bulk_m.words_touched(), word_m.words_touched());
 
             std::vector<Word> got(len), expect(len);
             bulk.get_range(index, got);
             for (std::size_t i = 0; i < len; ++i) expect[i] = word.get(index + i);
             ASSERT_EQ(got, values);
             ASSERT_EQ(expect, values);
-            ASSERT_EQ(bulk_account.cost, word_account.cost)
-                << f.name() << " get [" << vbase + index << ", " << vbase + index + len
+            merge_both(bulk, word);
+            ASSERT_EQ(bulk_m.cost(), word_m.cost())
+                << f.name() << " get [" << p * mu + index << ", " << p * mu + index + len
                 << ")";
-            ASSERT_EQ(bulk_account.words_touched, word_account.words_touched);
+            ASSERT_EQ(bulk_m.words_touched(), word_m.words_touched());
             ASSERT_TRUE(std::equal(bulk_m.raw().begin(), bulk_m.raw().end(),
                                    word_m.raw().begin()))
                 << f.name() << " memories diverge after trial " << trial;
             if constexpr (Traced) {
                 ASSERT_EQ(bulk_sink.attributed_words(), word_sink.attributed_words());
-                ASSERT_EQ(bulk_sink.attributed_words(), bulk_account.words_touched);
+                ASSERT_EQ(bulk_sink.attributed_words(), touched);
             }
         }
     }

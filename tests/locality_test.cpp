@@ -463,14 +463,13 @@ TEST(Profile, Log2TableHoldsTheLibraryBits) {
 /// Drive the same deterministic mix of machine operations (every charged
 /// kind: single words, ranges, block ops, charge-only swaps) so two sinks
 /// under different options see the identical reference stream. Single words
-/// go through the simulators' delivery accessor, folded into one account
-/// that merge_shard adds to the machine; the traced instantiation also sends
+/// go through the simulators' delivery accessor, folded into its account,
+/// which merge() adds to the machine; the traced instantiation also sends
 /// each word to the machine's sink.
 template <bool Traced>
 void drive_machine(hmm::Machine& machine) {
-    hmm::ShardAccount account;
-    core::HmmShardAccessor<Traced> words(machine, account, machine.trace(), 0, 0,
-                                         machine.capacity());
+    core::HmmShardAccessor<Traced> words(machine, machine.capacity());
+    words.select(0);
     SplitMix64 rng(11);
     std::vector<model::Word> buf(64, 5);
     for (int i = 0; i < 500; ++i) {
@@ -502,7 +501,7 @@ void drive_machine(hmm::Machine& machine) {
             }
         }
     }
-    machine.merge_shard(account);
+    words.merge();
 }
 
 TEST(LocalitySink, BatchedAndPerWordPathsAreBitIdentical) {
@@ -611,16 +610,16 @@ TEST(LocalitySink, SampledModeStillCountsEveryReference) {
 /// A mix of every charged operation kind. With a sink attached the
 /// simulators send single words through the traced delivery accessor, and
 /// that is the contract being tested; the untraced twin runs the untraced
-/// accessor instead. Both fold the words into an account that merge_shard
-/// adds to the machine.
+/// accessor instead. Both fold the words into the accessor's account, which
+/// merge() adds to the machine.
 template <bool Traced>
 void every_charge_kind(hmm::Machine& m) {
-    hmm::ShardAccount account;
-    core::HmmShardAccessor<Traced> words(m, account, m.trace(), 0, 0, m.capacity());
+    core::HmmShardAccessor<Traced> words(m, m.capacity());
+    words.select(0);
     words.set(5, 7);
     words.set(900, 1);
     EXPECT_EQ(words.get(5), 7u);
-    m.merge_shard(account);
+    words.merge();
     std::vector<model::Word> buf(64, 3);
     m.write_range(0, buf);
     m.read_range(32, std::span<model::Word>(buf.data(), 32));

@@ -77,14 +77,18 @@ TEST(StagedStream, RoundTripLargeRegion) {
     {
         const StageTower tower(m, 0, 512, 1);
         StagedWriter wr(m, tower, 0, 8192, n);
-        for (std::uint64_t i = 0; i < n; ++i) wr.push(i * 7 + 1);
+        double total = m.cost();
+        for (std::uint64_t i = 0; i < n; ++i) wr.push(i * 7 + 1, total);
+        m.set_cost(total);
     }
     const StageTower tower(m, 0, 512, 1);
     StagedReader rd(m, tower, 0, 8192, n);
+    double total = m.cost();
     for (std::uint64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(rd.peek(), i * 7 + 1) << i;
+        ASSERT_EQ(rd.peek(0, total), i * 7 + 1) << i;
         rd.advance(1);
     }
+    m.set_cost(total);
     EXPECT_TRUE(rd.done());
 }
 
@@ -99,10 +103,12 @@ TEST(StagedStream, AmortizedCostPerWordIsSmall) {
     const StageTower tower(m, 0, chunk, 1);
     StagedReader rd(m, tower, 0, 8192, n);
     Word acc = 0;
+    double total = m.cost();
     while (!rd.done()) {
-        acc ^= rd.peek();
+        acc ^= rd.peek(0, total);
         rd.advance(1);
     }
+    m.set_cost(total);
     const double per_word = m.cost() / static_cast<double>(n);
     EXPECT_LT(per_word, 12.0);  // vs f(n) ~ 360 for direct reads
     const double direct_per_word = f(8192 + n / 2);
@@ -124,15 +130,17 @@ TEST(StagedStream, ThreeLaneMergePattern) {
     StagedReader ra(m, tower, 0, 4096, n);
     StagedReader rb(m, tower, 1, 4096 + n, n);
     StagedWriter out(m, tower, 2, 4096 + 2 * n, 2 * n);
+    double total = m.cost();
     while (!ra.done() || !rb.done()) {
-        if (!ra.done() && (rb.done() || ra.peek() <= rb.peek())) {
-            out.push(ra.peek());
+        if (!ra.done() && (rb.done() || ra.peek(0, total) <= rb.peek(0, total))) {
+            out.push(ra.peek(0, total), total);
             ra.advance(1);
         } else {
-            out.push(rb.peek());
+            out.push(rb.peek(0, total), total);
             rb.advance(1);
         }
     }
+    m.set_cost(total);
     out.flush();
     for (std::uint64_t i = 0; i < 2 * n; ++i) {
         ASSERT_EQ(m.raw()[4096 + 2 * n + i], i);
@@ -144,7 +152,9 @@ TEST(StagedStream, WriterDestructorFlushesPartial) {
     {
         const StageTower tower(m, 0, 64, 1);
         StagedWriter wr(m, tower, 0, 2048, 33);
-        for (int i = 0; i < 33; ++i) wr.push(i);
+        double total = m.cost();
+        for (int i = 0; i < 33; ++i) wr.push(i, total);
+        m.set_cost(total);
     }
     for (int i = 0; i < 33; ++i) EXPECT_EQ(m.raw()[2048 + i], static_cast<Word>(i));
 }
@@ -157,12 +167,14 @@ TEST(StagedStream, RecordPeeksNeverStraddle) {
     for (std::uint64_t i = 0; i < recs * rw; ++i) raw[4096 + i] = i;
     const StageTower tower(m, 0, 125, rw);
     StagedReader rd(m, tower, 0, 4096, recs * rw);
+    double total = m.cost();
     for (std::uint64_t r = 0; r < recs; ++r) {
         for (std::uint64_t t = 0; t < rw; ++t) {
-            ASSERT_EQ(rd.peek(t), r * rw + t);
+            ASSERT_EQ(rd.peek(t, total), r * rw + t);
         }
         rd.advance(rw);
     }
+    m.set_cost(total);
 }
 
 TEST(StagedStream, ResetMatchesFreshStreams) {
@@ -175,11 +187,13 @@ TEST(StagedStream, ResetMatchesFreshStreams) {
         for (std::uint64_t i = 0; i < n1 + n2; ++i) m.raw()[8192 + i] = rng.next();
     };
     // Copy [8192, +n1) to [16384, +n1), then [8192+n1, +n2) to [20480, +n2).
-    auto copy = [&](StagedReader& rd, StagedWriter& wr) {
+    auto copy = [&](Machine& m, StagedReader& rd, StagedWriter& wr) {
+        double total = m.cost();
         while (!rd.done()) {
-            for (std::uint64_t t = 0; t < rw; ++t) wr.push(rd.peek(t));
+            for (std::uint64_t t = 0; t < rw; ++t) wr.push(rd.peek(t, total), total);
             rd.advance(rw);
         }
+        m.set_cost(total);
         wr.flush();
     };
     Machine fresh(f, 1 << 15), reused(f, 1 << 15);
@@ -190,19 +204,19 @@ TEST(StagedStream, ResetMatchesFreshStreams) {
     {
         StagedReader rd(fresh, tf, 0, 8192, n1);
         StagedWriter wr(fresh, tf, 1, 16384, n1);
-        copy(rd, wr);
+        copy(fresh, rd, wr);
     }
     {
         StagedReader rd(fresh, tf, 0, 8192 + n1, n2);
         StagedWriter wr(fresh, tf, 1, 20480, n2);
-        copy(rd, wr);
+        copy(fresh, rd, wr);
     }
     StagedReader rd(reused, tr, 0, 8192, n1);
     StagedWriter wr(reused, tr, 1, 16384, n1);
-    copy(rd, wr);
+    copy(reused, rd, wr);
     rd.reset(8192 + n1, n2);
     wr.reset(20480, n2);
-    copy(rd, wr);
+    copy(reused, rd, wr);
 
     for (std::uint64_t i = 0; i < reused.capacity(); ++i) {
         ASSERT_EQ(reused.raw()[i], fresh.raw()[i]) << i;

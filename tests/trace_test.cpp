@@ -96,19 +96,19 @@ std::string capture(const Write& write) {
 // ---------------------------------------------------------------------------
 
 /// Every kind of HMM charge event. Single words go through the simulators'
-/// delivery accessor, folded into one account that merge_shard adds to the
+/// delivery accessor, folded into its account, which merge() adds to the
 /// machine; the traced instantiation also emits each word's access event.
 template <bool Traced>
 void hmm_workload(hmm::Machine& m) {
-    hmm::ShardAccount account;
-    core::HmmShardAccessor<Traced> words(m, account, m.trace(), 0, 0, m.capacity());
+    core::HmmShardAccessor<Traced> words(m, m.capacity());
+    words.select(0);
     SplitMix64 rng(99);
     for (int i = 0; i < 200; ++i) {
         const model::Addr x = rng.next_below(4096);
         words.set(x, rng.next());
         (void)words.get(x / 2 + 1);
     }
-    m.merge_shard(account);
+    words.merge();
     std::vector<Word> buf(64);
     m.read_range(100, buf);
     m.write_range(700, buf);
@@ -230,23 +230,39 @@ TEST(TraceTotals, BtSimulationMatchesChargedCost) {
 TEST(TraceTotals, BtRationalPermutationDeliveryMatchesChargedCost) {
     // FFT-rec declares transpose supersteps, so the rational-permutation
     // delivery path (kDeliverTranspose) is exercised. (FftRecursiveProgram
-    // needs log v a power of two, hence v = 16.)
+    // needs log v a power of two, hence v = 16.) bt_label_set relabels every
+    // superstep of this program 0 at v = 16; the full label set keeps its
+    // labels 0 2 1 0 2 1 0 0, so rounds run below the root and Step 4
+    // rotates sibling clusters between them.
     const std::uint64_t v = 16;
     for (const auto& f : case_study_functions()) {
-        auto prog = make_fft_program(v, 17);
-        auto smoothed = core::smooth(*prog, core::bt_label_set(f, prog->context_words(), v));
+        for (const bool full_labels : {false, true}) {
+            auto prog = make_fft_program(v, 17);
+            auto smoothed = core::smooth(
+                *prog, full_labels ? core::full_label_set(v)
+                                   : core::bt_label_set(f, prog->context_words(), v));
+            const std::string what = f.name() + (full_labels ? " full labels" : " bt labels");
 
-        trace::AggregateSink sink;
-        core::BtSimulator::Options options;
-        options.use_rational_permutations = true;
-        options.trace = &sink;
-        const auto res = core::BtSimulator(f, options).simulate(*smoothed);
+            trace::AggregateSink sink;
+            core::BtSimulator::Options options;
+            options.use_rational_permutations = true;
+            options.trace = &sink;
+            const auto res = core::BtSimulator(f, options).simulate(*smoothed);
 
-        EXPECT_EQ(sink.block_transfers(), res.block_transfers) << f.name();
-        EXPECT_NEAR(sink.attributed_cost(), res.bt_cost, 1e-9 * res.bt_cost) << f.name();
-        EXPECT_EQ(phase_cost(sink, trace::Phase::kNone), 0.0) << f.name();
-        ASSERT_GT(res.transpose_invocations, 0u) << f.name();
-        EXPECT_GT(phase_cost(sink, trace::Phase::kDeliverTranspose), 0.0) << f.name();
+            EXPECT_EQ(sink.block_transfers(), res.block_transfers) << what;
+            EXPECT_NEAR(sink.attributed_cost(), res.bt_cost, 1e-9 * res.bt_cost) << what;
+            EXPECT_EQ(phase_cost(sink, trace::Phase::kNone), 0.0) << what;
+            ASSERT_GT(res.transpose_invocations, 0u) << what;
+            EXPECT_GT(phase_cost(sink, trace::Phase::kDeliverTranspose), 0.0) << what;
+            if (full_labels) {
+                EXPECT_EQ(res.transpose_invocations, 3u) << what;
+                double below_root = 0.0;
+                for (const auto& [key, stats] : sink.phases()) {
+                    if (key.label > 0) below_root += stats.cost;
+                }
+                EXPECT_GT(below_root, 0.0) << what;
+            }
+        }
     }
 }
 

@@ -35,8 +35,8 @@
 /// of running with --log at the default info level (the production
 /// configuration) versus without, over interleaved batches of pipelined
 /// cache-hit requests. CPU time rather than wall clock: contended 1-CPU
-/// runners cannot resolve a 2% wall-time ceiling. Best of three passes is
-/// gated at <= 2% with an absolute drift tolerance of 2
+/// runners cannot resolve a 2% wall-time ceiling. The median of 96 rounds'
+/// CPU-time ratios is gated at <= 2% with an absolute drift tolerance of 2
 /// (see EXPERIMENTS.md). Debug-level logging (one JSONL event per request)
 /// is deliberately outside the gate: on ~60 microsecond cache-hit requests
 /// a per-request log line is a double-digit-percent tax by construction,
@@ -522,8 +522,8 @@ int main(int argc, char** argv) {
         // against a --log daemon (default info level: the production
         // configuration — connection lifecycle and anomaly events, no
         // per-request lines) vs an unlogged one. Batches alternate between
-        // the daemons; each of three passes yields one ratio, and the best
-        // (lowest) pass is the reading.
+        // the daemons in rounds of four; each round yields one CPU-time
+        // ratio, and the median round's ratio is the reading.
         if (!spawn_bin.empty()) {
             const std::string plain_sock = socket_path + ".plain";
             const std::string logged_sock = socket_path + ".logged";
@@ -545,41 +545,41 @@ int main(int argc, char** argv) {
                     // ~10 ms batches is dominated by scheduling and cannot
                     // resolve a 2% ceiling. CPU time counts exactly the
                     // work each daemon did — including its logger thread —
-                    // and ignores preemption. Batches still alternate
-                    // daemons so both see the same machine conditions.
-                    // Best-of-kPasses: overhead is a constant property of
-                    // the daemon, so the lowest-noise pass estimates it —
-                    // contaminated passes (IRQ ticks misattributed under
-                    // contention) only ever read high.
-                    constexpr int kPasses = 3;
-                    constexpr int kBatches = 64;
+                    // and ignores preemption. Each round runs four batches,
+                    // plain, logged, logged, plain, so each daemon runs once
+                    // right after the other daemon and once right after
+                    // itself; a round's reading is its logged CPU over its
+                    // plain CPU, and the median round is the estimate (the
+                    // paired-round estimator of bench_micro). A batch costs
+                    // several percent more after a switch of daemon than
+                    // after its own, so ratios of single batch pairs split
+                    // into two clusters by order and their median jumps
+                    // between them; within a round that cost cancels.
+                    constexpr int kRounds = 96;
                     constexpr int kPerBatch = 256;
                     const std::vector<std::string> lines(kPerBatch, warm);
-                    std::vector<double> passes;
+                    std::vector<double> ratios;
                     bool drove = true;
-                    for (int pass = 0; pass < kPasses && drove; ++pass) {
-                        const std::uint64_t plain_cpu0 = proc_cpu_ns(plain_pid);
-                        const std::uint64_t logged_cpu0 = proc_cpu_ns(logged_pid);
-                        for (int r = 0; r < kBatches && drove; ++r) {
-                            serve::Client& first = (r % 2 == 0) ? plain : logged;
-                            serve::Client& second = (r % 2 == 0) ? logged : plain;
+                    for (int r = 0; r < kRounds && drove; ++r) {
+                        std::uint64_t plain_cpu = 0;
+                        std::uint64_t logged_cpu = 0;
+                        for (const bool plain_leg : {true, false, false, true}) {
+                            const pid_t pid = plain_leg ? plain_pid : logged_pid;
+                            const std::uint64_t cpu0 = proc_cpu_ns(pid);
                             std::vector<std::string> replies;
-                            drove = first.request_batch(lines, &replies, &error) &&
-                                    second.request_batch(lines, &replies, &error);
+                            drove = drove && (plain_leg ? plain : logged)
+                                                 .request_batch(lines, &replies, &error);
+                            (plain_leg ? plain_cpu : logged_cpu) += proc_cpu_ns(pid) - cpu0;
                         }
-                        const std::uint64_t plain_cpu =
-                            proc_cpu_ns(plain_pid) - plain_cpu0;
-                        const std::uint64_t logged_cpu =
-                            proc_cpu_ns(logged_pid) - logged_cpu0;
                         if (!drove || plain_cpu == 0) break;
-                        passes.push_back((static_cast<double>(logged_cpu) /
-                                              static_cast<double>(plain_cpu) -
-                                          1.0) *
-                                         100.0);
+                        ratios.push_back(static_cast<double>(logged_cpu) /
+                                         static_cast<double>(plain_cpu));
                     }
-                    if (passes.size() == kPasses) {
-                        overhead_pct = std::max(
-                            0.0, *std::min_element(passes.begin(), passes.end()));
+                    if (ratios.size() == kRounds) {
+                        std::sort(ratios.begin(), ratios.end());
+                        const double median =
+                            (ratios[kRounds / 2 - 1] + ratios[kRounds / 2]) / 2.0;
+                        overhead_pct = std::max(0.0, (median - 1.0) * 100.0);
                         overhead_measured = true;
                     }
                 }
