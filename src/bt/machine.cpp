@@ -93,6 +93,4 @@ void Machine::charge_transfer(Addr src, Addr dst, std::uint64_t len) {
     if (trace_ != nullptr) trace_->block_transfer(src, dst, len, latency, delta);
 }
 
-void Machine::merge_shard(const ShardAccount& account) { cost_ += account.cost; }
-
 }  // namespace dbsp::bt

@@ -41,13 +41,6 @@ using model::AccessFunction;
 using model::Addr;
 using model::Word;
 
-/// Cost accumulator for one context execution in COMPUTE — the BT
-/// counterpart of hmm::ShardAccount (see there for why the fold unit
-/// matters).
-struct ShardAccount {
-    double cost = 0.0;
-};
-
 class Machine {
 public:
     Machine(AccessFunction f, std::uint64_t capacity);
@@ -97,9 +90,10 @@ public:
     /// contexts execute in place.
     void charge_transfer(Addr src, Addr dst, std::uint64_t len);
 
-    /// Fold one account into the machine with the single add
-    /// `cost_ += account.cost`.
-    void merge_shard(const ShardAccount& account);
+    /// Fold one COMPUTE step's total, folded from zero by model::price_step,
+    /// into the machine with the single add `cost_ += cost` (the fold unit
+    /// matters for the same reason as hmm::ShardAccount's).
+    void merge_shard(double cost) { cost_ += cost; }
 
     /// --- accounting --------------------------------------------------------
     double cost() const { return cost_; }

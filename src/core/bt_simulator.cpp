@@ -249,7 +249,7 @@ void BtSim::compute_walk(StepIndex s, std::uint64_t n) {
                 ? model::price_step<true>(0.0, machine_.table(), sink, touches_, 0, mu_, out.ops)
                 : model::price_step<false>(0.0, machine_.table(), nullptr, touches_, 0, mu_,
                                            out.ops);
-        machine_.merge_shard(bt::ShardAccount{cost});
+        machine_.merge_shard(cost);
         machine_.charge_transfer(0, slot_addr(0), mu_);
         return;
     }

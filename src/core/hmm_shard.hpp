@@ -13,7 +13,7 @@
 /// Folding loops. A fold unit's running total lives in a local that the
 /// compiler keeps in a register: the step runner folds a touch log into a
 /// local double, and each delivery group's accessor is a local of the
-/// group's loop that holds its account and bulk counts by value. A loop may
+/// group's loop that holds its account by value. A loop may
 /// carry a fold's total in a local, but must write it back (merge it) before
 /// any out-of-line charge, and must not call out of line while the total is
 /// live: a total live across a call is kept on the stack for the whole loop.
@@ -89,19 +89,18 @@ private:
 /// the group's loop, opened by HmmShardSource::open_group. It charges into
 /// its own ShardAccount (and, when Traced, sends each charge to the machine's
 /// sink) instead of the machine, mirroring hmm::Machine's read/write/
-/// read_range/write_range accounting bit for bit, and counts its ranges' bulk
-/// ops and words; merge() adds all of it to the machine once. It holds the
-/// account, the counts and the cost table's prefix and memory pointers by
-/// value, so the group's fold stays in registers. Processor p's context sits
-/// at block_of_proc[p] * mu (block p when \p block_of_proc is nullptr).
+/// read_range/write_range accounting bit for bit; a range notes its bulk op
+/// on the machine itself. merge() adds the account to the machine once. It
+/// holds the account by value, so the group's fold stays in a register.
+/// Processor p's context sits at block_of_proc[p] * mu (block p when
+/// \p block_of_proc is nullptr).
 template <bool Traced>
 class HmmShardAccessor {
 public:
     HmmShardAccessor(hmm::Machine& m, std::size_t mu,
                      const std::vector<std::uint64_t>* block_of_proc = nullptr)
-        : m_(&m), prefix_(m.table().prefix().data()), memory_(m.raw().data()),
-          capacity_(m.capacity()), mu_(mu), block_of_proc_(block_of_proc),
-          sink_(Traced ? m.trace() : nullptr) {
+        : m_(&m), table_(&m.table()), memory_(m.raw().data()), mu_(mu),
+          block_of_proc_(block_of_proc), sink_(Traced ? m.trace() : nullptr) {
         DBSP_REQUIRE(!Traced || sink_ != nullptr);
     }
 
@@ -136,58 +135,44 @@ public:
         std::copy_n(values.begin(), values.size(), memory_ + x);
     }
 
-    /// Add the group's account and bulk counts to the machine, once, and
-    /// start over from zero.
+    /// Add the group's account to the machine, once, and start over from
+    /// zero.
     void merge() {
         m_->merge_shard(account_);
-        m_->note_bulk_ops(bulk_ops_, bulk_words_);
-        account_ = hmm::ShardAccount{};
-        bulk_ops_ = 0;
-        bulk_words_ = 0;
+        account_.clear();
     }
 
 private:
     /// The address of context word \p index, checking that the \p n words
-    /// from there lie in the context and in memory.
+    /// from there lie in the context; the cost table checks that they lie in
+    /// memory before any word moves.
     model::Addr addr(std::size_t index, std::size_t n) const {
         DBSP_REQUIRE(index + n <= mu_);
-        const model::Addr x = base_ + index;
-        DBSP_REQUIRE(x + n <= capacity_);
-        return x;
+        return base_ + index;
     }
 
-    /// One word's charge f(x): CostTable::cost, from the cached prefix.
     void fold_word(model::Addr x) {
-        const double delta = prefix_[x + 1] - prefix_[x];
+        const double delta = table_->cost(x);
         account_.cost += delta;
         ++account_.words_touched;
         if constexpr (Traced) sink_->access(x, delta);
     }
 
-    /// A range's charges, folded cell by cell in ascending order exactly as
-    /// CostTable::accumulate folds them, plus its bulk telemetry.
     void fold_range(model::Addr x, std::size_t n) {
-        double cost = account_.cost;
-        for (model::Addr y = x; y < x + n; ++y) cost += prefix_[y + 1] - prefix_[y];
-        account_.cost = cost;
+        account_.cost = table_->accumulate(x, x + n, account_.cost);
         account_.words_touched += n;
-        ++bulk_ops_;
-        bulk_words_ += n;
-        m_->note_level(x + n - 1, n);
-        if constexpr (Traced) sink_->access_range(m_->table().prefix(), x, x + n);
+        m_->note_bulk(x + n - 1, n);
+        if constexpr (Traced) sink_->access_range(table_->prefix(), x, x + n);
     }
 
     hmm::Machine* m_;
-    const double* prefix_;  ///< the cost table's prefix sums
-    model::Word* memory_;   ///< the machine's memory
-    model::Addr capacity_;
+    const model::CostTable* table_;
+    model::Word* memory_;  ///< the machine's memory
     std::size_t mu_;
     const std::vector<std::uint64_t>* block_of_proc_;  ///< nullptr = identity
     trace::Sink* sink_;  ///< non-null iff Traced
     model::Addr base_ = 0;
     hmm::ShardAccount account_;
-    std::uint64_t bulk_ops_ = 0;
-    std::uint64_t bulk_words_ = 0;
 };
 
 /// Context source over HMM memory for model::deliver_messages: it opens each

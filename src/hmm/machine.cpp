@@ -14,9 +14,9 @@ Machine::Machine(AccessFunction f, std::uint64_t capacity)
 // Telemetry discipline: the bulk delivery path often moves single message
 // records (a handful of words), leaving only ~15 cycles of real work per op —
 // even one relaxed atomic RMW per op costs tens of percent there (measured on
-// the bench_micro E3 workload). So the hot path does plain member adds
-// (note_bulk_ops, note_level) and the registry sees one batched update per
-// machine lifetime, here.
+// the bench_micro E3 workload). So the hot path does three plain member adds
+// (note_bulk) and the registry sees one batched update per machine lifetime,
+// here.
 void Machine::publish_metrics() {
     if (words_touched_ != 0) {
         static auto& touched = report::metric_counter("hmm.words_touched");

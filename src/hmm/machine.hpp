@@ -52,8 +52,7 @@ using model::Word;
 /// Machine::merge_shard then adds the account to the machine once. That
 /// grouping of the floating-point additions is part of the charging
 /// structure: the charged cost bits depend on it. Bulk telemetry is integer
-/// counts, which commute, so it goes to the machine apart from the account
-/// (note_bulk_ops, note_level).
+/// counts, which commute, so it goes straight to the machine (note_bulk).
 struct ShardAccount {
     double cost = 0.0;
     std::uint64_t words_touched = 0;
@@ -112,18 +111,15 @@ public:
         words_touched_ += account.words_touched;
     }
 
-    /// Bulk telemetry, plain adds with no atomics (see machine.cpp): \p ops
-    /// bulk operations that moved \p words words in all, and one operation's
-    /// \p words filed under the level of its deepest (highest) address
-    /// \p deepest, the level that dominates its HMM cost. The machine's own
-    /// bulk operations note both per op (note_bulk); the delivery accessor
-    /// (core/hmm_shard.hpp) files each range's level as it goes and hands its
-    /// group's op and word counts over once, when the group ends.
-    void note_bulk_ops(std::uint64_t ops, std::uint64_t words) {
-        bulk_ops_ += ops;
+    /// Telemetry accumulator for one bulk operation touching \p words words
+    /// whose deepest (highest) address is \p deepest — the level that
+    /// dominates the op's HMM cost. Three plain adds, no atomics (see
+    /// machine.cpp). The machine's own bulk operations call it, and so do the
+    /// delivery accessor's ranges (core/hmm_shard.hpp), which charge an
+    /// account.
+    void note_bulk(Addr deepest, std::uint64_t words) {
+        ++bulk_ops_;
         bulk_words_ += words;
-    }
-    void note_level(Addr deepest, std::uint64_t words) {
         bulk_words_by_level_[std::bit_width(deepest)] += words;
     }
 
@@ -169,11 +165,6 @@ public:
     ~Machine();
 
 private:
-    void note_bulk(Addr deepest, std::uint64_t words) {
-        note_bulk_ops(1, words);
-        note_level(deepest, words);
-    }
-
     std::shared_ptr<const model::CostTable> table_;
     std::vector<Word> memory_;
     double cost_ = 0.0;

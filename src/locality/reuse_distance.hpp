@@ -32,7 +32,8 @@
 ///    one distance); elsewhere it is a rank query. Contiguous old slots are
 ///    cleared, and the op's b new slots set, as runs of bits. Cells are
 ///    reported as runs of one distance and evenly stepped reuse times, which
-///    LocalityProfile::note_cells folds in closed form.
+///    LocalityProfile::note_cells folds in closed form; cells that continue
+///    such a run in both respects are taken in a tight loop.
 ///  * kSampled — SHARDS-style fixed-rate spatial sampling (Waldspurger et
 ///    al.): a reference is measured iff splitmix(addr) < rate * 2^64, so
 ///    every address is consistently in or out of the sample and the sampled
@@ -405,6 +406,27 @@ private:
             prev = s;
             prev_above = a;
             emit(Event{false, a + o, c0 + o * t + 1 - stamp});
+            // The cells that continue both this cell's old slots (the next
+            // slot up, so the distance stays put) and the pending run's
+            // reuse times (its next step, in the same log2 bucket) are the
+            // ones emit() would append: take them in a tight loop, without
+            // its general tests. A swap's blocks are mostly such runs.
+            if (cells < 2) continue;
+            const auto bucket = std::bit_width(first.time);
+            std::uint64_t next = first.time + cells * step;
+            while (o + 1 < b) {
+                Entry& n = entry_ref(begin + o + 1);
+                if (n.slot != prev + 1) break;
+                const std::uint64_t time = c0 + (o + 1) * t + 1 - n.stamp;
+                if (time != next || std::bit_width(time) != bucket) break;
+                ++o;
+                n.slot = static_cast<std::uint32_t>(base + 1 + o);
+                n.stamp = c0 + (o + 1) * t;
+                ++prev;
+                --prev_above;
+                ++cells;
+                next += step;
+            }
         }
         if (prev != 0) clear_slots(run_lo, prev + 1);
         push_slots(b);

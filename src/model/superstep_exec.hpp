@@ -56,18 +56,19 @@ inline StepOutcome run_processor_step(Program& program, const ContextLayout& lay
 /// base where the schedule executes the context — and then the step's \p ops
 /// unit charges. The fold runs in a local, so its total stays in a register.
 /// When Traced, \p sink sees the log as one access_log event and then the op
-/// charge.
+/// charge, before the fold: a total still live across those calls would be
+/// kept on the stack for the whole loop.
 template <bool Traced>
 double price_step(double cost, const CostTable& table, trace::Sink* sink,
                   const TouchLog& touches, Addr vbase, std::size_t mu, std::uint64_t ops) {
-    for (const std::uint32_t i : touches) {
-        DBSP_REQUIRE(i < mu);
-        cost += table.cost(vbase + i);
-    }
     const auto unit_ops = static_cast<double>(ops);
     if constexpr (Traced) {
         sink->access_log(table.prefix(), vbase, touches);
         sink->charge(unit_ops);
+    }
+    for (const std::uint32_t i : touches) {
+        DBSP_REQUIRE(i < mu);
+        cost += table.cost(vbase + i);
     }
     return cost + unit_ops;
 }

@@ -548,29 +548,32 @@ int main(int argc, char** argv) {
                     // and ignores preemption. Each round runs four batches,
                     // plain, logged, logged, plain, so each daemon runs once
                     // right after the other daemon and once right after
-                    // itself; a round's reading is its logged CPU over its
-                    // plain CPU, and the median round is the estimate (the
+                    // itself; a round's reading is the logged daemon's CPU
+                    // over the plain one's, both read at the round's start
+                    // and end, and the median round is the estimate (the
                     // paired-round estimator of bench_micro). A batch costs
                     // several percent more after a switch of daemon than
                     // after its own, so ratios of single batch pairs split
                     // into two clusters by order and their median jumps
-                    // between them; within a round that cost cancels.
+                    // between them; within a round that cost cancels. Reading
+                    // whole rounds also counts logger-thread work that lags
+                    // past its batch: a window per batch would miss what
+                    // runs while the other daemon's batch is timed.
                     constexpr int kRounds = 96;
                     constexpr int kPerBatch = 256;
                     const std::vector<std::string> lines(kPerBatch, warm);
                     std::vector<double> ratios;
                     bool drove = true;
                     for (int r = 0; r < kRounds && drove; ++r) {
-                        std::uint64_t plain_cpu = 0;
-                        std::uint64_t logged_cpu = 0;
+                        const std::uint64_t plain_cpu0 = proc_cpu_ns(plain_pid);
+                        const std::uint64_t logged_cpu0 = proc_cpu_ns(logged_pid);
                         for (const bool plain_leg : {true, false, false, true}) {
-                            const pid_t pid = plain_leg ? plain_pid : logged_pid;
-                            const std::uint64_t cpu0 = proc_cpu_ns(pid);
                             std::vector<std::string> replies;
                             drove = drove && (plain_leg ? plain : logged)
                                                  .request_batch(lines, &replies, &error);
-                            (plain_leg ? plain_cpu : logged_cpu) += proc_cpu_ns(pid) - cpu0;
                         }
+                        const std::uint64_t plain_cpu = proc_cpu_ns(plain_pid) - plain_cpu0;
+                        const std::uint64_t logged_cpu = proc_cpu_ns(logged_pid) - logged_cpu0;
                         if (!drove || plain_cpu == 0) break;
                         ratios.push_back(static_cast<double>(logged_cpu) /
                                          static_cast<double>(plain_cpu));
