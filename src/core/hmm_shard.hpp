@@ -91,7 +91,9 @@ private:
 /// sink) instead of the machine, mirroring hmm::Machine's read/write/
 /// read_range/write_range accounting bit for bit; a range notes its bulk op
 /// on the machine itself. merge() adds the account to the machine once. It
-/// holds the account by value, so the group's fold stays in a register.
+/// holds the account by value, so the group's fold stays in a register, and
+/// the cost table's prefix pointer and capacity, so a range folds
+/// (model::accumulate_cells) without reloading them from the table.
 /// Processor p's context sits at block_of_proc[p] * mu (block p when
 /// \p block_of_proc is nullptr).
 template <bool Traced>
@@ -99,8 +101,9 @@ class HmmShardAccessor {
 public:
     HmmShardAccessor(hmm::Machine& m, std::size_t mu,
                      const std::vector<std::uint64_t>* block_of_proc = nullptr)
-        : m_(&m), table_(&m.table()), memory_(m.raw().data()), mu_(mu),
-          block_of_proc_(block_of_proc), sink_(Traced ? m.trace() : nullptr) {
+        : m_(&m), prefix_(m.table().prefix().data()), memory_(m.raw().data()),
+          capacity_(m.capacity()), mu_(mu), block_of_proc_(block_of_proc),
+          sink_(Traced ? m.trace() : nullptr) {
         DBSP_REQUIRE(!Traced || sink_ != nullptr);
     }
 
@@ -144,30 +147,33 @@ public:
 
 private:
     /// The address of context word \p index, checking that the \p n words
-    /// from there lie in the context; the cost table checks that they lie in
-    /// memory before any word moves.
+    /// from there lie in the context and in memory.
     model::Addr addr(std::size_t index, std::size_t n) const {
         DBSP_REQUIRE(index + n <= mu_);
-        return base_ + index;
+        const model::Addr x = base_ + index;
+        DBSP_REQUIRE(x + n <= capacity_);
+        return x;
     }
 
+    /// One word's charge f(x), CostTable::cost from the cached prefix.
     void fold_word(model::Addr x) {
-        const double delta = table_->cost(x);
+        const double delta = prefix_[x + 1] - prefix_[x];
         account_.cost += delta;
         ++account_.words_touched;
         if constexpr (Traced) sink_->access(x, delta);
     }
 
     void fold_range(model::Addr x, std::size_t n) {
-        account_.cost = table_->accumulate(x, x + n, account_.cost);
+        account_.cost = model::accumulate_cells(prefix_, x, x + n, account_.cost);
         account_.words_touched += n;
         m_->note_bulk(x + n - 1, n);
-        if constexpr (Traced) sink_->access_range(table_->prefix(), x, x + n);
+        if constexpr (Traced) sink_->access_range(m_->table().prefix(), x, x + n);
     }
 
     hmm::Machine* m_;
-    const model::CostTable* table_;
-    model::Word* memory_;  ///< the machine's memory
+    const double* prefix_;  ///< the cost table's prefix sums
+    model::Word* memory_;   ///< the machine's memory
+    model::Addr capacity_;
     std::size_t mu_;
     const std::vector<std::uint64_t>* block_of_proc_;  ///< nullptr = identity
     trace::Sink* sink_;  ///< non-null iff Traced

@@ -22,6 +22,17 @@
 
 namespace dbsp::model {
 
+/// Fold the per-cell costs prefix[x + 1] - prefix[x] of [begin, end) into
+/// \p acc one cell at a time, in ascending address order: the one range fold
+/// the charged cost bits depend on. CostTable::accumulate checks its bounds
+/// and calls it; a loop that keeps a table's prefix pointer in a register
+/// (core::HmmShardAccessor) calls it directly.
+inline double accumulate_cells(const double* prefix, std::uint64_t begin, std::uint64_t end,
+                               double acc) {
+    for (std::uint64_t x = begin; x < end; ++x) acc += prefix[x + 1] - prefix[x];
+    return acc;
+}
+
 class CostTable {
 public:
     /// Build prefix sums of \p f over addresses [0, capacity).
@@ -54,10 +65,7 @@ public:
     double accumulate(std::uint64_t begin, std::uint64_t end, double acc) const {
         DBSP_REQUIRE(begin <= end);
         DBSP_REQUIRE(end <= capacity_);
-        for (std::uint64_t x = begin; x < end; ++x) {
-            acc += prefix_[x + 1] - prefix_[x];
-        }
-        return acc;
+        return accumulate_cells(prefix_, begin, end, acc);
     }
 
     /// Fact 1 quantity: time to access the first n cells = range_cost(0, n),
